@@ -450,18 +450,107 @@ def axis_key(T: GroupElement) -> tuple:
 
 
 def trace_class_key(T: GroupElement) -> tuple:
-    """Trace modulo sign and complex conjugation (coarse conjugacy invariant)."""
-    r = T.ring
+    """Trace modulo sign, a conjugacy invariant of the element mod +-I.
+
+    Complex conjugation is not inner, so traces that differ other than by
+    sign separate classes and are not folded together.
+    """
     t = T.trace()
-    return min((t, r.neg(t), r.conj(t), r.neg(r.conj(t))))
+    return min(t, T.ring.neg(t))
+
+
+# ---------------------------------------------------------------------------
+# vectorized exact conjugation
+
+# coordinates of g^-1 = [[d, -b], [-c, a]] read from g's key() order
+_INV_ORDER = [6, 7, 2, 3, 4, 5, 0, 1]
+_INV_SIGN = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=np.int64)
+_INT64_SAFE = 1 << 62
+# conjugator images held at once (rows x conjugators) by the loxodromic merge
+_MERGE_CHUNK = 1 << 12
+
+
+def element_array(elements: Iterable[GroupElement]) -> np.ndarray:
+    """(N, 8) int64 array of the elements' key() coordinates."""
+    return np.array([g.key() for g in elements], dtype=np.int64).reshape(-1, 8)
+
+
+def _mat_mul(r: Ring, m: tuple, n: tuple) -> tuple:
+    """2x2 product over the ring; entries are pairs of broadcastable arrays."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (r.add(r.mul(a, e), r.mul(b, g)), r.add(r.mul(a, f), r.mul(b, h)),
+            r.add(r.mul(c, e), r.mul(d, g)), r.add(r.mul(c, f), r.mul(d, h)))
+
+
+def _entries(arr: np.ndarray) -> tuple:
+    return tuple((arr[..., 2 * i], arr[..., 2 * i + 1]) for i in range(4))
+
+
+def _canonical_rows(ring: Ring, rows: np.ndarray) -> np.ndarray:
+    """Vectorized `_canonical_entries` on (..., 8) coordinate rows."""
+    xs, ys = rows[..., 0::2], rows[..., 1::2]
+    first = ((xs != 0) | (ys != 0)).argmax(axis=-1)[..., None]
+    x = np.take_along_axis(xs, first, axis=-1)
+    y = np.take_along_axis(ys, first, axis=-1)
+    r2 = ring.real2((x, y))
+    return np.where((r2 < 0) | ((r2 == 0) & (y < 0)), -rows, rows)
+
+
+class ConjugatorSet:
+    """A conjugator list held once as two (N, 8) int64 arrays, G and G^-1.
+
+    `images` conjugates elements by all N conjugators at once in exact
+    integer arithmetic (products by the ring's rule u^2 = u2_x + u2_y u) and
+    canonicalizes the +-I sign as `GroupElement` does, so an image row
+    equals `T.conjugate_by(g).key()`.
+    """
+
+    def __init__(self, ring: Ring, elements: Iterable[GroupElement]):
+        self.ring = ring
+        self.elements = list(elements)
+        self.G = element_array(self.elements)
+        self.G_inv = self.G[:, _INV_ORDER] * _INV_SIGN
+        self._g_max = int(np.abs(self.G).max(initial=0))
+        # |coord| of a ring product <= k max|coord a| max|coord b|
+        self._k = max(1 + abs(ring.u2_x), 2 + abs(ring.u2_y))
+
+    def __len__(self):
+        return len(self.elements)
+
+    def images(self, T: np.ndarray) -> np.ndarray:
+        """Canonical g T g^-1 for every row T of a (K, 8) array: (K, N, 8)."""
+        t_max = int(np.abs(T).max(initial=0))
+        # each 2x2 product over the ring scales coordinates by at most 2k
+        worst = 4 * self._k ** 2 * self._g_max ** 2 * t_max
+        if worst > _INT64_SAFE:
+            raise ValueError(
+                f"conjugation coordinates may reach {worst}, beyond the int64 "
+                f"range 2^62; entries are too large for the exact kernel")
+        r = self.ring
+        g, g_inv = _entries(self.G[None, :, :]), _entries(self.G_inv[None, :, :])
+        t = _entries(T[:, None, :])
+        out = _mat_mul(r, _mat_mul(r, g, t), g_inv)
+        rows = np.stack([v for pair in out for v in pair], axis=-1)
+        return _canonical_rows(r, rows)
+
+    def matches(self, T: GroupElement, target: GroupElement) -> np.ndarray:
+        """Indices of the conjugators g with g T g^-1 = target."""
+        imgs = self.images(element_array([T]))[0]
+        return np.flatnonzero((imgs == np.array(target.key())).all(axis=1))
 
 
 def find_conjugator(T1: GroupElement, T2: GroupElement,
                     conjugators: Iterable[GroupElement]) -> Optional[GroupElement]:
-    for g in conjugators:
-        if (g * T1) == (T2 * g):
-            return g
-    return None
+    """First conjugator g with g T1 g^-1 = T2, or None.
+
+    `conjugators` is a `ConjugatorSet` or any iterable of elements; pass a
+    set built once when searching the same list repeatedly.
+    """
+    if not isinstance(conjugators, ConjugatorSet):
+        conjugators = ConjugatorSet(T1.ring, conjugators)
+    hits = conjugators.matches(T1, T2)
+    return conjugators.elements[hits[0]] if len(hits) else None
 
 
 # ---------------------------------------------------------------------------
@@ -542,21 +631,17 @@ def _witness_c0(group: GroupDescriptor, p) -> Pair:
     return cand.c
 
 
-def _centralizer_order(g: GroupElement, elements: Sequence[GroupElement]) -> int:
-    count = 0
-    for x in elements:
-        if (x * g) == (g * x):
-            cls = classify(x)
-            if cls.kind not in ("identity", "elliptic"):
-                raise CompletenessError(
-                    "infinite centralizer detected for a cuspidal elliptic class")
-            count += 1
-    return count
+def _centralizer_order(g: GroupElement, conj: ConjugatorSet) -> int:
+    hits = conj.matches(g, g)
+    for i in hits:
+        if classify(conj.elements[i]).kind not in ("identity", "elliptic"):
+            raise CompletenessError(
+                "infinite centralizer detected for a cuspidal elliptic class")
+    return len(hits)
 
 
 def cuspidal_elliptic_classes(group: GroupDescriptor,
-                              elements: Sequence[GroupElement],
-                              conjugator_elements: Optional[Sequence[GroupElement]] = None
+                              elements: Sequence[GroupElement]
                               ) -> list[CuspidalEllipticClass]:
     """Conjugacy classes of the non-parabolic, non-identity stabilizer elements.
 
@@ -568,8 +653,7 @@ def cuspidal_elliptic_classes(group: GroupDescriptor,
     identity of the cuspidal-elliptic budget certifies this downstream.
     """
     r = group.ring
-    if conjugator_elements is None:
-        conjugator_elements = elements
+    conj = ConjugatorSet(r, elements)
     eps0 = group.epsilon_pair
     eps_powers = []
     e = eps0
@@ -593,7 +677,7 @@ def cuspidal_elliptic_classes(group: GroupDescriptor,
     for eps, w, rep in candidates:
         merged = False
         for _, _, seen in kept:
-            if seen == rep or find_conjugator(rep, seen, conjugator_elements):
+            if seen == rep or find_conjugator(rep, seen, conj):
                 merged = True
                 break
         if not merged:
@@ -611,7 +695,7 @@ def cuspidal_elliptic_classes(group: GroupDescriptor,
         c0 = _witness_c0(group, p)
         out.append(CuspidalEllipticClass(
             representative=rep, epsilon=eps, w=w, order=order,
-            centralizer_order=_centralizer_order(rep, elements),
+            centralizer_order=_centralizer_order(rep, conj),
             one_minus_eps_sq_norm=r.norm(margin),
             p=p, c0=c0, c_norm=r.norm(c0)))
     out.sort(key=lambda c: c.representative.key())
@@ -773,23 +857,38 @@ def _axis_families(ax: AxisData) -> list[_Family]:
     return fams
 
 
+def _packing_base(bound: int) -> int:
+    """Base for packing 8 coordinates in [-bound, bound] into one int64."""
+    base = 2 * bound + 1
+    if base ** 8 > _INT64_SAFE:
+        raise ValueError(f"coordinates up to {bound} do not pack into int64 keys")
+    return base
+
+
+def _pack(rows: np.ndarray, bound: int, base: int) -> np.ndarray:
+    """Injective int64 key of each (..., 8) row with coordinates in [-bound, bound]."""
+    powers = base ** np.arange(7, -1, -1, dtype=np.int64)
+    return (rows + bound) @ powers
+
+
 def primitive_loxodromic_classes(group: GroupDescriptor, norm_bound: float,
                                  height: int,
-                                 elements: Optional[Sequence[GroupElement]] = None,
-                                 conjugator_elements: Optional[Sequence[GroupElement]] = None
+                                 elements: Optional[Sequence[GroupElement]] = None
                                  ) -> list[PrimitiveLoxodromicClass]:
     """Reduced system of primitive loxodromic class families, N0 <= norm_bound.
 
     Families on conjugate axes (and opposite directions of one axis, when an
-    endpoint swapper exists) are merged by exact conjugator search: g merges
-    family F into family G when g F.lead g^-1 lands in G's minimal member
-    set.  Completeness in `height` is heuristic; re-running at a larger
-    height and comparing the class list is the supported certification.
+    endpoint swapper exists) are merged by exact conjugator search over the
+    enumeration: g merges family F into family G when g F.lead g^-1 lands in
+    G's minimal member set.  The images of a lead under all conjugators come
+    from one exact int64 kernel (`ConjugatorSet.images`), which raises
+    ValueError when a product could leave the int64 range; they are looked
+    up among the members as packed integer keys.  Completeness in `height`
+    is heuristic; re-running at a larger height and comparing the class list
+    is the supported certification.
     """
     if elements is None:
         elements = enumerate_elements(group, height)
-    if conjugator_elements is None:
-        conjugator_elements = elements
     axes = collect_axes(elements, norm_bound)
 
     families: list[_Family] = []
@@ -798,13 +897,21 @@ def primitive_loxodromic_classes(group: GroupDescriptor, norm_bound: float,
         if ax.loxodromics:
             families.extend(_axis_families(ax))
 
-    # Union-find over families.  Conjugating a family lead by every element
-    # of the conjugator set and looking the image up in a global member map
-    # makes the merge independent of processing order.
-    member_to_family: dict[GroupElement, int] = {}
-    for i, fam in enumerate(families):
-        for g in fam.minimal_members:
-            member_to_family[g] = i
+    # Union-find over families.  Each family lead is conjugated by every
+    # element of the enumeration and the images are looked up among all
+    # minimal members, which makes the merge independent of processing
+    # order.  Members are packed into sorted int64 keys with a base derived
+    # from their largest coordinate |x| <= bound; an image with a coordinate
+    # beyond the bound is exactly a non-member and gets the key -1.
+    # Families are disjoint (one axis, one direction each).
+    member_family = np.array([i for i, fam in enumerate(families)
+                              for _ in fam.minimal_members], dtype=np.int64)
+    members = element_array(g for fam in families for g in fam.minimal_members)
+    bound = int(np.abs(members).max(initial=0))
+    base = _packing_base(bound)
+    member_keys = _pack(members, bound, base)
+    order = np.argsort(member_keys)
+    member_keys, member_family = member_keys[order], member_family[order]
     parent = list(range(len(families)))
 
     def find(i):
@@ -818,11 +925,19 @@ def primitive_loxodromic_classes(group: GroupDescriptor, norm_bound: float,
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    for i, fam in enumerate(families):
-        for g in conjugator_elements:
-            j = member_to_family.get(fam.lead.conjugate_by(g))
-            if j is not None:
-                union(i, j)
+    conj = ConjugatorSet(group.ring, elements)
+    leads = element_array(fam.lead for fam in families)
+    step = max(1, _MERGE_CHUNK // max(1, len(conj)))
+    for start in range(0, len(families), step):
+        imgs = conj.images(leads[start:start + step])
+        keys = np.where((np.abs(imgs) <= bound).all(axis=-1),
+                        _pack(imgs, bound, base), -1)
+        pos = np.minimum(np.searchsorted(member_keys, keys),
+                         len(member_keys) - 1)
+        rows, cols = np.nonzero(member_keys[pos] == keys)
+        for i, j in set(zip((start + rows).tolist(),
+                            member_family[pos[rows, cols]].tolist())):
+            union(i, j)
 
     components: dict[int, list[_Family]] = {}
     for i, fam in enumerate(families):
@@ -878,16 +993,14 @@ class NonCuspidalEllipticClass:
 
 def non_cuspidal_elliptic_classes(group: GroupDescriptor,
                                   elements: Sequence[GroupElement],
-                                  norm_bound: float,
-                                  conjugator_elements: Optional[Sequence[GroupElement]] = None
+                                  norm_bound: float
                                   ) -> list[NonCuspidalEllipticClass]:
     """Conjugacy classes of non-cuspidal elliptic elements in the enumeration.
 
     The rotation invariant sin^2(pi k/m) is computed exactly from the trace:
     the class of R has eigenvalues exp(+-i pi k/m), so sin^2 = 1 - tr^2/4.
     """
-    if conjugator_elements is None:
-        conjugator_elements = elements
+    conj = ConjugatorSet(group.ring, elements)
     # collect all loxodromics regardless of norm_bound: the minimal norm on
     # an elliptic axis is needed whatever its size
     axes = collect_axes(elements, math.inf)
@@ -899,7 +1012,7 @@ def non_cuspidal_elliptic_classes(group: GroupDescriptor,
     classes: list[tuple[GroupElement, list[AxisData]]] = []
     for g, ax in sorted(nce_elems, key=lambda p: p[0].key()):
         for seen, seen_axes in classes:
-            if find_conjugator(g, seen, conjugator_elements):
+            if find_conjugator(g, seen, conj):
                 # conjugate member: its axis still contributes the class
                 # norm (conjugation preserves N0, but the ball may only
                 # realize a loxodromic on one of the conjugate axes)
@@ -943,20 +1056,15 @@ class GroupData:
 
 
 def build_group_data(group: GroupDescriptor, height: int, norm_bound: float,
-                     cache_dir: Optional[str] = None,
-                     conjugator_height: Optional[int] = None) -> GroupData:
+                     cache_dir: Optional[str] = None) -> GroupData:
     elements = cached_enumerate(group, height, cache_dir)
-    if conjugator_height is not None and conjugator_height < height:
-        conj = cached_enumerate(group, conjugator_height, cache_dir)
-    else:
-        conj = elements
     return GroupData(
         group=group, height=height, norm_bound=norm_bound,
         elements=elements,
         stabilizer=stabilizer_data(group),
-        cuspidal_elliptic=cuspidal_elliptic_classes(group, elements, conj),
+        cuspidal_elliptic=cuspidal_elliptic_classes(group, elements),
         loxodromic=primitive_loxodromic_classes(
-            group, norm_bound, height, elements, conj),
+            group, norm_bound, height, elements),
         non_cuspidal_elliptic=non_cuspidal_elliptic_classes(
-            group, elements, norm_bound, conj),
+            group, elements, norm_bound),
     )

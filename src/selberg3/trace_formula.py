@@ -278,7 +278,7 @@ def cuspidal_elliptic_term(g: Callable, classes: Sequence[CuspidalEllipticClass]
             cos_t = 1.0 - norm / 2.0
             integral, _ = quad(
                 lambda x: (g(x) * _sinh_over_cosh_shift(x, cos_t)).real,
-                0.0, np.inf, limit=300)
+                0.0, np.inf, limit=300, epsabs=1e-13, epsrel=1e-12)
         elif route == "series":
             if s_B is None:
                 raise ValueError("series route needs s_B=(s, B)")

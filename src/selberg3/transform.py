@@ -35,6 +35,8 @@ class TestFunctionTriple:
     whether it is closed-form, derived by quadrature, or absent.
     """
 
+    __test__ = False  # not a pytest test class despite the name
+
     h: Callable[[complex], complex]
     g: Callable[[float], float]
     k: Optional[Callable[[float], float]] = None

@@ -27,7 +27,6 @@ from selberg3.zeta import (_iter_factors, build_zeta_class_data,
                            central_difference_check, meromorphy_order,
                            meromorphy_report, topological_divisor)
 
-CACHE = "/root/pkg/.cache"
 OMEGA = cmath.exp(2j * math.pi / 3)
 HEX_SHIFTED = Lattice(complex(0.5, math.sqrt(3.0) / 2.0))  # tau = 1 + omega
 
@@ -84,8 +83,7 @@ def test_criterion_2_cuspidal_identity(picard_data, eisenstein_data):
 
 def test_criterion_3_zeta_log_derivative_oracle():
     start = time.monotonic()
-    gdata = build_group_data(PICARD, height=12, norm_bound=30.0,
-                             cache_dir=CACHE)
+    gdata = build_group_data(PICARD, height=12, norm_bound=30.0)
     data = build_zeta_class_data(gdata.loxodromic, trivial_rep(PICARD.ring))
     worst = 0.0
     for s in (2.0, 2.5):

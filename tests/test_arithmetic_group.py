@@ -5,15 +5,20 @@ import pytest
 
 from selberg3.arithmetic_group import (
     CacheFormatError,
+    ConjugatorSet,
     EnumerationCapError,
     EISENSTEIN_GROUP,
     GroupElement,
     PICARD,
+    _axis_families,
     axis_key,
     cached_enumerate,
     classify,
+    collect_axes,
     cuspidal_elliptic_classes,
+    element_array,
     enumerate_elements,
+    find_conjugator,
     from_ints,
     get_group,
     identity,
@@ -22,6 +27,7 @@ from selberg3.arithmetic_group import (
     primitive_loxodromic_classes,
     save_cache,
     stabilizer_data,
+    trace_class_key,
 )
 from selberg3.rings import EISENSTEIN, GAUSSIAN
 
@@ -314,6 +320,22 @@ class TestLoxodromicClasses:
         assert len(pair) == 2
         assert all(c.ambiguous for c in pair)
 
+    @pytest.mark.parametrize("fixture,flagged", [("picard_data", 25),
+                                                 ("eisenstein_data", 14)])
+    def test_ambiguity_keys_on_trace_up_to_sign(self, fixture, flagged, request):
+        # complex conjugation is not inner: a flagged class needs a partner
+        # with equal norm, torsion order and trace +-t, not +-conj(t)
+        gd = request.getfixturevalue(fixture)
+        r, cls = gd.group.ring, gd.loxodromic
+        assert sum(c.ambiguous for c in cls) == flagged
+        for c in cls:
+            t = c.T0.trace()
+            partners = [o for o in cls if o is not c and o.m == c.m
+                        and abs(o.N0 - c.N0) <= 1e-6
+                        and o.T0.trace() in (t, r.neg(t))]
+            assert c.ambiguous == bool(partners)
+            assert c.trace_key == trace_class_key(c.T0) == min(t, r.neg(t))
+
     def test_powers_not_listed_as_primitive(self, picard_elements):
         cls = primitive_loxodromic_classes(PICARD, 8.0, 6, picard_elements)
         n_t21 = classify(T21).norm
@@ -385,3 +407,124 @@ class TestNonCuspidalElliptic:
         for c in nce:
             assert c.order_primitive == 2
             assert c.sin_sq == Fraction(1, 1)   # trace 0
+
+
+# -- vectorized conjugation kernel -----------------------------------------
+#
+# The pure-Python references below are the loops the kernel replaced; the
+# kernel must reproduce them exactly.
+
+
+def _ref_find_conjugator(t1, t2, els):
+    return next((g for g in els if g * t1 == t2 * g), None)
+
+
+def _ref_centralizer_order(t, els):
+    return sum(1 for x in els if x * t == t * x)
+
+
+def _ref_loxodromic(els, norm_bound):
+    axes = collect_axes(els, norm_bound)
+    fams = [f for k in sorted(axes) if axes[k].loxodromics
+            for f in _axis_families(axes[k])]
+    owner = {g: i for i, f in enumerate(fams) for g in f.minimal_members}
+    parent = list(range(len(fams)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, f in enumerate(fams):
+        for g in els:
+            j = owner.get(f.lead.conjugate_by(g))
+            if j is not None:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    comps = {}
+    for i, f in enumerate(fams):
+        comps.setdefault(find(i), []).append(f)
+    out = []
+    for members in comps.values():
+        lead = min(members, key=lambda f: (f.N0, f.lead.key()))
+        out.append((lead.lead.key(), lead.axis.m, lead.N0,
+                    tuple(sorted({f.axis.key for f in members}))))
+    return sorted(out)
+
+
+def _ref_non_cuspidal(els):
+    axes = collect_axes(els, math.inf)
+    torsion = sorted(((t, ax) for ax in axes.values() for t in ax.torsion),
+                     key=lambda p: p[0].key())
+    reps = []
+    for g, ax in torsion:
+        if not any(_ref_find_conjugator(g, seen, els) for seen, _ in reps):
+            reps.append((g, ax))
+    return sorted((g.key(), ax.m) for g, ax in reps)
+
+
+def _sample_of_each_kind(els, per_kind=3):
+    picked = {}
+    for g in els:
+        c = classify(g)
+        kind = (c.kind, c.cuspidal)
+        if len(picked.setdefault(kind, [])) < per_kind:
+            picked[kind].append(g)
+    return [g for gs in picked.values() for g in gs]
+
+
+@pytest.fixture(scope="module")
+def picard_elements_h8():
+    return enumerate_elements(PICARD, 8)
+
+
+class TestConjugationKernel:
+    @pytest.mark.parametrize("fixture", ["picard_elements", "eisenstein_elements"])
+    def test_images_match_conjugate_by(self, fixture, request):
+        els = request.getfixturevalue(fixture)
+        ts = _sample_of_each_kind(els)
+        kinds = {classify(t).kind for t in ts}
+        assert kinds == {"identity", "parabolic", "elliptic", "loxodromic"}
+        # an element far outside the ball exercises larger coordinates
+        ring = els[0].ring
+        ts.append(GroupElement(ring, (1, 0), (1 << 20, -(1 << 19)), (0, 0), (1, 0)))
+        imgs = ConjugatorSet(ring, els).images(element_array(ts))
+        assert imgs.shape == (len(ts), len(els), 8)
+        for row, t in zip(imgs, ts):
+            assert [tuple(v) for v in row.tolist()] == \
+                [t.conjugate_by(g).key() for g in els]
+
+    @pytest.mark.parametrize("group,h", [(PICARD, 6), (EISENSTEIN_GROUP, 6),
+                                         (PICARD, 8)])
+    def test_class_lists_match_reference(self, group, h, request):
+        els = request.getfixturevalue(
+            {(PICARD, 6): "picard_elements", (EISENSTEIN_GROUP, 6):
+             "eisenstein_elements", (PICARD, 8): "picard_elements_h8"}[group, h])
+        lox = primitive_loxodromic_classes(group, 14.0, h, els)
+        assert sorted((c.T0.key(), c.m, c.N0, c.merged_axes) for c in lox) \
+            == _ref_loxodromic(els, 14.0)
+        for c in cuspidal_elliptic_classes(group, els):
+            assert c.centralizer_order == \
+                _ref_centralizer_order(c.representative, els)
+        nce = non_cuspidal_elliptic_classes(group, els, 14.0)
+        assert sorted((c.representative.key(), c.order_primitive)
+                      for c in nce) == _ref_non_cuspidal(els)
+
+    def test_find_conjugator_first_hit(self, picard_elements):
+        conj = ConjugatorSet(PICARD.ring, picard_elements)
+        for t in _sample_of_each_kind(picard_elements, per_kind=2):
+            for g in picard_elements[::97]:
+                target = t.conjugate_by(g)
+                want = _ref_find_conjugator(t, target, picard_elements)
+                assert find_conjugator(t, target, conj) == want
+                assert find_conjugator(t, target, picard_elements) == want
+        far = GroupElement(GAUSSIAN, (1, 0), (50, 0), (0, 0), (1, 0))
+        assert find_conjugator(R_PIC, far, conj) is None
+
+    def test_overflow_guard(self, picard_elements):
+        conj = ConjugatorSet(PICARD.ring, picard_elements)
+        huge = GroupElement(GAUSSIAN, (1, 0), (1 << 58, 0), (0, 0), (1, 0))
+        with pytest.raises(ValueError, match="int64"):
+            conj.images(element_array([huge]))
+        with pytest.raises(ValueError, match="int64"):
+            find_conjugator(huge, huge, conj)

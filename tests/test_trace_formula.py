@@ -22,7 +22,6 @@ from selberg3.trace_formula import (EULER_GAMMA, SpectralSideInputs,
                                     parabolic_term)
 
 OMEGA = cmath.exp(2j * math.pi / 3)
-CACHE = "/root/pkg/.cache"
 
 # picard_data / eisenstein_data / triple fixtures come from conftest.py.
 

@@ -11,6 +11,7 @@ from selberg3.representation import (find_character, singular_spaces,
                                      trivial_rep)
 from selberg3.trace_formula import (SpectralSideInputs, geometric_side,
                                     loxodromic_term)
+from selberg3.transform import resolvent_pair
 from selberg3.zeta import (DivisorRecord, XiBlocks, _iter_factors,
                            _selection_residue, abel_product_log,
                            build_zeta_class_data, central_difference_check,
@@ -277,6 +278,23 @@ class TestCrossModule:
         xi_b = xi_log_derivative(big, data, blocks, trS0,
                                  power_norm_bound=14.0)
         rhs = xi_s / (2.0 * s) - xi_b / (2.0 * big)
+        assert abs(lhs - rhs) <= 1e-9
+
+    def test_completed_pair_near_s_one(self, picard_data):
+        """At this (s, B) the cuspidal elliptic quadrature at scipy's default
+        absolute tolerance (about 1.5e-8) left a pair error of 1.6e-9."""
+        s, big, trS0 = 1.4324260309580783, 3.1682903188596496, -1.0
+        chi = trivial_rep(PICARD.ring)
+        rep = geometric_side(resolvent_pair(s, big), picard_data, chi, A=5.0,
+                             norm_bound=14.0)
+        data = build_zeta_class_data(picard_data.loxodromic, chi)
+        blocks = geometric_blocks(picard_data, chi)
+        lhs = rep.finite_part - trS0 * (1.0 / (4.0 * s * s)
+                                        - 1.0 / (4.0 * big * big))
+        rhs = (xi_log_derivative(s, data, blocks, trS0, power_norm_bound=14.0)
+               / (2.0 * s)
+               - xi_log_derivative(big, data, blocks, trS0,
+                                   power_norm_bound=14.0) / (2.0 * big))
         assert abs(lhs - rhs) <= 1e-9
 
 
