@@ -2,26 +2,21 @@
 
 Walks through the discrete-group layer for the Picard group PSL(2, Z[i]):
 finite enumeration by bottom-row height, the four-way motion classification,
-the disk cache, and the three class inventories (loxodromic, cuspidal
-elliptic, non-cuspidal elliptic) that feed the trace formula.
+and the three class inventories (loxodromic, cuspidal elliptic, non-cuspidal
+elliptic) that feed the trace formula.
 
 Run:  python3 demos/enumeration_and_classes.py
 """
 
-import time
 from collections import Counter
-from pathlib import Path
 
 from selberg3.arithmetic_group import (
     PICARD,
     build_group_data,
-    cached_enumerate,
     classify,
     enumerate_elements,
     from_ints,
 )
-
-CACHE = str(Path(__file__).resolve().parents[1] / ".cache")
 
 
 def rule(title):
@@ -56,18 +51,8 @@ def main():
         extra += f" norm={c.norm:.6f}" if c.norm is not None else ""
         print(f"{label:24s} -> {c.kind}{extra}  cuspidal={c.cuspidal}")
 
-    rule("Disk cache round trip")
-    t0 = time.perf_counter()
-    first = cached_enumerate(PICARD, 4, cache_dir=CACHE)
-    t1 = time.perf_counter()
-    second = cached_enumerate(PICARD, 4, cache_dir=CACHE)
-    t2 = time.perf_counter()
-    print(f"first call : {len(first):5d} elements in {t1 - t0:.3f}s")
-    print(f"second call: {len(second):5d} elements in {t2 - t1:.3f}s (cache hit)")
-    print("identical  :", [g.key() for g in first] == [g.key() for g in second])
-
     rule("Conjugacy-class inventories (height 6, norm bound 14)")
-    gd = build_group_data(PICARD, height=6, norm_bound=14.0, cache_dir=CACHE)
+    gd = build_group_data(PICARD, height=6, norm_bound=14.0)
     print("element kinds:", gd.counts())
     print(f"primitive loxodromic families : {len(gd.loxodromic)}")
     for cls in sorted(gd.loxodromic, key=lambda c: c.N0)[:5]:

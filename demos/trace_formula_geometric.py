@@ -12,15 +12,10 @@ not move when A changes.
 Run:  python3 demos/trace_formula_geometric.py
 """
 
-from pathlib import Path
-
 from selberg3.arithmetic_group import EISENSTEIN_GROUP, PICARD, build_group_data
 from selberg3.representation import find_character, singular_spaces, trivial_rep
 from selberg3.trace_formula import cuspidal_identity_check, geometric_side
 from selberg3.transform import resolvent_pair
-
-CACHE = str(Path(__file__).resolve().parents[1] / ".cache")
-
 
 def rule(title):
     print()
@@ -28,7 +23,7 @@ def rule(title):
 
 
 def main():
-    gd = build_group_data(PICARD, height=6, norm_bound=14.0, cache_dir=CACHE)
+    gd = build_group_data(PICARD, height=6, norm_bound=14.0)
     chi = trivial_rep(PICARD.ring)
     sing = singular_spaces(chi, gd.stabilizer)
     print(f"Picard group, trivial character: k_infinity = {sing.k_infinity}, "
@@ -79,8 +74,7 @@ def main():
     print(f"max pairwise difference: {spread:.2e}")
 
     rule("Same run for the Eisenstein group")
-    ge = build_group_data(EISENSTEIN_GROUP, height=6, norm_bound=14.0,
-                          cache_dir=CACHE)
+    ge = build_group_data(EISENSTEIN_GROUP, height=6, norm_bound=14.0)
     chi_e = trivial_rep(EISENSTEIN_GROUP.ring)
     rep_e = geometric_side(triple, ge, chi_e, A=5.0, norm_bound=14.0)
     print(f"finite part = {complex(rep_e.finite_part).real:+.12f}, "

@@ -10,9 +10,6 @@ including the meromorphy-order contrast between the two groups.
 Run:  python3 demos/zeta_divisor.py
 """
 
-import io
-from pathlib import Path
-
 from selberg3.arithmetic_group import EISENSTEIN_GROUP, PICARD, build_group_data
 from selberg3.representation import singular_spaces, trivial_rep
 from selberg3.trace_formula import geometric_side
@@ -20,7 +17,6 @@ from selberg3.transform import resolvent_pair
 from selberg3.zeta import (
     build_zeta_class_data,
     central_difference_check,
-    divisor_to_csv,
     geometric_blocks,
     log_derivative_series,
     meromorphy_report,
@@ -30,8 +26,6 @@ from selberg3.zeta import (
     zeta_truncated,
 )
 
-CACHE = str(Path(__file__).resolve().parents[1] / ".cache")
-
 
 def rule(title):
     print()
@@ -39,7 +33,7 @@ def rule(title):
 
 
 def main():
-    gd = build_group_data(PICARD, height=6, norm_bound=14.0, cache_dir=CACHE)
+    gd = build_group_data(PICARD, height=6, norm_bound=14.0)
     chi = trivial_rep(PICARD.ring)
     data = build_zeta_class_data(gd.loxodromic, chi)
 
@@ -103,14 +97,8 @@ def main():
     if re_.note:
         print(f"             note: {re_.note}")
 
-    rule("CSV export of the divisor")
-    buf = io.StringIO()
-    divisor_to_csv(records[:3], buf)
-    print(buf.getvalue().rstrip("\n"))
-
     rule("Contrast: the Eisenstein group's own Euler product")
-    ge = build_group_data(EISENSTEIN_GROUP, height=6, norm_bound=14.0,
-                          cache_dir=CACHE)
+    ge = build_group_data(EISENSTEIN_GROUP, height=6, norm_bound=14.0)
     chi_e = trivial_rep(EISENSTEIN_GROUP.ring)
     data_e = build_zeta_class_data(ge.loxodromic, chi_e)
     torsion = [zcd for zcd in data_e if zcd.m > 1]

@@ -19,8 +19,6 @@ class-number-one rings only; other rings are rejected.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -31,16 +29,11 @@ from scipy.special import polygamma
 from .geometry import MoebiusMatrix
 from .rings import EISENSTEIN, GAUSSIAN, Pair, Ring, is_square_in_field
 
-CACHE_VERSION = 1
 DEFAULT_ELEMENT_CAP = 3_000_000
 
 
 class EnumerationCapError(RuntimeError):
     """Raised when an enumeration would exceed the configured element cap."""
-
-
-class CacheFormatError(RuntimeError):
-    """Raised for unreadable or wrong-version cache files."""
 
 
 class CompletenessError(RuntimeError):
@@ -326,63 +319,6 @@ def enumerate_elements(group: GroupDescriptor, height: int,
                 emit(a, (int(bxx), int(byy)), (int(cxx), int(cyy)), d)
 
     return sorted(out, key=GroupElement.key)
-
-
-# ---------------------------------------------------------------------------
-# cache
-
-
-def cache_path(cache_dir: str, group: GroupDescriptor, height: int) -> str:
-    return os.path.join(cache_dir, f"elements_{group.ring.name}_h{height}.txt")
-
-
-def save_cache(path: str, group: GroupDescriptor, height: int,
-               elements: Sequence[GroupElement]) -> None:
-    """Atomic write of the sorted element list."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", text=True)
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(f"ring={group.ring.name} height={height} version={CACHE_VERSION}\n")
-            for g in elements:
-                f.write(" ".join(str(v) for v in g.key()) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_cache(path: str, group: GroupDescriptor, height: int) -> list[GroupElement]:
-    with open(path) as f:
-        header = f.readline().strip()
-        expected = f"ring={group.ring.name} height={height} version={CACHE_VERSION}"
-        if header != expected:
-            raise CacheFormatError(
-                f"cache header {header!r} does not match {expected!r}")
-        r = group.ring
-        out = []
-        for line in f:
-            vals = [int(v) for v in line.split()]
-            if len(vals) != 8:
-                raise CacheFormatError(f"malformed cache line {line!r}")
-            out.append(GroupElement(
-                r, (vals[0], vals[1]), (vals[2], vals[3]),
-                (vals[4], vals[5]), (vals[6], vals[7])))
-    return out
-
-
-def cached_enumerate(group: GroupDescriptor, height: int,
-                     cache_dir: Optional[str] = None,
-                     cap: int = DEFAULT_ELEMENT_CAP) -> list[GroupElement]:
-    if cache_dir is None:
-        return enumerate_elements(group, height, cap)
-    path = cache_path(cache_dir, group, height)
-    if os.path.exists(path):
-        return load_cache(path, group, height)
-    elems = enumerate_elements(group, height, cap)
-    save_cache(path, group, height, elems)
-    return elems
 
 
 # ---------------------------------------------------------------------------
@@ -1055,9 +991,9 @@ class GroupData:
         return kinds
 
 
-def build_group_data(group: GroupDescriptor, height: int, norm_bound: float,
-                     cache_dir: Optional[str] = None) -> GroupData:
-    elements = cached_enumerate(group, height, cache_dir)
+def build_group_data(group: GroupDescriptor, height: int,
+                     norm_bound: float) -> GroupData:
+    elements = enumerate_elements(group, height)
     return GroupData(
         group=group, height=height, norm_bound=norm_bound,
         elements=elements,

@@ -1,4 +1,4 @@
-"""Command-line driver: configuration, enumeration caches, and reports.
+"""Command-line driver: configuration, representation files, and reports.
 
 Subcommands: enumerate | classify | lsum | identity | zeta | trace |
 eisenstein-check.  Exit codes: 0 success, 1 usage error, 2 data or
@@ -25,10 +25,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arithmetic_group import (GROUPS, CacheFormatError, CompletenessError,
-                               EnumerationCapError, build_group_data,
-                               cached_enumerate, classify, get_group,
-                               stabilizer_data)
+from .arithmetic_group import (GROUPS, CompletenessError, EnumerationCapError,
+                               build_group_data, classify, enumerate_elements,
+                               get_group, stabilizer_data)
 from .eisenstein import eigen_check
 from .geometry import Point3
 from .lattice_lfn import (HEX_LATTICE, SQUARE_LATTICE, Lattice,
@@ -39,7 +38,7 @@ from .representation import (CyclotomicValue, find_character, singular_spaces,
 from .trace_formula import cuspidal_identity_check, geometric_side
 from .transform import QuadratureError, resolvent_pair
 from .zeta import (build_zeta_class_data, central_difference_check,
-                   divisor_to_csv, log_derivative_series, meromorphy_report,
+                   log_derivative_series, meromorphy_report,
                    topological_divisor, zeta_truncated)
 
 __all__ = ["RunConfig", "UsageError", "main"]
@@ -69,7 +68,6 @@ class RunConfig:
     tol: float = 1e-8
     out: Optional[str] = None
     format: str = "text"
-    cache_dir: Optional[str] = None
 
     def validate(self) -> "RunConfig":
         if self.group not in GROUPS:
@@ -299,7 +297,7 @@ def emit(report: Report, config: RunConfig) -> None:
 
 def cmd_enumerate(config: RunConfig, args) -> int:
     group = get_group(config.group)
-    elems = cached_enumerate(group, config.height, config.cache_dir)
+    elems = enumerate_elements(group, config.height)
     counts = Counter(classify(g).kind for g in elems)
     rows = [row(kind=k, count=counts[k]) for k in sorted(counts)]
     rows.append(row(kind="total", count=len(elems)))
@@ -309,8 +307,7 @@ def cmd_enumerate(config: RunConfig, args) -> int:
 
 def cmd_classify(config: RunConfig, args) -> int:
     group = get_group(config.group)
-    gdata = build_group_data(group, config.height, config.norm_bound,
-                             cache_dir=config.cache_dir)
+    gdata = build_group_data(group, config.height, config.norm_bound)
     summary = [
         row(kind="cuspidal_elliptic", count=len(gdata.cuspidal_elliptic)),
         row(kind="loxodromic", count=len(gdata.loxodromic)),
@@ -371,8 +368,7 @@ def _residual_cells(value: CyclotomicValue) -> dict:
 def cmd_identity(config: RunConfig, args) -> int:
     group = get_group(config.group)
     chi = load_representation(config)
-    gdata = build_group_data(group, config.height, config.norm_bound,
-                             cache_dir=config.cache_dir)
+    gdata = build_group_data(group, config.height, config.norm_bound)
     sing = singular_spaces(chi, gdata.stabilizer)
     residual = cuspidal_identity_check(
         gdata.cuspidal_elliptic, chi, sing.k_infinity, sing.l_infinity,
@@ -395,8 +391,7 @@ def _divisor_rows(records) -> list:
 def cmd_zeta(config: RunConfig, args) -> int:
     group = get_group(config.group)
     chi = load_representation(config)
-    gdata = build_group_data(group, config.height, config.norm_bound,
-                             cache_dir=config.cache_dir)
+    gdata = build_group_data(group, config.height, config.norm_bound)
     sing = singular_spaces(chi, gdata.stabilizer)
     data = build_zeta_class_data(gdata.loxodromic, chi)
     s_list = args.s or [2.0, 2.5]
@@ -427,9 +422,8 @@ def cmd_zeta(config: RunConfig, args) -> int:
                                    "divisor": _divisor_rows(records)})
     emit(report, config)
     if config.out:
-        buf = io.StringIO()
-        divisor_to_csv(records, buf)
-        write_atomic(config.out + ".divisor.csv", buf.getvalue())
+        write_atomic(config.out + ".divisor.csv",
+                     _render_csv_rows(report.sections["divisor"]))
     return 0 if all_ok else 3
 
 
@@ -438,8 +432,7 @@ def cmd_trace(config: RunConfig, args) -> int:
         raise UsageError("need 1 < s < B for the resolvent pair")
     group = get_group(config.group)
     chi = load_representation(config)
-    gdata = build_group_data(group, config.height, config.norm_bound,
-                             cache_dir=config.cache_dir)
+    gdata = build_group_data(group, config.height, config.norm_bound)
     triple = resolvent_pair(args.s, args.B)
     rep = geometric_side(triple, gdata, chi, A=config.A,
                          norm_bound=config.norm_bound)
@@ -523,14 +516,13 @@ def build_parser() -> _Parser:
     common.add_argument("--tol", type=float)
     common.add_argument("--out", help="write the report here (atomically)")
     common.add_argument("--format", choices=FORMATS)
-    common.add_argument("--cache-dir", dest="cache_dir")
     common.add_argument("--config", help="'key = value' config file")
 
     parser = _Parser(prog="selberg3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("enumerate", parents=[common],
-                   help="build or refresh the element cache; count kinds")
+                   help="enumerate group elements by height; count kinds")
     sub.add_parser("classify", parents=[common],
                    help="conjugacy-class tables for the configured group")
 
@@ -592,8 +584,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (CacheFormatError, CompletenessError, EnumerationCapError,
-            OSError) as e:
+    except (CompletenessError, EnumerationCapError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (QuadratureError, ValueError, ArithmeticError, RuntimeError) as e:

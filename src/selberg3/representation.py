@@ -19,7 +19,6 @@ consume.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -507,7 +506,7 @@ def find_character(group: GroupDescriptor, modulus: Pair,
         for _, (elem, want) in targets.items():
             got = cmath.exp(2j * math.pi *
                             float(angles[rep_of[quotient.reduce_element(elem)]]))
-            if abs(got - want) > 1e-9:
+            if not abs(got - want) <= 1e-9:  # a NaN target matches nothing
                 ok = False
                 break
         if ok:
@@ -779,62 +778,3 @@ def singular_spaces(chi: UnitaryRep, stab: StabilizerData,
     return SingularData(V_infinity=v_inf, V_prime_infinity=p,
                         k_infinity=k_inf, l_infinity=l_inf,
                         lattice_characters=chars)
-
-
-# ---------------------------------------------------------------------------
-# description files
-
-def _parse_value(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        ang = Fraction(int(num), int(den)) if den else Fraction(int(num))
-        return cmath.exp(2j * math.pi * float(ang))
-    raise ValueError(f"cannot parse representation value {v!r}")
-
-
-def _parse_matrix(rows) -> np.ndarray:
-    return np.array([[_parse_value(v) for v in row] for row in rows])
-
-
-def _parse_element(group: GroupDescriptor, rows) -> GroupElement:
-    (a, b), (c, d) = rows
-    return GroupElement(group.ring, tuple(a), tuple(b), tuple(c), tuple(d))
-
-
-def load_representation(source, group: GroupDescriptor) -> UnitaryRep:
-    """Build a representation from a JSON file path or parsed dict.
-
-    kinds: trivial {dim}; congruence-character {ideal, on_R, on_S, on_E};
-    congruence-table {ideal, generators: [{element, image}]};
-    cusp-local {on_R, on_S, on_E}.  Values are numbers, [re, im] pairs, or
-    exact angle strings "k/d".
-    """
-    if isinstance(source, str):
-        if source == "trivial":
-            return trivial_rep(group.ring)
-        with open(source) as fh:
-            desc = json.load(fh)
-    else:
-        desc = dict(source)
-    kind = desc.get("kind")
-    if kind == "trivial":
-        return trivial_rep(group.ring, int(desc.get("dim", 1)))
-    if kind == "congruence-character":
-        return find_character(group, tuple(desc["ideal"]),
-                              _parse_value(desc["on_R"]),
-                              _parse_value(desc["on_S"]),
-                              _parse_value(desc["on_E"]))
-    if kind == "congruence-table":
-        gens = [(_parse_element(group, g["element"]), _parse_matrix(g["image"]))
-                for g in desc["generators"]]
-        return congruence_table_rep(group, tuple(desc["ideal"]), gens,
-                                    label=desc.get("label", ""))
-    if kind == "cusp-local":
-        return cusp_local_character(group, _parse_value(desc["on_R"]),
-                                    _parse_value(desc["on_S"]),
-                                    _parse_value(desc["on_E"]))
-    raise ValueError(f"unknown representation kind {kind!r}")

@@ -10,8 +10,6 @@ spectral.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +40,6 @@ __all__ = [
     "meromorphy_order",
     "MeromorphyReport",
     "meromorphy_report",
-    "divisor_to_csv",
     "abel_product_log",
     "functional_factor_psi",
     "XiBlocks",
@@ -426,27 +423,6 @@ def meromorphy_report(records: Sequence[DivisorRecord],
             f"computed lcm {computed} differs from the documented order "
             f"{documented_order}; both reported")
     return MeromorphyReport(computed, documented_order, matches, note)
-
-
-def divisor_to_csv(records: Sequence[DivisorRecord], target) -> None:
-    """Write records as CSV (location_re, location_im, residue_num,
-    residue_den, source); target is a path or a text file object."""
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["location_re", "location_im", "residue_num",
-                         "residue_den", "source"])
-        for rec in records:
-            # + 0.0 folds IEEE negative zero into "0"
-            writer.writerow(["%.15g" % (rec.location.real + 0.0),
-                             "%.15g" % (rec.location.imag + 0.0),
-                             str(rec.residue.numerator),
-                             str(rec.residue.denominator),
-                             rec.source])
-    finally:
-        if own:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from selberg3.arithmetic_group import (
-    CacheFormatError,
     ConjugatorSet,
     EnumerationCapError,
     EISENSTEIN_GROUP,
@@ -12,7 +11,6 @@ from selberg3.arithmetic_group import (
     PICARD,
     _axis_families,
     axis_key,
-    cached_enumerate,
     classify,
     collect_axes,
     cuspidal_elliptic_classes,
@@ -22,10 +20,8 @@ from selberg3.arithmetic_group import (
     from_ints,
     get_group,
     identity,
-    load_cache,
     non_cuspidal_elliptic_classes,
     primitive_loxodromic_classes,
-    save_cache,
     stabilizer_data,
     trace_class_key,
 )
@@ -90,40 +86,6 @@ class TestEnumeration:
         assert get_group("eisenstein") is EISENSTEIN_GROUP
         with pytest.raises(ValueError):
             get_group("modular")
-
-
-# -- cache ------------------------------------------------------------------
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        els = enumerate_elements(PICARD, 2)
-        path = tmp_path / "cache.txt"
-        save_cache(str(path), PICARD, 2, els)
-        assert load_cache(str(path), PICARD, 2) == els
-
-    def test_header_version_mismatch(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        path.write_text("ring=gauss height=2 version=99\n")
-        with pytest.raises(CacheFormatError):
-            load_cache(str(path), PICARD, 2)
-
-    def test_header_wrong_ring(self, tmp_path):
-        els = enumerate_elements(PICARD, 1)
-        path = tmp_path / "cache.txt"
-        save_cache(str(path), PICARD, 1, els)
-        with pytest.raises(CacheFormatError):
-            load_cache(str(path), EISENSTEIN_GROUP, 1)
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        path.write_text("ring=gauss height=1 version=1\n1 0 0\n")
-        with pytest.raises(CacheFormatError):
-            load_cache(str(path), PICARD, 1)
-
-    def test_cached_enumerate_hits_cache(self, tmp_path):
-        first = cached_enumerate(PICARD, 2, str(tmp_path))
-        second = cached_enumerate(PICARD, 2, str(tmp_path))
-        assert first == second == enumerate_elements(PICARD, 2)
 
 
 # -- classification ---------------------------------------------------------

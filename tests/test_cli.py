@@ -1,19 +1,17 @@
 import csv
 import io
 import json
+import math
 import re
 
 import pytest
 
-from selberg3.cli import main
+from selberg3.cli import _divisor_rows, _render_csv_rows, main
+from selberg3.trace_formula import SpectralSideInputs
+from selberg3.zeta import spectral_divisor
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:nce class without axis norm")
-
-
-@pytest.fixture(scope="module")
-def cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("cli-cache"))
 
 
 def run(capsys, *argv):
@@ -48,10 +46,10 @@ EIS_SMALL = ("--group", "eisenstein", "--height", "4",
 # -- configuration and usage errors -----------------------------------------
 
 class TestConfig:
-    def test_file_then_flag_precedence(self, capsys, tmp_path, cache):
+    def test_file_then_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\ngroup = eisenstein\nheight = 4\n"
-                       f"norm_bound = 6\nformat = csv\ncache_dir = {cache}\n")
+                       "norm_bound = 6\nformat = csv\n")
         code, out, _ = run(capsys, "identity", "--config", str(cfg))
         assert code == 0
         assert rows_of(out)[0]["index"] == "3"
@@ -103,28 +101,6 @@ class TestEnumerate:
         assert counts.get("parabolic", 0) >= 1
         assert counts.get("elliptic", 0) >= 1
 
-    def test_cache_hit_identical_summary(self, capsys, tmp_path):
-        args = ("enumerate", "--group", "picard", "--height", "1",
-                "--format", "csv", "--cache-dir", str(tmp_path))
-        code1, out1, _ = run(capsys, *args)
-        assert code1 == 0
-        assert list(tmp_path.glob("elements_*_h1.txt"))
-        code2, out2, _ = run(capsys, *args)
-        assert code2 == 0
-        assert out1 == out2
-
-    def test_corrupted_cache_header(self, capsys, tmp_path):
-        args = ("enumerate", "--group", "picard", "--height", "1",
-                "--cache-dir", str(tmp_path))
-        assert run(capsys, *args)[0] == 0
-        path = next(tmp_path.glob("elements_*_h1.txt"))
-        lines = path.read_text().splitlines(keepends=True)
-        lines[0] = lines[0].replace("version=", "version=9")
-        path.write_text("".join(lines))
-        code, _, err = run(capsys, *args)
-        assert code == 2
-        assert "version" in err
-
 
 # -- representation files ----------------------------------------------------
 
@@ -132,22 +108,22 @@ SIGN_CHARACTER = "modulus = 1 1\non_R = -1\non_S = -1\non_E = 1\n"
 
 
 class TestRepresentationFile:
-    def test_character_file(self, capsys, tmp_path, cache):
+    def test_character_file(self, capsys, tmp_path):
         chr_file = tmp_path / "sign.chr"
         chr_file.write_text(SIGN_CHARACTER)
         code, out, _ = run(capsys, "identity", *PICARD_SMALL,
-                           "--cache-dir", cache, "--rep", str(chr_file))
+                           "--rep", str(chr_file))
         assert code == 0
         r = rows_of(out)[0]
         assert (r["k_infinity"], r["l_infinity"]) == ("0", "0")
         assert r["exact_zero"] == "true"
 
-    def test_fraction_phases(self, capsys, tmp_path, cache):
+    def test_fraction_phases(self, capsys, tmp_path):
         chr_file = tmp_path / "cube.chr"
         chr_file.write_text("modulus = 1 2\non_R = 1/3\non_S = 1/3\n"
                             "on_E = 0/1\n")
         code, out, _ = run(capsys, "identity", *EIS_SMALL,
-                           "--cache-dir", cache, "--rep", str(chr_file))
+                           "--rep", str(chr_file))
         assert code == 0
         assert rows_of(out)[0]["exact_zero"] == "true"
 
@@ -168,6 +144,14 @@ class TestRepresentationFile:
         code, _, _ = run(capsys, "identity", "--rep",
                          str(tmp_path / "nope.chr"))
         assert code == 1
+
+    def test_nan_value_rejected(self, capsys, tmp_path):
+        chr_file = tmp_path / "nan.chr"
+        chr_file.write_text("modulus = 1 1\non_R = -1\non_S = -1\non_E = nan\n")
+        code, _, err = run(capsys, "identity", "--group", "picard",
+                           "--rep", str(chr_file))
+        assert code == 1
+        assert "character" in err
 
     def test_no_matching_character(self, capsys, tmp_path):
         chr_file = tmp_path / "bad.chr"
@@ -219,8 +203,8 @@ class TestLsum:
 
 class TestIdentity:
     @pytest.mark.parametrize("base", [PICARD_SMALL, EIS_SMALL])
-    def test_exact_zero(self, capsys, cache, base):
-        code, out, _ = run(capsys, "identity", *base, "--cache-dir", cache)
+    def test_exact_zero(self, capsys, base):
+        code, out, _ = run(capsys, "identity", *base)
         assert code == 0
         r = rows_of(out)[0]
         assert r["residual"] == "0/1"
@@ -231,9 +215,8 @@ class TestIdentity:
 # -- zeta --------------------------------------------------------------------
 
 class TestZeta:
-    def test_values_and_divisor(self, capsys, cache):
-        code, out, _ = run(capsys, "zeta", *PICARD_SMALL,
-                           "--cache-dir", cache, "--s", "2")
+    def test_values_and_divisor(self, capsys):
+        code, out, _ = run(capsys, "zeta", *PICARD_SMALL, "--s", "2")
         assert code == 0
         sections = parse_sections(out)
         r = sections["main"][0]
@@ -246,9 +229,8 @@ class TestZeta:
         divisor = sections["divisor"]
         assert [d["residue_num"] for d in divisor[:4]] == ["0", "1", "0", "1"]
 
-    def test_eisenstein_meromorphy_contrast(self, capsys, cache):
-        code, out, _ = run(capsys, "zeta", *EIS_SMALL,
-                           "--cache-dir", cache, "--s", "2")
+    def test_eisenstein_meromorphy_contrast(self, capsys):
+        code, out, _ = run(capsys, "zeta", *EIS_SMALL, "--s", "2")
         assert code == 0
         sections = parse_sections(out)
         mero = sections["meromorphy"][0]
@@ -259,27 +241,44 @@ class TestZeta:
         assert (divisor[1]["residue_num"], divisor[1]["residue_den"]) \
             == ("2", "3")
 
-    def test_out_writes_report_and_divisor(self, capsys, tmp_path, cache):
+    def test_out_writes_report_and_divisor(self, capsys, tmp_path):
         out_path = tmp_path / "zeta.csv"
-        args = ("zeta", *PICARD_SMALL, "--cache-dir", cache, "--s", "2",
-                "--out", str(out_path))
+        divisor_path = tmp_path / "zeta.csv.divisor.csv"
+        args = ("zeta", *PICARD_SMALL, "--s", "2", "--out", str(out_path))
         assert run(capsys, *args)[0] == 0
         report1 = out_path.read_text()
-        divisor = (tmp_path / "zeta.csv.divisor.csv").read_text()
-        assert divisor.splitlines()[0].startswith("location_re,")
+        divisor = divisor_path.read_bytes()
+        assert divisor.decode().split("\n")[:4] == [
+            "location_re,location_im,residue_num,residue_den,source",
+            "0,0,0,1,topological",
+            "-1,0,1,1,topological",
+            "-2,0,0,1,topological",
+        ]
+        assert b"\r" not in divisor
         inline = parse_sections(report1)["divisor"]
-        standalone = list(csv.DictReader(io.StringIO(divisor)))
+        standalone = list(csv.DictReader(io.StringIO(divisor.decode())))
         assert inline == standalone
         assert run(capsys, *args)[0] == 0
         assert out_path.read_text() == report1  # bit-identical rerun
+        assert divisor_path.read_bytes() == divisor
 
-    def test_json_and_csv_payloads_match(self, capsys, cache):
-        base = ("zeta", *PICARD_SMALL, "--cache-dir", cache, "--s", "2")
+    def test_divisor_csv_folds_negative_zero(self):
+        # the spectral pair -1 - 0j must print as "-1,0", not "-1,-0"
+        recs = spectral_divisor(SpectralSideInputs(
+            eigenvalue_parameters=((1.0, 1),)))
+        assert math.copysign(1.0, recs[1].location.imag) == -1.0
+        assert _render_csv_rows(_divisor_rows(recs)).splitlines() == [
+            "location_re,location_im,residue_num,residue_den,source",
+            "1,0,1,1,eigenvalue",
+            "-1,0,1,1,eigenvalue",
+        ]
+
+    def test_json_and_csv_payloads_match(self, capsys):
+        base = ("zeta", *PICARD_SMALL, "--s", "2")
         _, out_csv, _ = run(capsys, *base)
         code, out_json, _ = run(capsys, "zeta", "--group", "picard",
                                 "--height", "4", "--norm-bound", "6",
-                                "--format", "json", "--cache-dir", cache,
-                                "--s", "2")
+                                "--format", "json", "--s", "2")
         assert code == 0
         sections = parse_sections(out_csv)
         payload = json.loads(out_json)
@@ -296,9 +295,9 @@ class TestZeta:
 # -- trace -------------------------------------------------------------------
 
 class TestTrace:
-    def test_terms_sum_and_cancellation(self, capsys, cache):
+    def test_terms_sum_and_cancellation(self, capsys):
         code, out, _ = run(capsys, "trace", *PICARD_SMALL,
-                           "--cache-dir", cache, "--s", "2", "--B", "3")
+                           "--s", "2", "--B", "3")
         assert code == 0
         sections = parse_sections(out)
         by_term = {r["term"]: float(r["value_re"])
@@ -360,9 +359,8 @@ class TestOutput:
         assert code == 0
         assert out.startswith("== enumerate ==")
 
-    def test_classify_sections(self, capsys, cache):
-        code, out, _ = run(capsys, "classify", *PICARD_SMALL,
-                           "--cache-dir", cache)
+    def test_classify_sections(self, capsys):
+        code, out, _ = run(capsys, "classify", *PICARD_SMALL)
         assert code == 0
         sections = parse_sections(out)
         assert {r["kind"] for r in sections["main"]} == {

@@ -1,6 +1,5 @@
 """Congruence quotients, characters, singular subspaces, lattice restriction."""
 import cmath
-import json
 import math
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from selberg3.representation import (
     cusp_local_character,
     direct_sum,
     find_character,
-    load_representation,
     quotient_characters,
     restrict_to_lattice,
     simultaneous_diagonalization,
@@ -199,6 +197,11 @@ class TestFindCharacter:
         with pytest.raises(ValueError, match="no congruence character"):
             find_character(EISENSTEIN_GROUP, (1, 2), OMEGA, OMEGA.conjugate(), 1)
 
+    def test_nan_value_rejected(self):
+        # abs(got - nan) > tol is False, so a NaN must not match every character
+        with pytest.raises(ValueError, match="no congruence character"):
+            find_character(PICARD, (1, 1), -1, -1, float("nan"))
+
     def test_residuals(self, cube_character, sign_character, picard_elements):
         res = verify_unitary_rep(sign_character, picard_elements)
         assert res["homomorphism"] < 1e-12 and res["unitarity"] < 1e-12
@@ -363,44 +366,3 @@ class TestRestriction:
         mix = direct_sum([sign_character, trivial_rep(GAUSSIAN, 1)])
         chars = restrict_to_lattice(mix, STAB_P)
         assert chars[0].is_trivial and not chars[1].is_trivial
-
-
-class TestDescriptionFiles:
-    def test_trivial_shortcut(self):
-        rep = load_representation("trivial", PICARD)
-        assert rep.kind == "trivial" and rep.dim == 1
-
-    def test_character_with_angle_strings(self):
-        rep = load_representation(
-            {"kind": "congruence-character", "ideal": [1, 2],
-             "on_R": "1/3", "on_S": "1/3", "on_E": "0/1"},
-            EISENSTEIN_GROUP)
-        assert rep.angle(STAB_E.R) == Fraction(1, 3)
-
-    def test_table_from_file(self, tmp_path):
-        th = 2 * math.pi / 3
-        desc = {
-            "kind": "congruence-table", "ideal": [1, 1],
-            "generators": [
-                {"element": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]],
-                 "image": [[1, 0], [0, -1]]},
-                {"element": [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]],
-                 "image": [[math.cos(th), math.sin(th)],
-                           [math.sin(th), -math.cos(th)]]},
-            ],
-        }
-        path = tmp_path / "rep.json"
-        path.write_text(json.dumps(desc))
-        rep = load_representation(str(path), PICARD)
-        assert rep.dim == 2
-        sd = singular_spaces(rep, STAB_P)
-        assert (sd.k_infinity, sd.l_infinity) == (1, 1)
-
-    def test_cusp_local_kind(self):
-        rep = load_representation(
-            {"kind": "cusp-local", "on_R": 1, "on_S": 1, "on_E": -1}, PICARD)
-        assert rep.kind == "cusp-local"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown representation kind"):
-            load_representation({"kind": "modular"}, PICARD)

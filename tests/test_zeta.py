@@ -1,5 +1,4 @@
 import cmath
-import io
 import math
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ from selberg3.transform import resolvent_pair
 from selberg3.zeta import (DivisorRecord, XiBlocks, _iter_factors,
                            _selection_residue, abel_product_log,
                            build_zeta_class_data, central_difference_check,
-                           collapse_identity_report, divisor_to_csv,
+                           collapse_identity_report,
                            functional_factor_psi, geometric_blocks,
                            log_derivative_series, log_zeta_truncated,
                            meromorphy_order, meromorphy_report,
@@ -419,41 +418,6 @@ class TestMeromorphy:
         report = meromorphy_report(topological_divisor(1, 1, 1, 1.0))
         assert report.computed == 1
         assert report.documented is None and report.matches is None
-
-
-class TestDivisorCsv:
-    def test_golden_output(self):
-        records = topological_divisor(3, 1, 2, 1.0, depth=2)
-        buf = io.StringIO()
-        divisor_to_csv(records, buf)
-        assert buf.getvalue().splitlines() == [
-            "location_re,location_im,residue_num,residue_den,source",
-            "0,0,0,1,topological",
-            "-1,0,5,6,topological",
-            "-2,0,5,6,topological",
-        ]
-
-    def test_spectral_rows(self):
-        recs = spectral_divisor(SpectralSideInputs(
-            eigenvalue_parameters=((1.0, 1),)))
-        buf = io.StringIO()
-        divisor_to_csv(recs, buf)
-        assert buf.getvalue().splitlines()[1:] == [
-            "1,0,1,1,eigenvalue", "-1,0,1,1,eigenvalue"]
-
-    def test_deterministic(self):
-        records = topological_divisor(2, 1, 1, 1.0, depth=20)
-        a, b = io.StringIO(), io.StringIO()
-        divisor_to_csv(records, a)
-        divisor_to_csv(records, b)
-        assert a.getvalue() == b.getvalue()
-
-    def test_path_target(self, tmp_path):
-        out = tmp_path / "divisor.csv"
-        divisor_to_csv(topological_divisor(1, 1, 1, 1.0, depth=1), str(out))
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("location_re,")
-        assert len(lines) == 3
 
 
 # -- functional-equation factor ---------------------------------------------
