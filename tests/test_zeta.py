@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from selberg3.arithmetic_group import EISENSTEIN_GROUP, PICARD
+from selberg3.cli import _divisor_rows, _render_csv_rows
 from selberg3.representation import (find_character, singular_spaces,
                                      trivial_rep)
 from selberg3.trace_formula import (SpectralSideInputs, geometric_side,
@@ -418,6 +419,23 @@ class TestMeromorphy:
         report = meromorphy_report(topological_divisor(1, 1, 1, 1.0))
         assert report.computed == 1
         assert report.documented is None and report.matches is None
+
+
+class TestDivisorCsv:
+    # the zeta command writes <out>.divisor.csv with this row renderer
+    def test_golden_output(self):
+        records = topological_divisor(3, 1, 2, 1.0, depth=2)
+        assert _render_csv_rows(_divisor_rows(records)).splitlines() == [
+            "location_re,location_im,residue_num,residue_den,source",
+            "0,0,0,1,topological",
+            "-1,0,5,6,topological",
+            "-2,0,5,6,topological",
+        ]
+
+    def test_deterministic(self):
+        records = topological_divisor(2, 1, 1, 1.0, depth=20)
+        assert _render_csv_rows(_divisor_rows(records)) \
+            == _render_csv_rows(_divisor_rows(records))
 
 
 # -- functional-equation factor ---------------------------------------------
