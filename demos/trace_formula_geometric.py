@@ -27,7 +27,7 @@ def main():
     chi = trivial_rep(PICARD.ring)
     sing = singular_spaces(chi, gd.stabilizer)
     print(f"Picard group, trivial character: k_infinity = {sing.k_infinity}, "
-          f"l_infinity = {sing.l_infinity}, cusp index = {gd.stabilizer.index}")
+          f"l_infinity = {sing.l_infinity}, cusp index = {gd.group.index}")
 
     rule("Exact cuspidal identity (rational arithmetic, no floats)")
     for group, gdata, char_label, char in (
@@ -37,7 +37,7 @@ def main():
         s = singular_spaces(char, gdata.stabilizer)
         residual = cuspidal_identity_check(
             gdata.cuspidal_elliptic, char, s.k_infinity, s.l_infinity,
-            gdata.stabilizer.index)
+            gdata.group.index)
         print(f"{group.name}/{char_label:7s}: "
               f"2 Sum tr chi(g_i)/(|C_i| |1-eps_i^2|^2) + l/idx - k = "
               f"{residual.a} + ({residual.b}) omega"

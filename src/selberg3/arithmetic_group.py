@@ -330,11 +330,8 @@ class StabilizerData:
     R: GroupElement            # translation by 1
     S: GroupElement            # translation by tau
     E: GroupElement            # torsion generator diag(eps, eps^-1)
-    index: int                 # = torsion order of E mod +-I
-    tau: complex
     tau_pair: Pair
-    epsilon_pair: Pair
-    torsion_order: int
+    torsion_order: int         # order of E mod +-I, the cusp index
 
 
 def stabilizer_data(group: GroupDescriptor) -> StabilizerData:
@@ -355,9 +352,8 @@ def stabilizer_data(group: GroupDescriptor) -> StabilizerData:
     comm = E * R * E.inv() * R.inv()
     if comm.c != (0, 0) or r.mul(comm.a, comm.a) != (1, 0):
         raise AssertionError("E R E^-1 R^-1 left the translation subgroup")
-    return StabilizerData(
-        R=R, S=S, E=E, index=group.index, tau=group.tau,
-        tau_pair=group.tau_pair, epsilon_pair=eps, torsion_order=order)
+    return StabilizerData(R=R, S=S, E=E, tau_pair=group.tau_pair,
+                          torsion_order=order)
 
 
 # ---------------------------------------------------------------------------

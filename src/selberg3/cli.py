@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arithmetic_group import (GROUPS, CompletenessError, EnumerationCapError,
-                               build_group_data, classify, enumerate_elements,
+                               build_group_data, classify,
+                               cuspidal_elliptic_classes, enumerate_elements,
                                get_group, stabilizer_data)
 from .eisenstein import eigen_check
 from .geometry import Point3
@@ -65,7 +66,6 @@ class RunConfig:
     height: int = 6
     norm_bound: float = 14.0
     A: float = 5.0
-    tol: float = 1e-8
     out: Optional[str] = None
     format: str = "text"
 
@@ -75,7 +75,7 @@ class RunConfig:
                              f"choose from {sorted(GROUPS)}")
         if self.height < 1:
             raise UsageError("height must be >= 1")
-        for name in ("norm_bound", "A", "tol"):
+        for name in ("norm_bound", "A"):
             if not getattr(self, name) > 0:
                 raise UsageError(f"{name} must be positive")
         if self.format not in FORMATS:
@@ -84,17 +84,16 @@ class RunConfig:
         return self
 
 
-_COERCE = {"height": int, "norm_bound": float, "A": float, "tol": float}
+_COERCE = {"height": int, "norm_bound": float, "A": float}
 
 
-def parse_config_file(path: str) -> dict:
-    """Line-based "key = value" file; # starts a comment line."""
-    values = {}
+def _key_value_lines(path: str, kind: str):
+    """(lineno, key, value) per "key = value" line; # starts a comment line."""
     try:
         with open(path) as f:
             lines = f.readlines()
     except OSError as e:
-        raise UsageError(f"cannot read config file: {e}")
+        raise UsageError(f"cannot read {kind} file: {e}")
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -102,10 +101,16 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_config_file(path: str) -> dict:
+    values = {}
+    for lineno, key, value in _key_value_lines(path, "config"):
+        key = key.replace("-", "_")
         if key not in RunConfig.__dataclass_fields__:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        values[key] = value
     return values
 
 
@@ -159,20 +164,8 @@ def _phase(token: str) -> complex:
 
 
 def parse_character_file(path: str) -> dict:
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise UsageError(f"cannot read character file: {e}")
     spec = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in _key_value_lines(path, "character"):
         if key == "modulus":
             parts = value.split()
             if len(parts) != 2 or not all(_is_int(p) for p in parts):
@@ -368,13 +361,13 @@ def _residual_cells(value: CyclotomicValue) -> dict:
 def cmd_identity(config: RunConfig, args) -> int:
     group = get_group(config.group)
     chi = load_representation(config)
-    gdata = build_group_data(group, config.height, config.norm_bound)
-    sing = singular_spaces(chi, gdata.stabilizer)
+    classes = cuspidal_elliptic_classes(
+        group, enumerate_elements(group, config.height))
+    sing = singular_spaces(chi, stabilizer_data(group))
     residual = cuspidal_identity_check(
-        gdata.cuspidal_elliptic, chi, sing.k_infinity, sing.l_infinity,
-        group.index)
+        classes, chi, sing.k_infinity, sing.l_infinity, group.index)
     rows = [row(k_infinity=sing.k_infinity, l_infinity=sing.l_infinity,
-                index=group.index, classes=len(gdata.cuspidal_elliptic),
+                index=group.index, classes=len(classes),
                 exact_zero=residual.is_zero, **_residual_cells(residual))]
     emit(Report("identity", rows, {}), config)
     return 0 if residual.is_zero else 3
@@ -513,7 +506,6 @@ def build_parser() -> _Parser:
     common.add_argument("--height", type=int)
     common.add_argument("--norm-bound", dest="norm_bound", type=float)
     common.add_argument("--A", dest="A", type=float)
-    common.add_argument("--tol", type=float)
     common.add_argument("--out", help="write the report here (atomically)")
     common.add_argument("--format", choices=FORMATS)
     common.add_argument("--config", help="'key = value' config file")

@@ -93,12 +93,12 @@ def series_term(M: GroupElement, P: Point3, s: complex, chi: UnitaryRep,
     return (r ** (1.0 + s)) * (chi(M).conj().T @ np.asarray(v, dtype=complex))
 
 
-def _check_singular(chi: UnitaryRep, v: np.ndarray, group: GroupDescriptor,
-                    tol: float = SINGULAR_TOL) -> None:
+def _check_singular(chi: UnitaryRep, v: np.ndarray,
+                    group: GroupDescriptor) -> None:
     stab = stabilizer_data(group)
     scale = max(1.0, float(np.linalg.norm(v)))
     for name, g in (("R", stab.R), ("S", stab.S), ("E", stab.E)):
-        if np.linalg.norm(chi(g) @ v - v) > tol * scale:
+        if np.linalg.norm(chi(g) @ v - v) > SINGULAR_TOL * scale:
             raise ValueError(
                 f"v is not singular: chi({name}) does not fix it, "
                 "so the coset sum is not well defined")

@@ -18,14 +18,18 @@ one value, two conventional names.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Union
 
 import numpy as np
 
 Real = Union[int, float, Fraction]
+
+# cutoffs per decade in the kappa and L-value ladders
+LADDER_RUNGS = 16
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,10 @@ class KappaFit:
         return self.kappa
 
 
-def kappa_lattice(lat: Lattice, x_max: float = 1e5, rungs: int = 16) -> KappaFit:
-    """Lattice Euler constant for the trivial character.
+@functools.lru_cache(maxsize=None)
+def kappa_lattice(lat: Lattice, x_max: float = 1e5) -> KappaFit:
+    """Lattice Euler constant for the trivial character, memoized on the
+    call's arguments so that each lattice is fitted once per process.
 
     Z(x) = (pi/area)(log x + kappa) + O(x^(-1/2)).  kappa is the mean of
     Z(x) area/pi - log x over a geometric ladder spanning the last decade
@@ -160,7 +166,8 @@ def kappa_lattice(lat: Lattice, x_max: float = 1e5, rungs: int = 16) -> KappaFit
     """
     if x_max < 1e3:
         raise ValueError("x_max too small to fit the logarithmic law")
-    xs = np.array([x_max * 10.0 ** (-j / rungs) for j in range(rungs + 1)][::-1])
+    xs = np.array([x_max * 10.0 ** (-j / LADDER_RUNGS)
+                   for j in range(LADDER_RUNGS + 1)][::-1])
     zs = np.array([partial_sum_Z(float(x), lat, TRIVIAL_CHARACTER).real for x in xs])
     logs = np.log(xs)
     exact_slope = math.pi / lat.area
@@ -187,7 +194,7 @@ class LValueEstimate:
 
 
 def L_value_direct(lat: Lattice, psi: LatticeCharacter,
-                   x_max: float = 1e6, rungs: int = 16) -> LValueEstimate:
+                   x_max: float = 1e6) -> LValueEstimate:
     """L(Lambda, psi) = lim Z(x) for nontrivial psi, by tail averaging.
 
     Partial sums oscillate with an O(x^(-1/2)) envelope; a Cesaro average
@@ -195,7 +202,7 @@ def L_value_direct(lat: Lattice, psi: LatticeCharacter,
     """
     if psi.is_trivial:
         raise ValueError("Z diverges for the trivial character; use kappa_lattice")
-    xs = [x_max * 10.0 ** (-j / rungs) for j in range(rungs + 1)]
+    xs = [x_max * 10.0 ** (-j / LADDER_RUNGS) for j in range(LADDER_RUNGS + 1)]
     vals = [partial_sum_Z(x, lat, psi) for x in xs]
     mean = sum(vals) / len(vals)
     spread = max(abs(z - mean) for z in vals)
@@ -218,7 +225,7 @@ class SiegelValue:
 
 
 def siegel_g(a1: float, a2: float, tau: complex,
-             tol: float = 1e-18, max_terms: int = 400) -> SiegelValue:
+             tol: float = 1e-18) -> SiegelValue:
     """Siegel function g_{a1,a2}(tau) as a truncated q-product.
 
     g = -q_tau^(B2(a1)/2) e^(pi i a2 (a1 - 1)) (1 - q_z)
@@ -239,7 +246,7 @@ def siegel_g(a1: float, a2: float, tau: complex,
     qa, qb = abs(q_z), 1.0 / abs(q_z)
     n = 0
     qn = 1.0
-    while n < max_terms:
+    while n < 400:
         n += 1
         qn *= q_abs
         if qn * (qa + qb) < tol:

@@ -30,7 +30,6 @@ from .arithmetic_group import (
     GroupDescriptor,
     GroupElement,
     StabilizerData,
-    identity,
     stabilizer_data,
 )
 from .lattice_lfn import LatticeCharacter
@@ -130,14 +129,13 @@ class UnitaryRep:
     def __init__(self, dim: int, kind: str,
                  evaluator: Callable[[GroupElement], np.ndarray], *,
                  exact_angle: Optional[Callable[[GroupElement], Fraction]] = None,
-                 ideal: Optional[Pair] = None, label: str = ""):
+                 label: str = ""):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
         self.kind = kind
         self._evaluator = evaluator
         self._exact_angle = exact_angle
-        self.ideal = ideal
         self.label = label or kind
 
     def __call__(self, M: GroupElement) -> np.ndarray:
@@ -197,14 +195,14 @@ def direct_sum(reps: Sequence[UnitaryRep]) -> UnitaryRep:
                       label="+".join(r.label for r in reps))
 
 
-def verify_unitary_rep(rep: UnitaryRep, elements: Sequence[GroupElement],
-                       samples: int = 40, seed: int = 7) -> dict:
+def verify_unitary_rep(rep: UnitaryRep,
+                       elements: Sequence[GroupElement]) -> dict:
     """Sampled homomorphism/unitarity residuals; all should sit at 1e-12."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     elements = list(elements)
     hom = 0.0
     uni = 0.0
-    for _ in range(samples):
+    for _ in range(40):
         M = elements[rng.integers(len(elements))]
         N = elements[rng.integers(len(elements))]
         a, b = rep(M), rep(N)
@@ -529,7 +527,6 @@ def find_character(group: GroupDescriptor, modulus: Pair,
         return np.array([[cmath.exp(2j * math.pi * float(exact_angle(M)))]])
 
     return UnitaryRep(1, "congruence", evaluator, exact_angle=exact_angle,
-                      ideal=tuple(modulus),
                       label=f"congruence-character mod {tuple(modulus)}")
 
 
@@ -580,7 +577,7 @@ def congruence_table_rep(group: GroupDescriptor, modulus: Pair,
     def evaluator(M: GroupElement) -> np.ndarray:
         return table[quotient.reduce_element(M)]
 
-    return UnitaryRep(dim, "congruence", evaluator, ideal=tuple(modulus),
+    return UnitaryRep(dim, "congruence", evaluator,
                       label=label or f"congruence-table mod {tuple(modulus)}")
 
 
@@ -662,22 +659,19 @@ class SingularData:
     V_prime_infinity: np.ndarray   # (n, l) orthonormal columns
     k_infinity: int
     l_infinity: int
-    lattice_characters: tuple
-    singular_count_first: bool = True  # first l characters trivial on the lattice
+    lattice_characters: tuple      # the first l_infinity are trivial
 
 
-def _nullspace(mat: np.ndarray, tol: float = DIAG_TOL) -> np.ndarray:
+def _nullspace(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right nullspace via SVD."""
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(mat)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > DIAG_TOL))
     return vh[rank:].conj().T
 
 
-def simultaneous_diagonalization(mats: Sequence[np.ndarray],
-                                 tol: float = DIAG_TOL,
-                                 attempts: int = 8):
+def simultaneous_diagonalization(mats: Sequence[np.ndarray]):
     """Common unitary eigenbasis of commuting normal matrices.
 
     Random Hermitian combinations split degenerate clusters; failure after
@@ -688,10 +682,10 @@ def simultaneous_diagonalization(mats: Sequence[np.ndarray],
     n = mats[0].shape[0]
     for a in mats:
         for b in mats:
-            if np.max(np.abs(a @ b - b @ a)) > tol * 10:
+            if np.max(np.abs(a @ b - b @ a)) > DIAG_TOL * 10:
                 raise ValueError("matrices do not commute within tolerance")
     rng = np.random.default_rng(20240917)
-    for _ in range(attempts):
+    for _ in range(8):
         w = rng.standard_normal(2 * len(mats))
         h = np.zeros((n, n), dtype=complex)
         for j, m in enumerate(mats):
@@ -702,7 +696,7 @@ def simultaneous_diagonalization(mats: Sequence[np.ndarray],
         for m in mats:
             t = u.conj().T @ m @ u
             off = t - np.diag(np.diag(t))
-            if np.max(np.abs(off)) > tol:
+            if np.max(np.abs(off)) > DIAG_TOL:
                 ok = False
                 break
             diags.append(np.diag(t).copy())
@@ -736,8 +730,7 @@ def restrict_to_lattice(chi: UnitaryRep, stab: StabilizerData):
     return trivial + rest
 
 
-def singular_spaces(chi: UnitaryRep, stab: StabilizerData,
-                    tol: float = DIAG_TOL) -> SingularData:
+def singular_spaces(chi: UnitaryRep, stab: StabilizerData) -> SingularData:
     """V'_infinity (translations-fixed) and V_infinity (stabilizer-fixed).
 
     Checks that chi(E) preserves V'_infinity (it must, since the torsion
@@ -751,18 +744,18 @@ def singular_spaces(chi: UnitaryRep, stab: StabilizerData,
             raise ValueError(f"chi({name}) is not unitary")
 
     eye = np.eye(n, dtype=complex)
-    p = _nullspace(np.vstack([a_r - eye, a_s - eye]), tol)
+    p = _nullspace(np.vstack([a_r - eye, a_s - eye]))
     l_inf = p.shape[1]
 
     if l_inf:
         resid = (eye - p @ p.conj().T) @ (a_e @ p)
-        if np.max(np.abs(resid)) > tol:
+        if np.max(np.abs(resid)) > DIAG_TOL:
             raise ValueError("chi(E) does not preserve V'_infinity; invalid chi")
         b = p.conj().T @ a_e @ p
         evals = np.linalg.eigvals(b)
-        if np.max(np.abs(np.abs(evals) - 1.0)) > tol:
+        if np.max(np.abs(np.abs(evals) - 1.0)) > DIAG_TOL:
             raise ValueError("restricted torsion action has non-unimodular spectrum")
-        v_inf = p @ _nullspace(b - np.eye(l_inf), tol)
+        v_inf = p @ _nullspace(b - np.eye(l_inf))
     else:
         v_inf = np.zeros((n, 0), dtype=complex)
     k_inf = v_inf.shape[1]

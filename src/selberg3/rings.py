@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 Pair = tuple  # (x, y) coordinate pair; ints or Fractions
 

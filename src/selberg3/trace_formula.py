@@ -20,10 +20,11 @@ from scipy.integrate import quad
 from scipy.special import digamma as _scipy_digamma
 
 from .arithmetic_group import (CuspidalEllipticClass, GroupData,
-                               NonCuspidalEllipticClass,
-                               PrimitiveLoxodromicClass, StabilizerData)
+                               GroupDescriptor, NonCuspidalEllipticClass,
+                               PrimitiveLoxodromicClass)
 from .lattice_lfn import Lattice, L_value_kronecker, kappa_lattice
-from .representation import CyclotomicValue, UnitaryRep, singular_spaces
+from .representation import (CyclotomicValue, SingularData, UnitaryRep,
+                             singular_spaces)
 from .transform import TestFunctionTriple
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "cosh_integral_quad",
     "cuspidal_elliptic_term",
     "parabolic_term",
+    "cusp_lattice_constants",
     "digamma_halfplane_value",
     "digamma_poisson_integral",
     "digamma_reflection_series",
@@ -47,6 +49,8 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.57721566490153286061
+# truncation tolerance of the cosh_integral sine series
+COSH_SERIES_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,6 @@ class SpectralSideInputs:
 
     eigenvalue_parameters: tuple = ()     # (s_n, multiplicity) pairs
     trS0: float = 0.0
-    scattering_log_derivative: Optional[Callable[[float], complex]] = None
     scattering_poles: tuple = ()          # (rho_j, multiplicity), Re rho < 0
 
     def validate_parity(self, k_infinity: int) -> None:
@@ -176,9 +179,10 @@ def loxodromic_term(g: Callable, classes: Sequence[PrimitiveLoxodromicClass],
 # ---------------------------------------------------------------------------
 # the exponential-kernel integral over cosh x - cos t
 
-def _euler_transform_alternating(terms: np.ndarray) -> float:
-    """Sum of (-1)^j terms[j] by repeated forward differencing."""
-    coeffs = np.array(terms, dtype=float)
+def _euler_transform_alternating(terms: np.ndarray):
+    """Sum of (-1)^j terms[j] by repeated forward differencing, in the
+    dtype of terms (real or complex)."""
+    coeffs = np.asarray(terms)
     total = 0.0
     for n in range(len(coeffs)):
         total += coeffs[0] / 2.0 ** (n + 1)
@@ -189,7 +193,7 @@ def _euler_transform_alternating(terms: np.ndarray) -> float:
     return total
 
 
-def cosh_integral(s, t: float, tol: float = 1e-10):
+def cosh_integral(s, t: float):
     """Integral_0^inf e^(-s x) sinh x / (cosh x - cos t) dx for t in (0, pi].
 
     Series route: (1/sin t) Sum_k sin(kt) (1/(s-1+k) - 1/(s+1+k)), summed
@@ -211,7 +215,8 @@ def cosh_integral(s, t: float, tol: float = 1e-10):
         return complex(_euler_transform_alternating(d.real),
                        _euler_transform_alternating(d.imag))
     half = 0.5 * t
-    k_max = int(2.0 * math.sqrt(2.0 / (tol * abs(math.sin(half))))) + 100
+    k_max = int(2.0 * math.sqrt(2.0 / (COSH_SERIES_TOL
+                                       * abs(math.sin(half))))) + 100
     k = np.arange(1, k_max + 2, dtype=float)
     a = 1.0 / (s - 1.0 + k) - 1.0 / (s + 1.0 + k)
     sine_partial = np.sin(k * half) * np.sin((k + 1.0) * half) / math.sin(half)
@@ -350,6 +355,17 @@ def parabolic_term(h: Callable, g0: complex, index: int, l_infinity: int,
     return (l_infinity / index) * core + (g0 / index) * sum(L_values)
 
 
+def cusp_lattice_constants(group: GroupDescriptor,
+                           sing: SingularData) -> tuple:
+    """(kappa, L-values) of the cusp lattice: the lattice Euler constant
+    (eta in the parabolic term) and the Kronecker-limit values of the
+    non-singular lattice characters of chi, in their listed order."""
+    lat = Lattice(group.tau)
+    return kappa_lattice(lat).kappa, [
+        L_value_kronecker(lat, psi)
+        for psi in sing.lattice_characters[sing.l_infinity:]]
+
+
 # ---------------------------------------------------------------------------
 # the exact cuspidal-elliptic identity
 
@@ -409,11 +425,8 @@ class GeometricSideReport:
 
 def geometric_side(triple: TestFunctionTriple, gdata: GroupData,
                    chi: UnitaryRep, A: float, norm_bound: float,
-                   eta_infinity: Optional[float] = None,
-                   L_values: Optional[Sequence[float]] = None,
                    ce_route: str = "quad",
-                   s_B: Optional[tuple] = None,
-                   logA_tol: float = 1e-9) -> GeometricSideReport:
+                   s_B: Optional[tuple] = None) -> GeometricSideReport:
     """Assemble every geometric term at truncation height A.
 
     The log A coefficient is measured by evaluating the A-dependent terms at
@@ -424,12 +437,7 @@ def geometric_side(triple: TestFunctionTriple, gdata: GroupData,
     g0 = g(0.0)
     group = gdata.group
     sing = singular_spaces(chi, gdata.stabilizer)
-    lat = Lattice(group.tau)
-    if eta_infinity is None:
-        eta_infinity = kappa_lattice(lat).kappa
-    if L_values is None:
-        L_values = [L_value_kronecker(lat, psi)
-                    for psi in sing.lattice_characters[sing.l_infinity:]]
+    eta_infinity, L_values = cusp_lattice_constants(group, sing)
 
     ident = identity_term(h, group.volume, chi.dim)
     nce = nce_term(g0, gdata.non_cuspidal_elliptic, chi)
@@ -447,7 +455,7 @@ def geometric_side(triple: TestFunctionTriple, gdata: GroupData,
     coef = (ce_eA + par_eA - ce_A - par_A).real
     expected = (g0 * sing.k_infinity).real if isinstance(g0, complex) \
         else g0 * sing.k_infinity
-    if abs(coef - expected) > logA_tol:
+    if abs(coef - expected) > 1e-9:
         raise RuntimeError(
             f"log A coefficient {coef!r} != g(0) k_infinity {expected!r}; "
             "cusp cancellation violated")

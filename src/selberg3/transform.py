@@ -90,24 +90,22 @@ def shc_h_from_k(k: Callable[[float], float], lam: complex) -> complex:
     return math.pi * val
 
 
-def _check_growth(h, x_label="h"):
+def _check_growth(h):
     # advisory: the continuation theorem needs |h(1+z^2)| = O(|1+z^2|^{-3/2-eps});
     # sample decay at two scales and warn when it looks too slow
     lo, hi = abs(complex(h(1.0 + 100.0 ** 2))), abs(complex(h(1.0 + 1000.0 ** 2)))
     if lo > 0 and hi > 0 and math.log(lo / hi) / math.log(10.0) < 1.9:
-        warnings.warn(f"{x_label} decays slower than the admissibility hypothesis",
+        warnings.warn("h decays slower than the admissibility hypothesis",
                       stacklevel=3)
 
 
-def g_from_h(h: Callable[[complex], complex], x: float,
-             check_growth: bool = True) -> float:
+def g_from_h(h: Callable[[complex], complex], x: float) -> float:
     """g(x) = (1/pi) int_0^inf h(1+t^2) cos(tx) dt for even real-valued h.
 
     Oscillatory weight quadrature with a decade-splitting fallback; the
     admissibility of h is checked only by sampling (advisory warning).
     """
-    if check_growth:
-        _check_growth(h)
+    _check_growth(h)
     x = abs(float(x))
 
     def f(t):
@@ -127,14 +125,14 @@ def g_from_h(h: Callable[[complex], complex], x: float,
     return val / math.pi
 
 
-def _decade_split_cos(f, x, first=10.0, decades: int = 6):
+def _decade_split_cos(f, x):
     """Fallback: finite cosine-weight panels with a geometric tail estimate."""
     total = 0.0
     err = 0.0
     a = 0.0
-    b = first
+    b = 10.0
     last = math.inf
-    for _ in range(decades):
+    for _ in range(6):
         val, e = quad(lambda t: f(t) * math.cos(x * t), a, b,
                       epsabs=QUAD_TOL, limit=400)
         total += val

@@ -19,11 +19,12 @@ import numpy as np
 from scipy.special import loggamma
 
 from .arithmetic_group import GroupData, PrimitiveLoxodromicClass
-from .lattice_lfn import Lattice, L_value_kronecker, kappa_lattice
 from .representation import (UnitaryRep, simultaneous_diagonalization,
                              singular_spaces, snap_unit_angle)
-from .trace_formula import (EULER_GAMMA, SpectralSideInputs, cosh_integral,
-                            digamma_halfplane_value, nce_term)
+from .trace_formula import (EULER_GAMMA, SpectralSideInputs,
+                            _euler_transform_alternating, cosh_integral,
+                            cusp_lattice_constants, digamma_halfplane_value,
+                            nce_term)
 
 __all__ = [
     "ZetaClassData",
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 UNIMODULAR_TOL = 1e-9
+# Euler-product factors and log-derivative terms below this modulus are dropped
+FACTOR_TOL = 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +87,7 @@ def _selection_residue(alpha: Fraction, theta: Fraction, m: int) -> int:
 
 
 def build_zeta_class_data(classes: Sequence[PrimitiveLoxodromicClass],
-                          chi: UnitaryRep,
-                          tol: float = UNIMODULAR_TOL) -> list[ZetaClassData]:
+                          chi: UnitaryRep) -> list[ZetaClassData]:
     out = []
     for cls in classes:
         if cls.E_T is None:
@@ -101,7 +103,7 @@ def build_zeta_class_data(classes: Sequence[PrimitiveLoxodromicClass],
                 raise ValueError("torsion class lacks an exact zeta0 angle")
             residues = []
             for tp in t_prime:
-                alpha = snap_unit_angle(tp, tol=tol, max_den=48)
+                alpha = snap_unit_angle(tp, tol=UNIMODULAR_TOL, max_den=48)
                 if alpha is None:
                     raise ValueError(
                         f"chi(E_T) eigenvalue {tp} is not a recognizable "
@@ -109,7 +111,7 @@ def build_zeta_class_data(classes: Sequence[PrimitiveLoxodromicClass],
                 residues.append(
                     _selection_residue(alpha, cls.zeta0_angle, cls.m))
         for z in t_eig:
-            if abs(abs(z) - 1.0) > tol:
+            if abs(abs(z) - 1.0) > UNIMODULAR_TOL:
                 raise ValueError(f"non-unimodular eigenvalue {z} of chi(T0)")
         out.append(ZetaClassData(cls=cls, t_eigen=tuple(t_eig),
                                  t_prime_eigen=tuple(t_prime),
@@ -128,23 +130,21 @@ def _iter_factors(zcd: ZetaClassData, kl_cutoff: int):
                     yield t_j, k, l
 
 
-def _auto_cutoff(n0: float, s_real: float, factor_tol: float) -> int:
-    # factor modulus is N0^-(k+l) * N0^-(Re s + 1); keep while >= tol
-    return max(0, int(math.log(1.0 / factor_tol) / math.log(n0)
+def _auto_cutoff(n0: float, s_real: float) -> int:
+    # factor modulus is N0^-(k+l) * N0^-(Re s + 1); keep while >= FACTOR_TOL
+    return max(0, int(math.log(1.0 / FACTOR_TOL) / math.log(n0)
                       - s_real - 1.0))
 
 
 def zeta_truncated(s, data: Sequence[ZetaClassData],
-                   kl_cutoff: Optional[int] = None,
-                   factor_tol: float = 1e-16) -> complex:
+                   kl_cutoff: Optional[int] = None) -> complex:
     """Product of (1 - t_j a0^(-2k) conj(a0)^(-2l) N0^(-s-1)) over the
     selected (class, j, l, k); requires Re(s) > 1 for convergence."""
-    return cmath.exp(log_zeta_truncated(s, data, kl_cutoff, factor_tol))
+    return cmath.exp(log_zeta_truncated(s, data, kl_cutoff))
 
 
 def log_zeta_truncated(s, data: Sequence[ZetaClassData],
-                       kl_cutoff: Optional[int] = None,
-                       factor_tol: float = 1e-16) -> complex:
+                       kl_cutoff: Optional[int] = None) -> complex:
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("Euler product needs Re(s) > 1")
@@ -153,7 +153,7 @@ def log_zeta_truncated(s, data: Sequence[ZetaClassData],
         a0 = zcd.cls.a0
         n0 = zcd.cls.N0
         cutoff = (kl_cutoff if kl_cutoff is not None
-                  else _auto_cutoff(n0, s.real, factor_tol))
+                  else _auto_cutoff(n0, s.real))
         base = n0 ** (-s - 1.0)
         for t_j, k, l in _iter_factors(zcd, cutoff):
             x = t_j * a0 ** (-2 * k) * a0.conjugate() ** (-2 * l) * base
@@ -186,8 +186,7 @@ def zeta_tail_bound(s, data: Sequence[ZetaClassData], kl_cutoff: int) -> float:
 
 def log_derivative_series(s, data: Sequence[ZetaClassData],
                           route: str = "classes",
-                          power_norm_bound: Optional[float] = None,
-                          term_tol: float = 1e-16) -> complex:
+                          power_norm_bound: Optional[float] = None) -> complex:
     """Z'/Z(s) = sum over T = T0^n E^v of
     tr chi(T) log N0 N(T)^(-s) / (m |a(T) - a(T)^(-1)|^2).
 
@@ -195,7 +194,7 @@ def log_derivative_series(s, data: Sequence[ZetaClassData],
     route "factors" differentiates the Euler-product factor logs
     (x log N0/(1-x) per factor), the post-collapse form.  With
     power_norm_bound set, route "classes" truncates at N(T) <= bound
-    (matching a geometric-side truncation) instead of running to term_tol.
+    (matching a geometric-side truncation) instead of running to FACTOR_TOL.
     """
     s = complex(s)
     if s.real <= 1.0:
@@ -206,7 +205,7 @@ def log_derivative_series(s, data: Sequence[ZetaClassData],
             a0 = zcd.cls.a0
             n0 = zcd.cls.N0
             log_n0 = math.log(n0)
-            cutoff = _auto_cutoff(n0, s.real, term_tol)
+            cutoff = _auto_cutoff(n0, s.real)
             base = n0 ** (-s - 1.0)
             for t_j, k, l in _iter_factors(zcd, cutoff):
                 x = t_j * a0 ** (-2 * k) * a0.conjugate() ** (-2 * l) * base
@@ -229,7 +228,7 @@ def log_derivative_series(s, data: Sequence[ZetaClassData],
                 dim = len(zcd.t_eigen)
                 envelope = (dim * log_n0 * norm ** (-s.real)
                             / (norm * (1.0 - 1.0 / norm) ** 2))
-                if envelope < term_tol:
+                if envelope < FACTOR_TOL:
                     break
             a_pow = a0 ** n
             for v in range(1, m + 1):
@@ -242,9 +241,8 @@ def log_derivative_series(s, data: Sequence[ZetaClassData],
     return total
 
 
-def collapse_identity_report(data: Sequence[ZetaClassData], s,
-                             n_max: int = 6) -> list:
-    """Per-class, per-power check of the v-sum collapse.
+def collapse_identity_report(data: Sequence[ZetaClassData], s) -> list:
+    """Per-class check of the v-sum collapse for the powers n = 1..6.
 
     1/|a - 1/a|^2 = N^-1 sum_{k,l} a^-2k conj(a)^-2l turns the v-sum over
     torsion twists into the c = 1 selection (the geometric sum of c^v over
@@ -257,7 +255,7 @@ def collapse_identity_report(data: Sequence[ZetaClassData], s,
         cls = zcd.cls
         m, n0, a0, zeta0 = cls.m, cls.N0, cls.a0, cls.zeta0
         log_n0 = math.log(n0)
-        for n in range(1, n_max + 1):
+        for n in range(1, 7):
             norm = n0 ** n
             a_pow = a0 ** n
             lhs = 0.0 + 0.0j
@@ -286,16 +284,13 @@ class CentralDifferenceCheck:
 
 
 def central_difference_check(s: float, data: Sequence[ZetaClassData],
-                             step: float = 1e-4,
-                             factor_tol: float = 1e-16
-                             ) -> CentralDifferenceCheck:
+                             step: float = 1e-4) -> CentralDifferenceCheck:
     """Compare d/ds log Z (central difference of the truncated product)
     against the analytic series at matched truncation."""
-    lo = log_zeta_truncated(s - step, data, factor_tol=factor_tol)
-    hi = log_zeta_truncated(s + step, data, factor_tol=factor_tol)
+    lo = log_zeta_truncated(s - step, data)
+    hi = log_zeta_truncated(s + step, data)
     diff = (hi - lo) / (2.0 * step)
-    series = log_derivative_series(s, data, route="factors",
-                                   term_tol=factor_tol)
+    series = log_derivative_series(s, data, route="factors")
     rel = abs(diff - series) / max(abs(series), 1e-300)
     return CentralDifferenceCheck(s=complex(s), series=series,
                                   central_difference=diff,
@@ -446,16 +441,7 @@ def abel_product_log(s, terms: int = 80) -> complex:
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("pole of the product factor at integer s")
     a = (2.0 * k + 1.0 - s * s) / denom
-    # Euler transform of sum (-1)^(j) a[j], j from 0
-    coeffs = np.array(a, dtype=complex)
-    acc = 0.0 + 0.0j
-    for n in range(len(coeffs)):
-        acc += coeffs[0] / 2.0 ** (n + 1)
-        coeffs = coeffs[:-1] - coeffs[1:]
-        if len(coeffs) == 0 or (abs(coeffs[0]) / 2.0 ** (n + 2) < 1e-17
-                                and n > 8):
-            break
-    return 0.25 - 2.0 + 4.0 * acc
+    return 0.25 - 2.0 + 4.0 * _euler_transform_alternating(a)
 
 
 def functional_factor_psi(s, index: int, k_infinity: int, l_infinity: int,
@@ -510,17 +496,10 @@ class XiBlocks:
         return self.nce_constant + self.log_c_sum + self.cusp_constant
 
 
-def geometric_blocks(gdata: GroupData, chi: UnitaryRep,
-                     eta_infinity: Optional[float] = None,
-                     L_values: Optional[Sequence[float]] = None) -> XiBlocks:
+def geometric_blocks(gdata: GroupData, chi: UnitaryRep) -> XiBlocks:
     group = gdata.group
     sing = singular_spaces(chi, gdata.stabilizer)
-    lat = Lattice(group.tau)
-    if eta_infinity is None:
-        eta_infinity = kappa_lattice(lat).kappa
-    if L_values is None:
-        L_values = [L_value_kronecker(lat, psi)
-                    for psi in sing.lattice_characters[sing.l_infinity:]]
+    eta_infinity, L_values = cusp_lattice_constants(group, sing)
     nce = nce_term(1.0, gdata.non_cuspidal_elliptic, chi)
     log_c = 0.0 + 0.0j
     weights = []
@@ -539,8 +518,7 @@ def geometric_blocks(gdata: GroupData, chi: UnitaryRep,
 
 def xi_log_derivative(s, data: Sequence[ZetaClassData], blocks: XiBlocks,
                       trS0: float,
-                      power_norm_bound: Optional[float] = None,
-                      term_tol: float = 1e-16) -> complex:
+                      power_norm_bound: Optional[float] = None) -> complex:
     """Xi'/Xi(s): Z'/Z plus every non-spectral block, assembled so that
     (1/2s) Xi'/Xi(s) - (1/2B) Xi'/Xi(B) is purely spectral.
 
@@ -550,8 +528,7 @@ def xi_log_derivative(s, data: Sequence[ZetaClassData], blocks: XiBlocks,
     """
     s = complex(s)
     z_part = log_derivative_series(s, data, route="classes",
-                                   power_norm_bound=power_norm_bound,
-                                   term_tol=term_tol)
+                                   power_norm_bound=power_norm_bound)
     ratio = blocks.l_infinity / blocks.index
     value = (z_part
              - ratio * digamma_halfplane_value(s)

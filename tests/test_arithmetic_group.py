@@ -165,7 +165,7 @@ class TestClassification:
 class TestStabilizer:
     def test_picard_relations(self):
         st = stabilizer_data(PICARD)
-        assert st.index == 2
+        assert st.torsion_order == 2
         assert st.R * st.S == st.S * st.R
         assert st.E.power(2).is_identity()
         # E R E^-1 = R^-1 since eps^2 = -1
@@ -173,7 +173,7 @@ class TestStabilizer:
 
     def test_eisenstein_relations(self):
         st = stabilizer_data(EISENSTEIN_GROUP)
-        assert st.index == 3
+        assert st.torsion_order == 3
         assert st.R * st.S == st.S * st.R
         assert st.E.power(3).is_identity()
         # E R E^-1 = S since eps^2 = omega

@@ -58,12 +58,19 @@ class TestConfig:
         assert code == 0
         assert rows_of(out)[0]["index"] == "2"
 
-    def test_unknown_config_key(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line", ["flavor = strange", "tol = 1e-6"],
+                             ids=["flavor", "tol"])
+    def test_unknown_config_key(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("flavor = strange\n")
+        cfg.write_text(line + "\n")
         code, _, err = run(capsys, "enumerate", "--config", str(cfg))
         assert code == 1
-        assert "flavor" in err
+        assert line.split()[0] in err
+
+    def test_unknown_flag(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--tol", "1e-6")
+        assert code == 1
+        assert "--tol" in err
 
     def test_non_numeric_config_value(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from selberg3 import lattice_lfn
 from selberg3.arithmetic_group import (EISENSTEIN_GROUP, PICARD,
                                        NonCuspidalEllipticClass)
+from selberg3.lattice_lfn import kappa_lattice
 from selberg3.representation import (CyclotomicValue, find_character,
                                      singular_spaces, trivial_rep)
 from selberg3.trace_formula import (EULER_GAMMA, SpectralSideInputs,
@@ -20,6 +22,7 @@ from selberg3.trace_formula import (EULER_GAMMA, SpectralSideInputs,
                                     exact_cyclotomic_trace, geometric_side,
                                     identity_term, loxodromic_term, nce_term,
                                     parabolic_term)
+from selberg3.zeta import geometric_blocks
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -340,3 +343,24 @@ class TestGeometricSide:
         b = geometric_side(triple, picard_data, chi, A=5.0, norm_bound=14.0,
                            ce_route="series", s_B=(2.0, 3.0))
         assert abs(a.total - b.total) < 1e-10
+
+    def test_kappa_fitted_once_per_lattice(self, monkeypatch, picard_data,
+                                           triple):
+        calls = []
+        inner = lattice_lfn.partial_sum_Z
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(lattice_lfn, "partial_sum_Z", counted)
+        kappa_lattice.cache_clear()
+        chi = trivial_rep(PICARD.ring)
+        first = geometric_side(triple, picard_data, chi, A=5.0,
+                               norm_bound=14.0)
+        assert len(calls) == 17
+        geometric_blocks(picard_data, chi)
+        again = geometric_side(triple, picard_data, chi, A=5.0,
+                               norm_bound=14.0)
+        assert len(calls) == 17
+        assert again.finite_part == first.finite_part
