@@ -21,7 +21,7 @@ from selberg3.lattice_lfn import (
     L_value_direct,
     L_value_kronecker,
     kappa_lattice,
-    partial_sum_Z,
+    ladder_sums,
     siegel_g,
 )
 
@@ -38,8 +38,9 @@ def main():
     rule("Logarithmic growth of the trivial-character sum (square lattice)")
     trivial = LatticeCharacter(0, 0)
     print(f"{'x':>8}  {'S(x)':>12}  {'S(x) area/pi - log x':>22}")
-    for x in (1e2, 1e3, 1e4, 1e5):
-        s = partial_sum_Z(x, square, trivial).real
+    xs = (1e2, 1e3, 1e4, 1e5)
+    for x, z in zip(xs, ladder_sums(xs, square, trivial)):
+        s = z.real
         est = s * square.area / math.pi - math.log(x)
         print(f"{x:8.0e}  {s:12.6f}  {est:22.9f}")
     print("the right column is the running estimate of kappa")

@@ -1,12 +1,17 @@
 """Lattice sums, the kappa constant, and the two L-value routes."""
 import cmath
+import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from selberg3.lattice_lfn import (
     HEX_LATTICE,
+    LADDER_RUNGS,
+    KappaFit,
+    LValueEstimate,
     Lattice,
     LatticeCharacter,
     SQUARE_LATTICE,
@@ -16,6 +21,7 @@ from selberg3.lattice_lfn import (
     bernoulli_B2,
     eisenstein_kronecker_E,
     kappa_lattice,
+    ladder_sums,
     partial_sum_Z,
     siegel_g,
 )
@@ -41,6 +47,76 @@ def brute_Z(x, lat, psi):
             if q <= x + 1e-9:
                 total += psi(m, n) / q
     return total
+
+
+# -- per-cutoff reference: one sweep of the lattice rows per cutoff ---------
+
+def reference_row_bounds(lat, x, n):
+    c, b, _ = lat.norm_form()
+    disc = (b * n) ** 2 - 4.0 * c * (n * n - x)
+    if disc < 0:
+        return 1, 0
+    sq = math.sqrt(disc)
+    lo = math.ceil((-b * n - sq) / (2.0 * c) - 1e-12)
+    hi = math.floor((-b * n + sq) / (2.0 * c) + 1e-12)
+    return lo, hi
+
+
+def reference_Z(x, lat, psi):
+    """Z(x) by its own sweep: the summation order ladder_sums must keep."""
+    c, b, exact = lat.norm_form()
+    n_max = int(math.floor(math.sqrt(x) * abs(lat.tau) / lat.area + 1))
+    u, v = float(psi.u), float(psi.v)
+    total = 0.0 + 0.0j
+    for n in range(-n_max, n_max + 1):
+        lo, hi = reference_row_bounds(lat, x, n)
+        if lo > hi:
+            continue
+        m = np.arange(lo, hi + 1, dtype=np.int64)
+        if exact:
+            q = c * m * m + b * m * n + n * n
+            keep = (q <= x) & (q > 0)
+        else:
+            q = c * m.astype(float) ** 2 + b * m.astype(float) * n + float(n * n)
+            keep = (q <= x) & (q > 1e-15)
+        if n == 0:
+            keep &= m != 0
+        m, q = m[keep], q[keep].astype(float)
+        phase = np.exp(2j * np.pi * (v * m + u * n))
+        total += complex(np.sum(phase / q))
+    return total
+
+
+def reference_ladder(x_max):
+    """Cutoffs x_max 10^(-j/16), j = 0..16, descending."""
+    return [x_max * 10.0 ** (-j / LADDER_RUNGS) for j in range(LADDER_RUNGS + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_ladder_sums(lat, uv, x_max):
+    psi = LatticeCharacter(*uv)
+    return [reference_Z(x, lat, psi) for x in reference_ladder(x_max)]
+
+
+def reference_L(vals, x_max):
+    mean = sum(vals) / len(vals)
+    spread = max(abs(z - mean) for z in vals)
+    error = max(spread / math.sqrt(len(vals)), 4.0 / math.sqrt(x_max))
+    return LValueEstimate(value=mean, error=error)
+
+
+def reference_kappa(lat, x_max):
+    """The kappa fit, its cutoffs ascending, on the reference sums."""
+    xs = np.array(reference_ladder(x_max)[::-1])
+    zs = np.array([z.real for z in reference_ladder_sums(lat, (0, 0), x_max)[::-1]])
+    logs = np.log(xs)
+    exact_slope = math.pi / lat.area
+    kappa = float(np.mean(zs / exact_slope - logs))
+    a = np.vstack([logs, np.ones_like(logs)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(a, zs, rcond=None)
+    band = float(np.max(np.abs(zs - exact_slope * (logs + kappa))))
+    return KappaFit(kappa=kappa, slope=float(slope), error_band=band,
+                    checkpoints=tuple(float(x) for x in xs))
 
 
 class TestNormForms:
@@ -102,6 +178,34 @@ class TestPartialSums:
             assert abs(diff - math.pi * math.log(4.0)) <= x ** -0.5
 
 
+LADDER_LATTICES = [SQUARE_LATTICE, HEX_LATTICE, HEX_SHIFTED, Lattice(2j),
+                   Lattice(complex(0.3, 1.1))]  # the last has a float norm form
+LADDER_CHARACTERS = [(0, 0), (Fraction(1, 3), Fraction(2, 3)), (0.25, 0.1)]
+
+
+@pytest.mark.parametrize("x_max", [1e3, 2e5])
+@pytest.mark.parametrize("uv", LADDER_CHARACTERS)
+@pytest.mark.parametrize("lat", LADDER_LATTICES, ids=lambda lat: repr(lat.tau))
+class TestLadderSums:
+    """One sweep for the whole ladder gives the per-cutoff sums bit for bit."""
+
+    def test_each_cutoff_bit_identical(self, lat, uv, x_max):
+        psi = LatticeCharacter(*uv)
+        xs = reference_ladder(x_max)
+        ref = reference_ladder_sums(lat, uv, x_max)
+        assert ladder_sums(xs, lat, psi) == ref
+        assert ladder_sums(xs[::-1], lat, psi) == ref[::-1]
+        assert [partial_sum_Z(x, lat, psi) for x in xs[::4]] == ref[::4]
+
+    def test_fit_and_L_value_repr_identical(self, lat, uv, x_max):
+        psi = LatticeCharacter(*uv)
+        if psi.is_trivial:
+            assert repr(kappa_lattice(lat, x_max)) == repr(reference_kappa(lat, x_max))
+        else:
+            want = reference_L(reference_ladder_sums(lat, uv, x_max), x_max)
+            assert repr(L_value_direct(lat, psi, x_max)) == repr(want)
+
+
 class TestKappa:
     def test_slope_matches_residue_square(self):
         fit = kappa_lattice(SQUARE_LATTICE, x_max=1e5)
@@ -133,6 +237,14 @@ class TestKappa:
     def test_tiny_cutoff_rejected(self):
         with pytest.raises(ValueError):
             kappa_lattice(SQUARE_LATTICE, x_max=100.0)
+
+    def test_cache_keys_on_value_not_spelling(self):
+        kappa_lattice.cache_clear()
+        fits = [kappa_lattice(SQUARE_LATTICE), kappa_lattice(SQUARE_LATTICE, 1e5),
+                kappa_lattice(SQUARE_LATTICE, x_max=1e5),
+                kappa_lattice(SQUARE_LATTICE, 100000)]
+        assert kappa_lattice.cache_info().misses == 1
+        assert all(fit is fits[0] for fit in fits)
 
 
 class TestCharacters:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -347,20 +348,28 @@ class TestGeometricSide:
     def test_kappa_fitted_once_per_lattice(self, monkeypatch, picard_data,
                                            triple):
         calls = []
-        inner = lattice_lfn.partial_sum_Z
+        inner = lattice_lfn.ladder_sums
 
         def counted(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(lattice_lfn, "partial_sum_Z", counted)
+        monkeypatch.setattr(lattice_lfn, "ladder_sums", counted)
         kappa_lattice.cache_clear()
         chi = trivial_rep(PICARD.ring)
         first = geometric_side(triple, picard_data, chi, A=5.0,
                                norm_bound=14.0)
-        assert len(calls) == 17
+        assert len(calls) == 1
         geometric_blocks(picard_data, chi)
         again = geometric_side(triple, picard_data, chi, A=5.0,
                                norm_bound=14.0)
-        assert len(calls) == 17
+        assert len(calls) == 1
         assert again.finite_part == first.finite_part
+
+    def test_nan_log_A_coefficient_raises(self, picard_data, triple):
+        def g(r):
+            return math.nan if r == 0.0 else triple.g(r)
+
+        with pytest.raises(RuntimeError, match="cusp cancellation"):
+            geometric_side(dataclasses.replace(triple, g=g), picard_data,
+                           trivial_rep(PICARD.ring), A=5.0, norm_bound=14.0)
