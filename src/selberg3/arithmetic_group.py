@@ -18,13 +18,13 @@ class-number-one rings only; other rings are rejected.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import polygamma
 
 from .geometry import MoebiusMatrix
 from .rings import EISENSTEIN, GAUSSIAN, Pair, Ring, is_square_in_field
@@ -40,11 +40,14 @@ class CompletenessError(RuntimeError):
     """Raised when an enumeration bound cannot certify class completeness."""
 
 
+@functools.cache
 def _unit_volume(ring: Ring) -> float:
     # Humbert's covolume |d|^(3/2) zeta_K(2) / (4 pi^2), with the quadratic
     # L-value expressed through trigamma values so no decimal literal is
     # needed: L(2, chi_-4) = (psi1(1/4) - psi1(3/4))/16 and
-    # L(2, chi_-3) = (psi1(1/3) - psi1(2/3))/9.
+    # L(2, chi_-3) = (psi1(1/3) - psi1(2/3))/9.  Evaluated on first read,
+    # so that importing the group layer does not load scipy.
+    from scipy.special import polygamma
     if ring.name == "gauss":
         lval = (polygamma(1, 0.25) - polygamma(1, 0.75)) / 16.0
         return 8.0 * (math.pi ** 2 / 6.0) * lval / (4.0 * math.pi ** 2)
@@ -62,7 +65,11 @@ class GroupDescriptor:
     tau_pair: Pair             # the same generator as a ring element
     index: int                 # [stabilizer : translation part] at infinity
     epsilon_pair: Pair         # diagonal entry of the torsion generator E
-    volume: float              # hyperbolic covolume of the quotient
+
+    @property
+    def volume(self) -> float:
+        """Hyperbolic covolume of the quotient."""
+        return _unit_volume(self.ring)
 
     def __repr__(self):
         return f"GroupDescriptor({self.name})"
@@ -70,12 +77,12 @@ class GroupDescriptor:
 
 PICARD = GroupDescriptor(
     name="picard", ring=GAUSSIAN, tau=1j, tau_pair=(0, 1), index=2,
-    epsilon_pair=(0, 1), volume=_unit_volume(GAUSSIAN),
+    epsilon_pair=(0, 1),
 )
 EISENSTEIN_GROUP = GroupDescriptor(
     name="eisenstein", ring=EISENSTEIN,
     tau=complex(-0.5, math.sqrt(3.0) / 2.0), tau_pair=(0, 1), index=3,
-    epsilon_pair=(-1, -1), volume=_unit_volume(EISENSTEIN),
+    epsilon_pair=(-1, -1),
 )
 
 GROUPS = {"picard": PICARD, "eisenstein": EISENSTEIN_GROUP}

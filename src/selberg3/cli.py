@@ -4,7 +4,9 @@ Subcommands: enumerate | classify | lsum | identity | zeta | trace |
 eisenstein-check.  Exit codes: 0 success, 1 usage error, 2 data or
 completeness failure, 3 numerical failure.  Output formats: text (default),
 csv, json; CSV and JSON carry identical formatted payloads, so either can
-serve as a golden file.
+serve as a golden file.  The trace-formula, transform and zeta modules are
+imported by the subcommands that use them, so a command pays only for its
+own imports; only trace loads scipy.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ from .lattice_lfn import (HEX_LATTICE, SQUARE_LATTICE, Lattice,
                           kappa_lattice)
 from .representation import (CyclotomicValue, find_character, singular_spaces,
                              trivial_rep)
-from .trace_formula import cuspidal_identity_check, geometric_side
-from .transform import QuadratureError, resolvent_pair
-from .zeta import (build_zeta_class_data, central_difference_check,
-                   log_derivative_series, meromorphy_report,
-                   topological_divisor, zeta_truncated)
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
@@ -359,6 +356,7 @@ def _residual_cells(value: CyclotomicValue) -> dict:
 
 
 def cmd_identity(config: RunConfig, args) -> int:
+    from .trace_formula import cuspidal_identity_check
     group = get_group(config.group)
     chi = load_representation(config)
     classes = cuspidal_elliptic_classes(
@@ -382,6 +380,9 @@ def _divisor_rows(records) -> list:
 
 
 def cmd_zeta(config: RunConfig, args) -> int:
+    from .zeta import (build_zeta_class_data, central_difference_check,
+                       log_derivative_series, meromorphy_report,
+                       topological_divisor, zeta_truncated)
     group = get_group(config.group)
     chi = load_representation(config)
     gdata = build_group_data(group, config.height, config.norm_bound)
@@ -421,6 +422,8 @@ def cmd_zeta(config: RunConfig, args) -> int:
 
 
 def cmd_trace(config: RunConfig, args) -> int:
+    from .trace_formula import geometric_side
+    from .transform import resolvent_pair
     if not (1.0 < args.s < args.B):
         raise UsageError("need 1 < s < B for the resolvent pair")
     group = get_group(config.group)
@@ -579,7 +582,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CompletenessError, EnumerationCapError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (QuadratureError, ValueError, ArithmeticError, RuntimeError) as e:
+    # transform.QuadratureError is a RuntimeError
+    except (ValueError, ArithmeticError, RuntimeError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
 

@@ -93,10 +93,10 @@ class LatticeCharacter:
 TRIVIAL_CHARACTER = LatticeCharacter(0, 0)
 
 
-def _row_bounds(lat: Lattice, x, n: int):
+def _row_bounds(c, b, x, n: int):
     """Integer m-range [lo, hi] with |m tau + n|^2 <= x for fixed n, lo > hi
-    when the row is empty; elementwise when x is an array of cutoffs."""
-    c, b, _ = lat.norm_form()
+    when the row is empty; elementwise when x is an array of cutoffs.  c and
+    b are the norm-form coefficients of the lattice (Lattice.norm_form)."""
     # c m^2 + b n m + (n^2 - x) <= 0
     disc = (b * n) ** 2 - 4.0 * c * (n * n - x)
     sq = np.sqrt(np.maximum(disc, 0.0))
@@ -111,12 +111,12 @@ def _n_max(lat: Lattice, x: float) -> int:
     return int(math.floor(math.sqrt(x) * abs(lat.tau) / lat.area + 1))
 
 
-def _iter_rows(lat: Lattice, x: float):
-    """Rows (n, m_array, normsq_array) in deterministic ascending-n order."""
-    c, b, exact = lat.norm_form()
+def _iter_rows(lat: Lattice, x: float, c, b, exact: bool):
+    """Rows (n, m_array, normsq_array) in deterministic ascending-n order;
+    (c, b, exact) is lat.norm_form()."""
     n_max = _n_max(lat, x)
     for n in range(-n_max, n_max + 1):
-        lo, hi = _row_bounds(lat, x, n)
+        lo, hi = _row_bounds(c, b, x, n)
         if lo > hi:
             continue
         m = np.arange(lo, hi + 1, dtype=np.int64)
@@ -159,10 +159,11 @@ def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
     u, v = float(psi.u), float(psi.v)
     cutoffs = [(x, _n_max(lat, x)) for x in xs.tolist()]
     totals = [0.0 + 0.0j] * len(xs)
+    c, b, exact = lat.norm_form()
     # row iteration indexes points as m*tau + n, so psi contributes v^m u^n
-    for n, m, q in _iter_rows(lat, xs.max()):
+    for n, m, q in _iter_rows(lat, xs.max(), c, b, exact):
         terms = np.exp(2j * np.pi * (v * m + u * n)) / q
-        lo, hi = _row_bounds(lat, xs, n)
+        lo, hi = _row_bounds(c, b, xs, n)
         runs = zip(m.searchsorted(lo).tolist(),
                    m.searchsorted(hi, "right").tolist())
         for j, ((x, n_max), (a, e)) in enumerate(zip(cutoffs, runs)):
@@ -343,7 +344,7 @@ def eisenstein_kronecker_E(u: float, v: float, tau: complex, s: complex,
         raise ValueError("need a nontrivial character")
     lat = Lattice(tau)
     total = 0.0 + 0.0j
-    for n, m, q in _iter_rows(lat, cutoff):
+    for n, m, q in _iter_rows(lat, cutoff, *lat.norm_form()):
         phase = np.exp(2j * np.pi * (u * m + v * n))
         total += complex(np.sum(phase * np.power(q, -s)))
     y = tau.imag

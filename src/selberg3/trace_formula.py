@@ -16,8 +16,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import digamma as _scipy_digamma
 
 from .arithmetic_group import (CuspidalEllipticClass, GroupData,
                                GroupDescriptor, NonCuspidalEllipticClass,
@@ -85,6 +83,7 @@ def identity_term(h: Callable, vol: float, dim_v: int,
     route "substitution" integrates Integral_1^inf h(w) sqrt(w-1) dw instead
     (w = 1 + t^2), an independent change-of-variables check.
     """
+    from scipy.integrate import quad
     if route == "direct":
         val, err = quad(lambda t: (h(1.0 + t * t) * t * t).real, 0.0, np.inf,
                         limit=200)
@@ -236,6 +235,7 @@ def _sinh_over_cosh_shift(x: float, c: float) -> float:
 
 def cosh_integral_quad(s, t: float) -> float:
     """Direct quadrature of the same integral; the independent oracle."""
+    from scipy.integrate import quad
     s = complex(s)
     c = math.cos(t)
 
@@ -271,6 +271,7 @@ def cuspidal_elliptic_term(g: Callable, classes: Sequence[CuspidalEllipticClass]
     route "series" (resolvent pair only, pass s_B=(s, B)) evaluates I_i from
     the partial-fraction series instead of quadrature.
     """
+    from scipy.integrate import quad
     if A <= 0:
         raise ValueError("A must be positive")
     g0 = g(0.0)
@@ -302,7 +303,8 @@ def cuspidal_elliptic_term(g: Callable, classes: Sequence[CuspidalEllipticClass]
 
 def digamma_halfplane_value(s) -> complex:
     """psi(1+s): the analytic value of the Poisson digamma integral."""
-    return complex(_scipy_digamma(1.0 + complex(s)))
+    from scipy.special import digamma
+    return complex(digamma(1.0 + complex(s)))
 
 
 def digamma_poisson_integral(s: float) -> float:
@@ -310,10 +312,12 @@ def digamma_poisson_integral(s: float) -> float:
 
     Equals psi(1+s); the odd imaginary part of psi(1+iw) integrates to zero.
     """
+    from scipy.integrate import quad
+    from scipy.special import digamma
     if s <= 0:
         raise ValueError("need s > 0")
     val, _ = quad(lambda w: (2.0 * s / (s * s + w * w))
-                  * _scipy_digamma(complex(1.0, w)).real,
+                  * digamma(complex(1.0, w)).real,
                   0.0, np.inf, limit=300)
     return 2.0 * val / (2.0 * math.pi)
 
@@ -326,9 +330,10 @@ def digamma_reflection_series(s: float, terms: Optional[int] = None) -> float:
     2(pi cot(pi s) - 1/s), which moves the residue at each negative integer
     from -1 to +1 and thereby produces the topological residue tables.
     """
+    from scipy.special import digamma
     if abs(s - round(s)) < 1e-12:
         raise ValueError("reflected form has a pole at integer s")
-    base = float(_scipy_digamma(1.0 - s))
+    base = float(digamma(1.0 - s))
     if terms is None:
         return base + math.pi / math.tan(math.pi * s) - 1.0 / s
     k = np.arange(1, terms + 1, dtype=float)
@@ -344,10 +349,12 @@ def parabolic_term(h: Callable, g0: complex, index: int, l_infinity: int,
                    - (1/2pi) Integral_R h(1+t^2) psi(1+it) dt ]
       + (g(0)/idx) Sum L(Lambda, psi_l)  over the non-singular characters.
     """
+    from scipy.integrate import quad
+    from scipy.special import digamma
     if A <= 0:
         raise ValueError("A must be positive")
     dig, _ = quad(lambda t: (h(1.0 + t * t)
-                             * _scipy_digamma(complex(1.0, t)).real).real,
+                             * digamma(complex(1.0, t)).real).real,
                   0.0, np.inf, limit=300)
     dig = 2.0 * dig / (2.0 * math.pi)
     core = (g0 * math.log(A) + h(1.0) / 4.0

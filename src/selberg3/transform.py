@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 QUAD_TOL = 1e-10
 
@@ -48,6 +47,7 @@ class TestFunctionTriple:
         A finite upper limit accommodates h members that are themselves
         quadratures and cannot be evaluated at enormous eigenvalues.
         """
+        from scipy.integrate import quad
         val, err = quad(lambda t: complex(self.h(1.0 + t * t)).real, 0, upper,
                         epsabs=QUAD_TOL, limit=300)
         if err > 1e-7:
@@ -56,6 +56,7 @@ class TestFunctionTriple:
 
 
 def _quad_complex(f, a, b, **kw):
+    from scipy.integrate import quad
     re, re_err = quad(lambda t: f(t).real, a, b, **kw)
     im, im_err = quad(lambda t: f(t).imag, a, b, **kw)
     return complex(re, im), max(re_err, im_err)
@@ -67,6 +68,7 @@ def shc_h_from_k(k: Callable[[float], float], lam: complex) -> complex:
     The factor (t^s - t^{-s})/s is evaluated as 2 sinh(s log t)/s, which
     passes smoothly through the s = 0 limit 2 log t with no cancellation.
     """
+    from scipy.integrate import quad
     s = cmath.sqrt(1.0 - lam)
 
     def stretched(log_t: float) -> complex:
@@ -105,6 +107,7 @@ def g_from_h(h: Callable[[complex], complex], x: float) -> float:
     Oscillatory weight quadrature with a decade-splitting fallback; the
     admissibility of h is checked only by sampling (advisory warning).
     """
+    from scipy.integrate import quad
     _check_growth(h)
     x = abs(float(x))
 
@@ -127,6 +130,7 @@ def g_from_h(h: Callable[[complex], complex], x: float) -> float:
 
 def _decade_split_cos(f, x):
     """Fallback: finite cosine-weight panels with a geometric tail estimate."""
+    from scipy.integrate import quad
     total = 0.0
     err = 0.0
     a = 0.0

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import loggamma
 
 from .arithmetic_group import GroupData, PrimitiveLoxodromicClass
 from .representation import (UnitaryRep, simultaneous_diagonalization,
@@ -454,6 +453,7 @@ def functional_factor_psi(s, index: int, k_infinity: int, l_infinity: int,
     product to the power (k_inf - l_inf)/2, same exponential.
     exp(C) = +-1 is not determined here; choose via exp_c_sign.
     """
+    from scipy.special import loggamma
     if index == 3:
         raise ValueError("no functional-equation factor for cusp index 3")
     if index not in (1, 2):

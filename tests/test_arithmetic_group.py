@@ -187,6 +187,26 @@ class TestStabilizer:
             assert group.ring.mul(w.a, w.a) == (1, 0)
 
 
+# -- covolume ---------------------------------------------------------------
+
+class TestCovolume:
+    def test_humbert_values_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            picard = mpmath.catalan / 3
+            l_minus3 = (mpmath.psi(1, mpmath.mpf(1) / 3)
+                        - mpmath.psi(1, mpmath.mpf(2) / 3)) / 9
+            eisenstein = mpmath.mpf(3) ** 1.5 * l_minus3 / 24
+            for group, want in ((PICARD, picard), (EISENSTEIN_GROUP, eisenstein)):
+                assert abs(group.volume - want) <= 1e-15 * want
+
+    def test_repeated_reads_return_the_same_float(self):
+        for group in (PICARD, EISENSTEIN_GROUP):
+            first = group.volume
+            assert isinstance(first, float)
+            assert group.volume is first
+
+
 # -- axes -------------------------------------------------------------------
 
 class TestAxes:

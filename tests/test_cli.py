@@ -6,8 +6,10 @@ import re
 
 import pytest
 
+from selberg3 import trace_formula
 from selberg3.cli import _divisor_rows, _render_csv_rows, main
 from selberg3.trace_formula import SpectralSideInputs
+from selberg3.transform import QuadratureError
 from selberg3.zeta import spectral_divisor
 
 pytestmark = pytest.mark.filterwarnings(
@@ -316,6 +318,17 @@ class TestTrace:
         check = sections["logA_check"][0]
         assert check["cancel_ok"] == "true"
         assert float(check["cancellation_error"]) <= 1e-9
+
+    def test_quadrature_error_is_numerical(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("quadrature error 1.00e-03")
+
+        # cmd_trace looks geometric_side up when it runs
+        monkeypatch.setattr(trace_formula, "geometric_side", fail)
+        code, out, err = run(capsys, "trace", *PICARD_SMALL)
+        assert code == 3
+        assert out == ""
+        assert err == "numerical error: quadrature error 1.00e-03\n"
 
     def test_bad_resolvent_pair(self, capsys):
         code, _, err = run(capsys, "trace", "--s", "3", "--B", "2")

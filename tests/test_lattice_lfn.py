@@ -302,6 +302,19 @@ class TestLValues:
         zb = partial_sum_Z(500.0, SQUARE_LATTICE, shifted)
         assert abs(za - zb) <= 1e-10
 
+    def test_norm_form_computed_once_per_sweep(self, monkeypatch):
+        calls = []
+        norm_form = Lattice.norm_form
+
+        def counted(lat):
+            calls.append(lat)
+            return norm_form(lat)
+
+        monkeypatch.setattr(Lattice, "norm_form", counted)
+        L_value_direct(SQUARE_LATTICE, LatticeCharacter(Fraction(1, 2), 0),
+                       x_max=1e5)
+        assert calls == [SQUARE_LATTICE]
+
     def test_trivial_character_rejected(self):
         with pytest.raises(ValueError):
             L_value_direct(SQUARE_LATTICE, TRIVIAL_CHARACTER)
