@@ -18,9 +18,11 @@ class-number-one rings only; other rings are rejected.
 """
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -437,46 +439,65 @@ def _canonical_rows(ring: Ring, rows: np.ndarray) -> np.ndarray:
 
 
 class ConjugatorSet:
-    """A conjugator list held once as two (N, 8) int64 arrays, G and G^-1.
+    """A conjugator list held once as one Z-linear map per conjugator.
 
-    `images` conjugates elements by all N conjugators at once in exact
-    integer arithmetic (products by the ring's rule u^2 = u2_x + u2_y u) and
-    canonicalizes the +-I sign as `GroupElement` does, so an image row
-    equals `T.conjugate_by(g).key()`.
+    Conjugation T -> g T g^-1 is linear in T's 8 integer coordinates.  The
+    (8, 8) map of g is built once, in exact int64 products by the ring's rule
+    u^2 = u2_x + u2_y u: its row j is the image of the j-th unit coordinate
+    row.  `raw_images` conjugates elements by all N conjugators with one
+    int64 matmul, guarded to stay below 2^62.  `images` also canonicalizes
+    the +-I sign as `GroupElement` does, so an image row equals
+    `T.conjugate_by(g).key()`; `hits` finds a target among such rows.
     """
 
     def __init__(self, ring: Ring, elements: Iterable[GroupElement]):
         self.ring = ring
         self.elements = list(elements)
-        self.G = element_array(self.elements)
-        self.G_inv = self.G[:, _INV_ORDER] * _INV_SIGN
-        self._g_max = int(np.abs(self.G).max(initial=0))
-        # |coord| of a ring product <= k max|coord a| max|coord b|
-        self._k = max(1 + abs(ring.u2_x), 2 + abs(ring.u2_y))
+        G = element_array(self.elements)
+        g_max = int(np.abs(G).max(initial=0))
+        # |coord| of a ring product <= k max|coord a| max|coord b|, so each
+        # 2x2 product scales coordinates by at most 2k and a map entry is at
+        # most 4 k^2 g_max^2; a column sums 8 of them
+        k = max(1 + abs(ring.u2_x), 2 + abs(ring.u2_y))
+        if 32 * k ** 2 * g_max ** 2 > _INT64_SAFE:
+            raise ValueError(
+                f"conjugator coordinates up to {g_max} overflow the int64 "
+                f"conjugation maps")
+        g = _entries(G[:, None, :])
+        g_inv = _entries((G[:, _INV_ORDER] * _INV_SIGN)[:, None, :])
+        unit = _entries(np.eye(8, dtype=np.int64)[None, :, :])
+        out = _mat_mul(ring, _mat_mul(ring, g, unit), g_inv)
+        maps = np.stack([v for pair in out for v in pair], axis=-1)
+        # |image coordinate| <= (largest absolute column sum) * max|T|
+        self._scale = int(np.abs(maps).sum(axis=1).max(initial=0))
+        # (8, N*8): T @ maps gives every conjugator's image side by side
+        self._maps = np.ascontiguousarray(maps.transpose(1, 0, 2)).reshape(8, -1)
 
     def __len__(self):
         return len(self.elements)
 
-    def images(self, T: np.ndarray) -> np.ndarray:
-        """Canonical g T g^-1 for every row T of a (K, 8) array: (K, N, 8)."""
+    def raw_images(self, T: np.ndarray) -> np.ndarray:
+        """g T g^-1 before the sign rule, for every row T of a (K, 8) array: (K, N, 8)."""
         t_max = int(np.abs(T).max(initial=0))
-        # each 2x2 product over the ring scales coordinates by at most 2k
-        worst = 4 * self._k ** 2 * self._g_max ** 2 * t_max
+        worst = self._scale * t_max
         if worst > _INT64_SAFE:
             raise ValueError(
                 f"conjugation coordinates may reach {worst}, beyond the int64 "
                 f"range 2^62; entries are too large for the exact kernel")
-        r = self.ring
-        g, g_inv = _entries(self.G[None, :, :]), _entries(self.G_inv[None, :, :])
-        t = _entries(T[:, None, :])
-        out = _mat_mul(r, _mat_mul(r, g, t), g_inv)
-        rows = np.stack([v for pair in out for v in pair], axis=-1)
-        return _canonical_rows(r, rows)
+        return (T @ self._maps).reshape(len(T), len(self), 8)
+
+    def images(self, T: np.ndarray) -> np.ndarray:
+        """Canonical g T g^-1 for every row T of a (K, 8) array: (K, N, 8)."""
+        return _canonical_rows(self.ring, self.raw_images(T))
+
+    @staticmethod
+    def hits(imgs: np.ndarray, target: GroupElement) -> np.ndarray:
+        """Indices of the rows of one element's (N, 8) `images` equal to target."""
+        return np.flatnonzero((imgs == np.array(target.key())).all(axis=1))
 
     def matches(self, T: GroupElement, target: GroupElement) -> np.ndarray:
         """Indices of the conjugators g with g T g^-1 = target."""
-        imgs = self.images(element_array([T]))[0]
-        return np.flatnonzero((imgs == np.array(target.key())).all(axis=1))
+        return self.hits(self.images(element_array([T]))[0], target)
 
 
 def find_conjugator(T1: GroupElement, T2: GroupElement,
@@ -591,8 +612,12 @@ def cuspidal_elliptic_classes(group: GroupDescriptor,
     must be deep enough to contain the full finite centralizers; the
     identity of the cuspidal-elliptic budget certifies this downstream.
     """
+    return _cuspidal_elliptic_classes(group, ConjugatorSet(group.ring, elements))
+
+
+def _cuspidal_elliptic_classes(group: GroupDescriptor, conj: ConjugatorSet
+                               ) -> list[CuspidalEllipticClass]:
     r = group.ring
-    conj = ConjugatorSet(r, elements)
     eps0 = group.epsilon_pair
     eps_powers = []
     e = eps0
@@ -614,12 +639,9 @@ def cuspidal_elliptic_classes(group: GroupDescriptor,
 
     kept: list[tuple] = []
     for eps, w, rep in candidates:
-        merged = False
-        for _, _, seen in kept:
-            if seen == rep or find_conjugator(rep, seen, conj):
-                merged = True
-                break
-        if not merged:
+        imgs = conj.images(element_array([rep]))[0]
+        if not any(seen == rep or len(conj.hits(imgs, seen))
+                   for _, _, seen in kept):
             kept.append((eps, w, rep))
 
     out = []
@@ -652,6 +674,7 @@ class AxisData:
     torsion: list                # elliptic elements fixing the axis pointwise
     m: int = 1
     E_T: Optional[GroupElement] = None
+    norms: list = field(default_factory=list)   # N(g) of each loxodromic, same order
 
 
 @dataclass
@@ -691,10 +714,9 @@ def _eigvec_for(mat: MoebiusMatrix, lam: complex):
     return (1.0 + 0j, -row[0] / row[1])
 
 
-def _attracting_direction(g: GroupElement) -> tuple:
-    """Expanding eigenvector of g, normalized for projective comparison."""
-    cls = classify(g)
-    v = _eigvec_for(g.to_moebius(), cls.a)
+def _attracting_direction(g: GroupElement, a: complex) -> tuple:
+    """Expanding eigenvector of g (eigenvalue a), normalized for projective comparison."""
+    v = _eigvec_for(g.to_moebius(), a)
     scale = math.hypot(abs(v[0]), abs(v[1]))
     return (v[0] / scale, v[1] / scale)
 
@@ -750,12 +772,17 @@ def collect_axes(elements: Sequence[GroupElement],
             if cls.norm > norm_bound:
                 continue
             k = axis_key(g)
-            axes.setdefault(k, AxisData(k, [], [])).loxodromics.append(g)
+            ax = axes.setdefault(k, AxisData(k, [], []))
+            ax.loxodromics.append(g)
+            ax.norms.append(cls.norm)
         elif cls.kind == "elliptic" and not cls.cuspidal:
             k = axis_key(g)
             axes.setdefault(k, AxisData(k, [], [])).torsion.append(g)
     for ax in axes.values():
-        ax.loxodromics.sort(key=lambda g: (classify(g).norm, g.key()))
+        lox = sorted(zip(ax.norms, ax.loxodromics),
+                     key=lambda p: (p[0], p[1].key()))
+        ax.norms = [n for n, _ in lox]
+        ax.loxodromics = [g for _, g in lox]
         ax.torsion.sort(key=GroupElement.key)
         ax.m = len(ax.torsion) + 1
         if ax.torsion:
@@ -765,6 +792,18 @@ def collect_axes(elements: Sequence[GroupElement],
                     f"axis torsion of order {ax.m} has no generator in the enumeration")
             ax.E_T = full[0]
     return axes
+
+
+def _bounded_axes(axes: dict[tuple, AxisData],
+                  norm_bound: float) -> dict[tuple, AxisData]:
+    """`collect_axes` at `norm_bound`, cut from the axes at a larger bound."""
+    out = {}
+    for k, ax in axes.items():
+        cut = bisect.bisect_right(ax.norms, norm_bound)   # norms ascend
+        if cut or ax.torsion:
+            out[k] = dataclasses.replace(ax, loxodromics=ax.loxodromics[:cut],
+                                         norms=ax.norms[:cut])
+    return out
 
 
 @dataclass
@@ -779,20 +818,19 @@ class _Family:
 
 
 def _axis_families(ax: AxisData) -> list[_Family]:
-    lead = ax.loxodromics[0]
-    c0 = classify(lead)
-    N0 = c0.norm
-    minimal = [g for g in ax.loxodromics
-               if abs(classify(g).norm - N0) <= 1e-9 * N0]
-    fwd_dir = _attracting_direction(lead)
+    lead, N0 = ax.loxodromics[0], ax.norms[0]
+    eigenvalue = {g: classify(g).a for g, n in zip(ax.loxodromics, ax.norms)
+                  if abs(n - N0) <= 1e-9 * N0}      # the norm-N0 members
+    fwd_dir = _attracting_direction(lead, eigenvalue[lead])
     fwd, rev = [], []
-    for g in minimal:
-        d = _projective_dist(_attracting_direction(g), fwd_dir)
+    for g, a in eigenvalue.items():
+        d = _projective_dist(_attracting_direction(g, a), fwd_dir)
         (fwd if d < 1e-6 else rev).append(g)
-    fams = [_Family(ax, lead, c0.a, N0, frozenset(fwd))]
+    fams = [_Family(ax, lead, eigenvalue[lead], N0, frozenset(fwd))]
     if rev:
-        rev.sort(key=GroupElement.key)
-        fams.append(_Family(ax, rev[0], classify(rev[0]).a, N0, frozenset(rev)))
+        rev_lead = min(rev, key=GroupElement.key)
+        fams.append(_Family(ax, rev_lead, eigenvalue[rev_lead], N0,
+                            frozenset(rev)))
     return fams
 
 
@@ -820,16 +858,23 @@ def primitive_loxodromic_classes(group: GroupDescriptor, norm_bound: float,
     endpoint swapper exists) are merged by exact conjugator search over the
     enumeration: g merges family F into family G when g F.lead g^-1 lands in
     G's minimal member set.  The images of a lead under all conjugators come
-    from one exact int64 kernel (`ConjugatorSet.images`), which raises
-    ValueError when a product could leave the int64 range; they are looked
-    up among the members as packed integer keys.  Completeness in `height`
-    is heuristic; re-running at a larger height and comparing the class list
-    is the supported certification.
+    from one exact matmul with the conjugators' linear maps
+    (`ConjugatorSet.raw_images`, which raises ValueError when a product
+    could leave the int64 range).  They skip the +-I sign rule and are
+    looked up as packed integer keys in a table that holds both signs of
+    every member; the families they link are merged by union-find.
+    Completeness in `height` is heuristic; re-running at a larger height
+    and comparing the class list is the supported certification.
     """
     if elements is None:
         elements = enumerate_elements(group, height)
-    axes = collect_axes(elements, norm_bound)
+    return _primitive_loxodromic_classes(collect_axes(elements, norm_bound),
+                                         ConjugatorSet(group.ring, elements))
 
+
+def _primitive_loxodromic_classes(axes: dict[tuple, AxisData],
+                                  conj: ConjugatorSet
+                                  ) -> list[PrimitiveLoxodromicClass]:
     families: list[_Family] = []
     for key in sorted(axes):
         ax = axes[key]
@@ -839,19 +884,24 @@ def primitive_loxodromic_classes(group: GroupDescriptor, norm_bound: float,
     # Union-find over families.  Each family lead is conjugated by every
     # element of the enumeration and the images are looked up among all
     # minimal members, which makes the merge independent of processing
-    # order.  Members are packed into sorted int64 keys with a base derived
-    # from their largest coordinate |x| <= bound; an image with a coordinate
-    # beyond the bound is exactly a non-member and gets the key -1.
-    # Families are disjoint (one axis, one direction each).
+    # order.  A raw image is +-m exactly when its canonical form
+    # is the member m, so the table holds m and -m.  Members are packed into
+    # sorted int64 keys with a base derived from their largest coordinate
+    # |x| <= bound; an image with a coordinate beyond the bound is exactly
+    # a non-member and gets the key -1.  Families are disjoint (one axis,
+    # one direction each).
     member_family = np.array([i for i, fam in enumerate(families)
                               for _ in fam.minimal_members], dtype=np.int64)
     members = element_array(g for fam in families for g in fam.minimal_members)
+    members = np.concatenate([members, -members])
+    member_family = np.concatenate([member_family, member_family])
     bound = int(np.abs(members).max(initial=0))
     base = _packing_base(bound)
     member_keys = _pack(members, bound, base)
     order = np.argsort(member_keys)
     member_keys, member_family = member_keys[order], member_family[order]
-    parent = list(range(len(families)))
+    n = len(families)
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -864,18 +914,20 @@ def primitive_loxodromic_classes(group: GroupDescriptor, norm_bound: float,
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    conj = ConjugatorSet(group.ring, elements)
     leads = element_array(fam.lead for fam in families)
     step = max(1, _MERGE_CHUNK // max(1, len(conj)))
-    for start in range(0, len(families), step):
-        imgs = conj.images(leads[start:start + step])
+    for start in range(0, n, step):
+        imgs = conj.raw_images(leads[start:start + step])
         keys = np.where((np.abs(imgs) <= bound).all(axis=-1),
                         _pack(imgs, bound, base), -1)
         pos = np.minimum(np.searchsorted(member_keys, keys),
                          len(member_keys) - 1)
         rows, cols = np.nonzero(member_keys[pos] == keys)
-        for i, j in set(zip((start + rows).tolist(),
-                            member_family[pos[rows, cols]].tolist())):
+        lead, hit = start + rows, member_family[pos[rows, cols]]
+        # each (lead, hit) edge once: a lead meets its own family through
+        # every element of its centralizer
+        edges = np.unique(lead * n + hit)
+        for i, j in zip((edges // n).tolist(), (edges % n).tolist()):
             union(i, j)
 
     components: dict[int, list[_Family]] = {}
@@ -939,19 +991,21 @@ def non_cuspidal_elliptic_classes(group: GroupDescriptor,
     The rotation invariant sin^2(pi k/m) is computed exactly from the trace:
     the class of R has eigenvalues exp(+-i pi k/m), so sin^2 = 1 - tr^2/4.
     """
-    conj = ConjugatorSet(group.ring, elements)
     # collect all loxodromics regardless of norm_bound: the minimal norm on
     # an elliptic axis is needed whatever its size
-    axes = collect_axes(elements, math.inf)
-    nce_elems = []
-    for key in sorted(axes):
-        ax = axes[key]
-        for t in ax.torsion:
-            nce_elems.append((t, ax))
+    return _non_cuspidal_elliptic_classes(collect_axes(elements, math.inf),
+                                          ConjugatorSet(group.ring, elements))
+
+
+def _non_cuspidal_elliptic_classes(axes: dict[tuple, AxisData],
+                                   conj: ConjugatorSet
+                                   ) -> list[NonCuspidalEllipticClass]:
+    nce_elems = [(t, axes[key]) for key in sorted(axes) for t in axes[key].torsion]
     classes: list[tuple[GroupElement, list[AxisData]]] = []
     for g, ax in sorted(nce_elems, key=lambda p: p[0].key()):
+        imgs = conj.images(element_array([g]))[0]
         for seen, seen_axes in classes:
-            if find_conjugator(g, seen, conj):
+            if len(conj.hits(imgs, seen)):
                 # conjugate member: its axis still contributes the class
                 # norm (conjugation preserves N0, but the ball may only
                 # realize a loxodromic on one of the conjugate axes)
@@ -963,8 +1017,7 @@ def non_cuspidal_elliptic_classes(group: GroupDescriptor,
     for g, ax_list in classes:
         t = g.trace()
         sin_sq = 1 - Fraction(t[0] * t[0], 4)
-        norms = [classify(ax.loxodromics[0]).norm
-                 for ax in ax_list if ax.loxodromics]
+        norms = [ax.norms[0] for ax in ax_list if ax.loxodromics]
         out.append(NonCuspidalEllipticClass(
             representative=g, order_primitive=ax_list[0].m, sin_sq=sin_sq,
             N0=min(norms) if norms else None, axis=ax_list[0].key))
@@ -996,14 +1049,22 @@ class GroupData:
 
 def build_group_data(group: GroupDescriptor, height: int,
                      norm_bound: float) -> GroupData:
+    """Every class list of the enumeration at `height`.
+
+    Equal to the public step-by-step calls, but with one conjugator set and
+    one axis pass: the norm-bounded axes of the loxodromic merge are cut
+    from the axes at infinity that the non-cuspidal elliptic classes need.
+    """
     elements = enumerate_elements(group, height)
+    stabilizer = stabilizer_data(group)
+    conj = ConjugatorSet(group.ring, elements)
+    cuspidal_elliptic = _cuspidal_elliptic_classes(group, conj)
+    axes = collect_axes(elements, math.inf)
     return GroupData(
         group=group, height=height, norm_bound=norm_bound,
-        elements=elements,
-        stabilizer=stabilizer_data(group),
-        cuspidal_elliptic=cuspidal_elliptic_classes(group, elements),
-        loxodromic=primitive_loxodromic_classes(
-            group, norm_bound, height, elements),
-        non_cuspidal_elliptic=non_cuspidal_elliptic_classes(
-            group, elements, norm_bound),
+        elements=elements, stabilizer=stabilizer,
+        cuspidal_elliptic=cuspidal_elliptic,
+        loxodromic=_primitive_loxodromic_classes(
+            _bounded_axes(axes, norm_bound), conj),
+        non_cuspidal_elliptic=_non_cuspidal_elliptic_classes(axes, conj),
     )

@@ -383,15 +383,15 @@ def cmd_zeta(config: RunConfig, args) -> int:
     from .zeta import (build_zeta_class_data, central_difference_check,
                        log_derivative_series, meromorphy_report,
                        topological_divisor, zeta_truncated)
+    s_list = args.s or [2.0, 2.5]
+    for s in s_list:
+        if not s > 1.0:
+            raise UsageError(f"zeta evaluation point s = {s} must exceed 1")
     group = get_group(config.group)
     chi = load_representation(config)
     gdata = build_group_data(group, config.height, config.norm_bound)
     sing = singular_spaces(chi, gdata.stabilizer)
     data = build_zeta_class_data(gdata.loxodromic, chi)
-    s_list = args.s or [2.0, 2.5]
-    for s in s_list:
-        if not s > 1.0:
-            raise UsageError(f"zeta evaluation point s = {s} must exceed 1")
     all_ok = True
     rows = []
     for s in s_list:

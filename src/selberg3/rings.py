@@ -86,18 +86,26 @@ class Ring:
     def is_unit(self, a: Pair) -> bool:
         return self.norm(a) == 1
 
-    def field_div(self, a: Pair, b: Pair) -> Pair:
-        """Exact quotient a/b with Fraction coordinates."""
+    def _quotient_parts(self, a: Pair, b: Pair) -> tuple[Pair, int]:
+        """a conj(b) and N(b) > 0, so that a/b = a conj(b) / N(b)."""
         nb = self.norm(b)
         if nb == 0:
             raise ZeroDivisionError("division by zero ring element")
-        num = self.mul(a, self.conj(b))
+        return self.mul(a, self.conj(b)), nb
+
+    def field_div(self, a: Pair, b: Pair) -> Pair:
+        """Exact quotient a/b with Fraction coordinates."""
+        num, nb = self._quotient_parts(a, b)
         return (Fraction(num[0], nb), Fraction(num[1], nb))
 
     def divmod_nearest(self, a: Pair, b: Pair) -> tuple[Pair, Pair]:
-        """Euclidean division: a = q b + r with norm(r) < norm(b)."""
-        qx, qy = self.field_div(a, b)
-        q = (_round_half_even(qx), _round_half_even(qy))
+        """Euclidean division: a = q b + r with norm(r) < norm(b).
+
+        q rounds each coordinate of a/b = a conj(b) / N(b) to the nearest
+        integer, exact ties to even, in integer arithmetic.
+        """
+        num, nb = self._quotient_parts(a, b)
+        q = (_div_half_even(num[0], nb), _div_half_even(num[1], nb))
         r = self.sub(a, self.mul(q, b))
         return q, r
 
@@ -176,15 +184,14 @@ class Ring:
         return min(self.mul(u, a) for u in self.units())
 
 
-def _round_half_even(q) -> int:
-    if isinstance(q, Fraction):
-        n, r = divmod(q.numerator, q.denominator)
-        if 2 * r < q.denominator:
-            return n
-        if 2 * r > q.denominator:
-            return n + 1
-        return n if n % 2 == 0 else n + 1  # exact tie toward even
-    return round(q)
+def _div_half_even(n: int, d: int) -> int:
+    """n / d rounded to the nearest integer, exact ties to even (d > 0)."""
+    q, r = divmod(n, d)
+    if 2 * r < d:
+        return q
+    if 2 * r > d:
+        return q + 1
+    return q + (q & 1)  # exact tie toward even
 
 
 GAUSSIAN = Ring("gauss", -1, 0, -4)

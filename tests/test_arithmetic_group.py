@@ -7,10 +7,14 @@ from selberg3.arithmetic_group import (
     ConjugatorSet,
     EnumerationCapError,
     EISENSTEIN_GROUP,
+    GroupData,
     GroupElement,
     PICARD,
+    _INT64_SAFE,
     _axis_families,
+    _bounded_axes,
     axis_key,
+    build_group_data,
     classify,
     collect_axes,
     cuspidal_elliptic_classes,
@@ -25,6 +29,7 @@ from selberg3.arithmetic_group import (
     stabilizer_data,
     trace_class_key,
 )
+from selberg3 import arithmetic_group
 from selberg3.rings import EISENSTEIN, GAUSSIAN
 
 
@@ -503,6 +508,26 @@ class TestConjugationKernel:
         far = GroupElement(GAUSSIAN, (1, 0), (50, 0), (0, 0), (1, 0))
         assert find_conjugator(R_PIC, far, conj) is None
 
+    def test_guard_boundary(self, picard_elements):
+        # the images stay exact right up to the proven bound 2^62 and the
+        # kernel raises just beyond it
+        els = picard_elements[::7]
+        conj = ConjugatorSet(PICARD.ring, els)
+        t_max = _INT64_SAFE // conj._scale
+        assert conj._scale * t_max <= _INT64_SAFE < conj._scale * (t_max + 1)
+
+        def element(b):
+            # determinant x^2 - (x - 1)(x + 1) = 1, largest coordinate b
+            x = b - 1
+            return GroupElement(GAUSSIAN, (x, 0), (x - 1, 0), (x + 1, 0), (x, 0))
+
+        t = element(t_max)
+        imgs = conj.images(element_array([t]))[0]
+        assert [tuple(v) for v in imgs.tolist()] == \
+            [t.conjugate_by(g).key() for g in els]
+        with pytest.raises(ValueError, match="int64"):
+            conj.images(element_array([element(t_max + 1)]))
+
     def test_overflow_guard(self, picard_elements):
         conj = ConjugatorSet(PICARD.ring, picard_elements)
         huge = GroupElement(GAUSSIAN, (1, 0), (1 << 58, 0), (0, 0), (1, 0))
@@ -510,3 +535,62 @@ class TestConjugationKernel:
             conj.images(element_array([huge]))
         with pytest.raises(ValueError, match="int64"):
             find_conjugator(huge, huge, conj)
+
+
+# -- the build path ------------------------------------------------------------
+
+class TestBuildGroupData:
+    def test_one_axis_pass_and_one_conjugator_set(self, monkeypatch):
+        calls = {"collect_axes": 0, "axis_key": 0, "ConjugatorSet": 0}
+        collect_axes_fn = arithmetic_group.collect_axes
+        axis_key_fn = arithmetic_group.axis_key
+
+        def counted_collect_axes(*args):
+            calls["collect_axes"] += 1
+            return collect_axes_fn(*args)
+
+        def counted_axis_key(T):
+            calls["axis_key"] += 1
+            return axis_key_fn(T)
+
+        class CountedConjugatorSet(ConjugatorSet):
+            def __init__(self, *args, **kwargs):
+                calls["ConjugatorSet"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(arithmetic_group, "collect_axes",
+                            counted_collect_axes)
+        monkeypatch.setattr(arithmetic_group, "axis_key", counted_axis_key)
+        monkeypatch.setattr(arithmetic_group, "ConjugatorSet",
+                            CountedConjugatorSet)
+        gd = build_group_data(PICARD, 6, 14.0)
+        # one axis key per loxodromic and non-cuspidal elliptic element,
+        # whatever its norm: the axes at the norm bound are cut from one pass
+        kinds = [classify(g) for g in gd.elements]
+        on_axes = sum(c.kind == "loxodromic"
+                      or (c.kind == "elliptic" and not c.cuspidal)
+                      for c in kinds)
+        assert calls == {"collect_axes": 1, "axis_key": on_axes,
+                         "ConjugatorSet": 1}
+
+    @pytest.mark.parametrize("group,h", [(PICARD, 6), (EISENSTEIN_GROUP, 6),
+                                         (PICARD, 8)])
+    def test_equals_public_step_by_step_calls(self, group, h):
+        # the public calls in order, as a traced build times them one by one
+        els = enumerate_elements(group, h)
+        steps = GroupData(
+            group=group, height=h, norm_bound=14.0, elements=els,
+            stabilizer=stabilizer_data(group),
+            cuspidal_elliptic=cuspidal_elliptic_classes(group, els),
+            loxodromic=primitive_loxodromic_classes(group, 14.0, h, els),
+            non_cuspidal_elliptic=non_cuspidal_elliptic_classes(
+                group, els, 14.0))
+        assert build_group_data(group, h, 14.0) == steps
+
+    @pytest.mark.parametrize("fixture", ["picard_elements", "eisenstein_elements"])
+    @pytest.mark.parametrize("norm_bound", [6.0, 14.0, 30.0])
+    def test_bounded_axes_equal_a_pass_at_the_bound(self, fixture, norm_bound,
+                                                    request):
+        els = request.getfixturevalue(fixture)
+        assert _bounded_axes(collect_axes(els, math.inf), norm_bound) \
+            == collect_axes(els, norm_bound)

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from selberg3 import trace_formula
+from selberg3 import cli, trace_formula
 from selberg3.cli import _divisor_rows, _render_csv_rows, main
 from selberg3.trace_formula import SpectralSideInputs
 from selberg3.transform import QuadratureError
@@ -298,6 +298,17 @@ class TestZeta:
     def test_s_in_closed_half_plane_rejected(self, capsys):
         code, _, err = run(capsys, "zeta", "--s", "0.5")
         assert code == 1
+        assert "exceed 1" in err
+
+    def test_s_checked_before_group_build(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("class list built before --s was checked")
+
+        monkeypatch.setattr(cli, "build_group_data", fail)
+        code, out, err = run(capsys, "zeta", "--s", "2", "--s", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
         assert "exceed 1" in err
 
 

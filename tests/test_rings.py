@@ -155,6 +155,41 @@ def test_from_complex_roundtrip(ring):
         assert ring.from_complex(ring.to_complex(a)) == a
 
 
+def _round_half_even(q: Fraction) -> int:
+    """Reference rounding of an exact quotient: nearest integer, ties to even."""
+    n, r = divmod(q.numerator, q.denominator)
+    if 2 * r < q.denominator:
+        return n
+    if 2 * r > q.denominator:
+        return n + 1
+    return n if n % 2 == 0 else n + 1
+
+
+def test_divmod_nearest_matches_fraction_rounding(ring):
+    # the integer rounding must give the quotient of rounding the exact
+    # Fraction quotient field_div(a, b) coordinate by coordinate
+    ties = negative_ties = 0
+    for ax in range(-7, 8):
+        for ay in range(-7, 8):
+            for bx in range(-4, 5):
+                for by in range(-4, 5):
+                    a, b = (ax, ay), (bx, by)
+                    if b == (0, 0):
+                        continue
+                    exact = ring.field_div(a, b)
+                    want = tuple(_round_half_even(c) for c in exact)
+                    q, r = ring.divmod_nearest(a, b)
+                    assert q == want, (a, b)
+                    assert ring.add(ring.mul(q, b), r) == a
+                    assert ring.norm(r) < ring.norm(b), (a, b)
+                    for c in exact:
+                        if c.denominator == 2:
+                            ties += 1
+                            negative_ties += c < 0
+    # the grid reaches exact half ties on both sides of zero
+    assert ties > 0 and negative_ties > 0
+
+
 def test_round_half_even_tie():
     # divmod at an exact tie must still satisfy the Euclidean bound
     q, r = GAUSSIAN.divmod_nearest((1, 1), (2, 0))
