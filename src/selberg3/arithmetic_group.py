@@ -530,10 +530,6 @@ class CuspidalEllipticClass:
     c_norm: int                    # ring norm of c0, so |c0| = sqrt(c_norm)
 
     @property
-    def c_abs(self) -> float:
-        return math.sqrt(float(self.c_norm))
-
-    @property
     def log_c(self) -> float:
         return 0.5 * math.log(float(self.c_norm))
 

@@ -3,10 +3,11 @@
 Supported representations either are trivial or factor through the finite
 quotient PSL(2, O/q) of a congruence ideal (q).  That restriction is what
 makes exact evaluation possible on any enumerated matrix: no word problem,
-just reduction mod q and a finite lookup.  One-dimensional characters are
-found from the abelianized quotient and carry exact phase angles; higher
-dimensions are supplied as generator-image tables and closed by breadth
-first search over the quotient.
+just reduction mod q and a finite lookup.  Every such representation is
+one table over the quotient, closed by breadth first search from values on
+generators.  One-dimensional characters try every finite-order angle on
+the images of R, S and J, which generate the quotient, and carry exact
+phase angles; higher dimensions are supplied as generator-image tables.
 
 A third kind, "cusp-local", is defined only on the stabilizer of infinity
 (needed for singular-space examples where no congruence character has the
@@ -19,7 +20,9 @@ consume.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -363,125 +366,57 @@ class CongruenceQuotient:
                 raise AssertionError("order computation ran away")
         return n
 
-    def commutator_subgroup(self) -> frozenset:
-        seed = {self.identity_key}
-        for x in self.element_keys:
-            xi = self.invert(x)
-            for y in self.element_keys:
-                seed.add(self.multiply(self.multiply(x, y),
-                                       self.multiply(xi, self.invert(y))))
-        # close under multiplication (finite, so inverses come for free)
-        closed = set(seed)
-        frontier = list(seed)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in seed:
-                    z = self.multiply(x, y)
-                    if z not in closed:
-                        closed.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return frozenset(closed)
 
-    def abelianization(self):
-        """(coset representative map, list of coset reps, coset multiply)."""
-        K = self.commutator_subgroup()
-        rep_of = {}
-        for x in self.element_keys:
-            if x in rep_of:
-                continue
-            coset = sorted(self.multiply(x, k) for k in K)
-            lead = coset[0]
-            for member in coset:
-                rep_of[member] = lead
-        reps = sorted(set(rep_of.values()))
+def _close(quotient: CongruenceQuotient, gens, one, mul, agree):
+    """{quotient key: value} of the homomorphism fixed by generator values.
 
-        def mul(u, v):
-            return rep_of[self.multiply(u, v)]
-
-        return rep_of, reps, mul
-
-
-def _abelian_characters(reps, mul, identity_rep, element_order):
-    """All Fraction-angle characters of a small abelian group.
-
-    Greedy generating sequence, then exhaustive root-of-unity assignment
-    with consistency checked by extension over the whole group.
+    gens are (key, value) pairs.  Breadth first search from the identity
+    sets table[x g] = mul(table[x], value of g) and checks every edge
+    (x, g), so a table that comes back is a homomorphism.  Returns None
+    when some edge disagrees (the values break a relation of the
+    quotient); raises when the generators do not reach every element.
     """
-    gens = []
-    span = {identity_rep}
-    remaining = [r for r in reps if r not in span]
-    while remaining:
-        g = max(remaining, key=element_order)
-        gens.append(g)
-        new_span = set(span)
-        for s in list(span):
-            cur = s
-            while True:
-                cur = mul(cur, g)
-                if cur in new_span:
-                    break
-                new_span.add(cur)
-        # grow until closed under all chosen generators
-        changed = True
-        while changed:
-            changed = False
-            for s in list(new_span):
-                for h in gens:
-                    t = mul(s, h)
-                    if t not in new_span:
-                        new_span.add(t)
-                        changed = True
-        span = new_span
-        remaining = [r for r in reps if r not in span]
-    orders = [element_order(g) for g in gens]
-
-    found = {}
-
-    def assign(idx, partial):
-        if idx == len(gens):
-            # extend over the group by BFS; reject inconsistent assignments
-            angles = {identity_rep: Fraction(0)}
-            frontier = [identity_rep]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g, ag in partial.items():
-                        y = mul(x, g)
-                        ay = (angles[x] + ag) % 1
-                        if y not in angles:
-                            angles[y] = ay
-                            nxt.append(y)
-                        elif angles[y] != ay:
-                            return
-                frontier = nxt
-            if len(angles) == len(reps):
-                found[tuple(sorted(angles.items()))] = angles
-            return
-        g, d = gens[idx], orders[idx]
-        for e in range(d):
-            partial[g] = Fraction(e, d)
-            assign(idx + 1, dict(partial))
-
-    assign(0, {})
-    return list(found.values())
+    table = {quotient.identity_key: one}
+    frontier = [quotient.identity_key]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gk, gv in gens:
+                y = quotient.multiply(x, gk)
+                cand = mul(table[x], gv)
+                if y not in table:
+                    table[y] = cand
+                    nxt.append(y)
+                elif not agree(table[y], cand):
+                    return None
+        frontier = nxt
+    if len(table) != quotient.order():
+        raise ValueError(
+            f"generators reach {len(table)} of {quotient.order()} quotient elements")
+    return table
 
 
-def quotient_characters(quotient: CongruenceQuotient):
-    """Fraction-angle characters of PSL(2, O/q), as maps on coset reps."""
-    rep_of, reps, mul = quotient.abelianization()
+def quotient_characters(quotient: CongruenceQuotient) -> list:
+    """Every character of PSL(2, O/q), as a table {key: Fraction angle}.
 
-    def coset_order(r):
-        n = 1
-        cur = r
-        while cur != rep_of[quotient.identity_key]:
-            cur = mul(cur, r)
-            n += 1
-        return n
-
-    chars = _abelian_characters(reps, mul, rep_of[quotient.identity_key], coset_order)
-    return rep_of, chars
+    SL(2) of a finite ring is generated by elementary matrices (and Swan,
+    Adv. Math. 6 (1971), generates PSL(2, O) by the cusp stabilizer and J),
+    so the images of R = [[1, 1], [0, 1]], S = [[1, u], [0, 1]] (u = i or
+    omega) and J = [[0, -1], [1, 0]] generate the quotient and a character
+    is fixed by its angles on them.  Every angle e/n, n the element order,
+    is tried; the assignments that close to a homomorphism are the
+    characters.
+    """
+    one, zero, u = (1, 0), (0, 0), (0, 1)
+    gens = [quotient.reduce_element(GroupElement(quotient.ring, *entries))
+            for entries in ((one, one, zero, one), (one, u, zero, one),
+                            (zero, (-1, 0), one, zero))]
+    choices = [[Fraction(e, n) for e in range(n)]
+               for n in map(quotient.element_order, gens)]
+    tables = (_close(quotient, list(zip(gens, angles)), Fraction(0),
+                     lambda a, b: (a + b) % 1, operator.eq)
+              for angles in itertools.product(*choices))
+    return [t for t in tables if t is not None]
 
 
 def find_character(group: GroupDescriptor, modulus: Pair,
@@ -489,39 +424,32 @@ def find_character(group: GroupDescriptor, modulus: Pair,
     """The 1-dim congruence character mod (q) with the requested values.
 
     Values are matched within 1e-9 on the images of the three stabilizer
-    generators.  Raises if no character matches, or if the match does not
-    pin the character down (possible only when those images fail to
-    generate the abelianized quotient).
+    generators.  The characters come from quotient_characters, which fixes
+    each by its angles on R, S and J (these generate the quotient; Swan
+    1971).  Raises if no character matches, or if the match does not pin
+    the character down (possible when the values on R, S and E leave its
+    value on J open).
     """
     stab = stabilizer_data(group)
     quotient = CongruenceQuotient(group.ring, modulus)
-    rep_of, chars = quotient_characters(quotient)
-    targets = {"R": (stab.R, complex(on_R)), "S": (stab.S, complex(on_S)),
-               "E": (stab.E, complex(on_E))}
-    matches = []
-    for angles in chars:
-        ok = True
-        for _, (elem, want) in targets.items():
-            got = cmath.exp(2j * math.pi *
-                            float(angles[rep_of[quotient.reduce_element(elem)]]))
-            if not abs(got - want) <= 1e-9:  # a NaN target matches nothing
-                ok = False
-                break
-        if ok:
-            matches.append(angles)
+    chars = quotient_characters(quotient)
+    targets = [(quotient.reduce_element(elem), complex(want))
+               for elem, want in ((stab.R, on_R), (stab.S, on_S), (stab.E, on_E))]
+    # a NaN target matches nothing
+    matches = [table for table in chars
+               if all(abs(cmath.exp(2j * math.pi * float(table[k])) - want) <= 1e-9
+                      for k, want in targets)]
     if not matches:
-        shown = sorted({tuple(a[rep_of[quotient.reduce_element(e)]]
-                              for e, _ in targets.values())
-                        for a in chars})
+        shown = sorted({tuple(table[k] for k, _ in targets) for table in chars})
         raise ValueError(
             f"no congruence character mod {tuple(modulus)} takes those values; "
             f"available (R,S,E) angle triples: {shown}")
     if len(matches) > 1:
         raise ValueError("generator values do not determine the character")
-    angles = matches[0]
+    table = matches[0]
 
     def exact_angle(M: GroupElement) -> Fraction:
-        return angles[rep_of[quotient.reduce_element(M)]]
+        return table[quotient.reduce_element(M)]
 
     def evaluator(M: GroupElement) -> np.ndarray:
         return np.array([[cmath.exp(2j * math.pi * float(exact_angle(M)))]])
@@ -536,9 +464,10 @@ def congruence_table_rep(group: GroupDescriptor, modulus: Pair,
     """Representation of PSL(2, O/q) from images of generating elements.
 
     generator_images: (GroupElement, unitary ndarray) pairs.  The table is
-    closed by BFS; a collision that disagrees beyond 1e-10 means the
-    images violate the quotient relations, and an unreached element means
-    the given elements do not generate.
+    closed by the same search as quotient_characters; a collision that
+    disagrees beyond 1e-10 means the images violate the quotient
+    relations, and an unreached element means the given elements do not
+    generate.
     """
     quotient = CongruenceQuotient(group.ring, modulus)
     gens = []
@@ -549,30 +478,19 @@ def congruence_table_rep(group: GroupDescriptor, modulus: Pair,
             dim = image.shape[0]
         if image.shape != (dim, dim):
             raise ValueError("generator images have mismatched shapes")
-        if np.max(np.abs(image @ image.conj().T - np.eye(dim))) > UNITARY_TOL * 10:
+        # written so that a NaN image counts as not unitary
+        if not np.max(np.abs(image @ image.conj().T - np.eye(dim))) <= UNITARY_TOL * 10:
             raise ValueError("generator image is not unitary")
         k = quotient.reduce_element(elem)
         gens.append((k, image))
         gens.append((quotient.invert(k), image.conj().T))
 
-    table = {quotient.identity_key: np.eye(dim, dtype=complex)}
-    frontier = [quotient.identity_key]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gk, gim in gens:
-                y = quotient.multiply(x, gk)
-                cand = table[x] @ gim
-                if y not in table:
-                    table[y] = cand
-                    nxt.append(y)
-                elif np.max(np.abs(table[y] - cand)) > DIAG_TOL:
-                    raise ValueError(
-                        "generator images do not satisfy the quotient relations")
-        frontier = nxt
-    if len(table) != quotient.order():
-        raise ValueError(
-            f"generators reach {len(table)} of {quotient.order()} quotient elements")
+    if dim is None:
+        raise ValueError("no generator images given")
+    table = _close(quotient, gens, np.eye(dim, dtype=complex), operator.matmul,
+                   lambda a, b: np.max(np.abs(a - b)) <= DIAG_TOL)
+    if table is None:
+        raise ValueError("generator images do not satisfy the quotient relations")
 
     def evaluator(M: GroupElement) -> np.ndarray:
         return table[quotient.reduce_element(M)]

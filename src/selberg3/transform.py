@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,8 +30,7 @@ class TestFunctionTriple:
     """A compatible (k, h, g) family; members may be closed-form or derived.
 
     h is a function of the eigenvalue w = 1 - s^2; g is even on R; k acts
-    on the point-pair distance delta >= 1.  provenance records, per member,
-    whether it is closed-form, derived by quadrature, or absent.
+    on the point-pair distance delta >= 1.
     """
 
     __test__ = False  # not a pytest test class despite the name
@@ -39,7 +38,6 @@ class TestFunctionTriple:
     h: Callable[[complex], complex]
     g: Callable[[float], float]
     k: Optional[Callable[[float], float]] = None
-    provenance: dict = field(default_factory=dict)
 
     def g0_consistency(self, upper: float = np.inf) -> float:
         """|g(0) - (1/2 pi) int h(1+t^2) dt|; small for a genuine pair.
@@ -165,9 +163,7 @@ def resolvent_pair(s: float, B: float) -> TestFunctionTriple:
         ax = abs(x)
         return math.exp(-s * ax) / (2.0 * s) - math.exp(-B * ax) / (2.0 * B)
 
-    return TestFunctionTriple(h=h, g=g, k=None,
-                              provenance={"h": "closed-form", "g": "closed-form",
-                                          "k": "absent"})
+    return TestFunctionTriple(h=h, g=g, k=None)
 
 
 def gaussian_kernel(a: float = 4.0) -> Callable[[float], float]:

@@ -1,4 +1,5 @@
-"""Source hygiene: every name imported in the package is used."""
+"""Source hygiene: every name imported in the package is used, and every
+module-level private name is read somewhere in the package."""
 import ast
 import pathlib
 
@@ -132,3 +133,56 @@ def test_detector_local_binding_shadows_module_import():
               "def f(os):\n"
               "    return os\n")
     assert unused_imports(source) == [(1, "os")]
+
+
+def _private_definitions(stmt) -> list:
+    """Private (single underscore, not dunder) names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each module-level private name read nowhere.
+
+    sources maps a module name to its source.  A read is a name load or a
+    from-import anywhere in any of the modules, outside the top-level
+    statement that defines the name, so a recursive call does not keep a
+    helper alive.
+    """
+    reads = {}               # name -> {(module, statement index)}
+    definitions = []
+    for module, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            definitions.extend((module, stmt.lineno, i, name)
+                               for name in _private_definitions(stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.id, set()).add((module, i))
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        reads.setdefault(alias.name, set()).add((module, i))
+    return sorted((module, line, name) for module, line, i, name in definitions
+                  if not reads.get(name, set()) - {(module, i)})
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_detector_sees_unread_private_names():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_SPARE = 4\n__version__ = '1'\n"
+                 "def _helper(n):\n    return _helper(n - 1) if n else _LIMIT\n"
+                 "def _shared():\n    return 1\n"
+                 "class _Orphan:\n    pass\n"),
+        "b.py": "from a import _shared\nvalue = _shared()\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", 2, "_SPARE"), ("a.py", 4, "_helper"), ("a.py", 8, "_Orphan")]

@@ -38,6 +38,23 @@ STAB_P = stabilizer_data(PICARD)
 STAB_E = stabilizer_data(EISENSTEIN_GROUP)
 SIGMA = from_ints(GAUSSIAN, (((0, 0), (-1, 0)), ((1, 0), (0, 0))))
 
+# (group, modulus, the (R, S, E) angle triples of its congruence characters)
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+KLEIN = {(0, 0, 0), (0, HALF, HALF), (HALF, 0, HALF), (HALF, HALF, 0)}
+CUBE = {(0, 0, 0), (THIRD, THIRD, 0), (2 * THIRD, 2 * THIRD, 0)}
+SURVEY = [
+    (PICARD, (1, 1), {(0, 0, 0), (HALF, HALF, 0)}),  # S3
+    (PICARD, (2, 0), KLEIN),
+    (PICARD, (1, 2), {(0, 0, 0)}),  # A5
+    (PICARD, (3, 0), {(0, 0, 0)}),  # A6
+    (PICARD, (2, 2), KLEIN),
+    (EISENSTEIN_GROUP, (1, 2), CUBE),  # A4
+    (EISENSTEIN_GROUP, (2, 1), CUBE),  # A4
+    (EISENSTEIN_GROUP, (2, 0), {(0, 0, 0)}),  # A5
+    (EISENSTEIN_GROUP, (3, 0), CUBE),
+    (EISENSTEIN_GROUP, (4, 0), {(0, 0, 0)}),
+]
+
 
 @pytest.fixture(scope="module")
 def picard_elements():
@@ -164,11 +181,22 @@ class TestCongruenceQuotient:
         assert (CongruenceQuotient(EISENSTEIN, (1, 2)).reduce_element(STAB_E.E)
                 == CongruenceQuotient(EISENSTEIN, (1, 2)).identity_key)
 
-    def test_character_counts(self):
-        _, chars_p = quotient_characters(CongruenceQuotient(GAUSSIAN, (1, 1)))
-        _, chars_e = quotient_characters(CongruenceQuotient(EISENSTEIN, (1, 2)))
-        assert len(chars_p) == 2  # S3 abelianized is Z/2
-        assert len(chars_e) == 3  # A4 abelianized is Z/3
+    @pytest.mark.parametrize("group, modulus, triples", SURVEY,
+                             ids=[f"{g.name}-{x}_{y}" for g, (x, y), _ in SURVEY])
+    def test_character_counts(self, group, modulus, triples):
+        q = CongruenceQuotient(group.ring, modulus)
+        chars = quotient_characters(q)
+        stab = stabilizer_data(group)
+        keys = [q.reduce_element(e) for e in (stab.R, stab.S, stab.E)]
+        got = [tuple(table[k] for k in keys) for table in chars]
+        assert len(got) == len(triples) and set(got) == triples
+        assert all(set(table) == set(q.element_keys) for table in chars)
+        if q.order() <= 192:
+            for x in q.element_keys:
+                for y in q.element_keys:
+                    xy = q.multiply(x, y)
+                    assert all(table[xy] == (table[x] + table[y]) % 1
+                               for table in chars)
 
 
 class TestFindCharacter:
@@ -220,6 +248,13 @@ class TestTableRep:
         bad = np.array([[2, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="not unitary"):
             congruence_table_rep(PICARD, (1, 1), [(STAB_P.R, bad)])
+        nan = np.array([[float("nan"), 0], [0, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="not unitary"):
+            congruence_table_rep(PICARD, (1, 1), [(STAB_P.R, nan)])
+
+    def test_empty_generator_list_rejected(self):
+        with pytest.raises(ValueError, match="no generator images"):
+            congruence_table_rep(PICARD, (1, 1), [])
 
     def test_relation_violation_rejected(self):
         # R has order 2 in the quotient; a quarter turn does not
