@@ -62,11 +62,12 @@ def main():
              for j in range(480)) / math.pi
     print(f"pass over t in [0, 12] gives g(0) = (1/pi) int h = {g0:.10f}")
 
-    rule("Elliptic-term integral: series acceleration vs direct quadrature")
+    rule("Elliptic-term integral: digamma closed form vs direct quadrature")
     print("I(s, t) = int_0^inf e^(-s x) sinh x / (cosh x - cos t) dx; the")
     print("cuspidal elliptic term needs it at torsion angles t.  Two")
-    print("independent routes (accelerated series vs quadrature) must agree.")
-    print(f"{'s':>4} {'t':>8} {'alternating series':>20} {'quadrature':>16}"
+    print("independent routes (closed form vs quadrature) must agree; at")
+    print("t = pi the closed form is an Euler-transformed alternating series.")
+    print(f"{'s':>4} {'t':>8} {'closed form':>20} {'quadrature':>16}"
           f" {'|diff|':>9}")
     for sv in (1.5, 2.0, 3.0):
         for t in (math.pi / 2, 2 * math.pi / 3, math.pi):

@@ -22,7 +22,7 @@ from .arithmetic_group import (CuspidalEllipticClass, GroupData,
                                PrimitiveLoxodromicClass)
 from .lattice_lfn import Lattice, L_value_kronecker, kappa_lattice
 from .representation import (CyclotomicValue, SingularData, UnitaryRep,
-                             singular_spaces)
+                             singular_spaces, snap_unit_angle)
 from .transform import TestFunctionTriple
 
 __all__ = [
@@ -47,8 +47,10 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.57721566490153286061
-# truncation tolerance of the cosh_integral sine series
-COSH_SERIES_TOL = 1e-10
+# cosh_integral snaps t in (0, pi) to 2 pi p/q, q <= 12, within 1e-12
+COSH_ANGLE_MAX_DEN = 12
+# one absolute/relative tolerance for every quadrature in this module
+QUAD_EPS = {"epsabs": 1e-13, "epsrel": 1e-12}
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,11 @@ def identity_term(h: Callable, vol: float, dim_v: int,
     from scipy.integrate import quad
     if route == "direct":
         val, err = quad(lambda t: (h(1.0 + t * t) * t * t).real, 0.0, np.inf,
-                        limit=200)
+                        limit=200, **QUAD_EPS)
         val *= 2.0
     elif route == "substitution":
         val, err = quad(lambda w: (h(w) * math.sqrt(w - 1.0)).real, 1.0,
-                        np.inf, limit=200)
+                        np.inf, limit=200, **QUAD_EPS)
     else:
         raise ValueError(f"unknown route {route!r}")
     return vol * dim_v / (4.0 * math.pi ** 2) * val
@@ -195,9 +197,16 @@ def _euler_transform_alternating(terms: np.ndarray):
 def cosh_integral(s, t: float):
     """Integral_0^inf e^(-s x) sinh x / (cosh x - cos t) dx for t in (0, pi].
 
-    Series route: (1/sin t) Sum_k sin(kt) (1/(s-1+k) - 1/(s+1+k)), summed
-    by parts against the closed sine partial sums; at t = pi the limit
-    Sum_k k (-1)^(k+1) (...) is accelerated by the Euler transform.
+    Series: (1/sin t) Sum_k sin(kt) (1/(s-1+k) - 1/(s+1+k)).  For t in
+    (0, pi) the angle must be a torsion angle t = 2 pi p/q (q <= 12);
+    grouping k by residue r mod q and Sum_j [1/(j+x) - 1/(j+y)] =
+    psi(y) - psi(x) (DLMF 5.7) close the series:
+
+        (1/(q sin t)) Sum_{r=1}^{q-1} sin(2 pi p r/q)
+                      [psi((r+s+1)/q) - psi((r+s-1)/q)].
+
+    At t = pi the limit Sum_k k (-1)^(k+1) (...) is accelerated by the
+    Euler transform.
     """
     s = complex(s)
     if not (0.0 < t <= math.pi + 1e-12):
@@ -213,15 +222,17 @@ def cosh_integral(s, t: float):
         # complex s: transform real and imaginary parts separately
         return complex(_euler_transform_alternating(d.real),
                        _euler_transform_alternating(d.imag))
-    half = 0.5 * t
-    k_max = int(2.0 * math.sqrt(2.0 / (COSH_SERIES_TOL
-                                       * abs(math.sin(half))))) + 100
-    k = np.arange(1, k_max + 2, dtype=float)
-    a = 1.0 / (s - 1.0 + k) - 1.0 / (s + 1.0 + k)
-    sine_partial = np.sin(k * half) * np.sin((k + 1.0) * half) / math.sin(half)
-    head = np.sum(sine_partial[:k_max] * (a[:k_max] - a[1:k_max + 1]))
-    boundary = sine_partial[k_max - 1] * a[k_max]
-    val = (head + boundary) / math.sin(t)
+    angle = snap_unit_angle(cmath.exp(1j * t), tol=1e-12,
+                            max_den=COSH_ANGLE_MAX_DEN)
+    if angle is None or not 0 < angle < 0.5:
+        raise ValueError(f"t = {t!r} is not a torsion angle 2 pi p/q "
+                         f"with q <= {COSH_ANGLE_MAX_DEN}")
+    from scipy.special import digamma
+    p, q = angle.numerator, angle.denominator
+    r = np.arange(1, q)
+    sines = np.sin(2.0 * math.pi * ((p * r) % q) / q)
+    psi_gap = digamma((r + s + 1.0) / q) - digamma((r + s - 1.0) / q)
+    val = np.dot(sines, psi_gap) / (q * math.sin(2.0 * math.pi * p / q))
     if abs(s.imag) < 1e-15:
         return float(val.real)
     return complex(val)
@@ -242,11 +253,11 @@ def cosh_integral_quad(s, t: float) -> float:
     def f(x):
         return (cmath.exp(-s * x)).real * _sinh_over_cosh_shift(x, c)
 
-    val, err = quad(f, 0.0, np.inf, limit=300)
+    val, err = quad(f, 0.0, np.inf, limit=300, **QUAD_EPS)
     if abs(s.imag) >= 1e-15:
         def f_im(x):
             return (cmath.exp(-s * x)).imag * _sinh_over_cosh_shift(x, c)
-        vi, _ = quad(f_im, 0.0, np.inf, limit=300)
+        vi, _ = quad(f_im, 0.0, np.inf, limit=300, **QUAD_EPS)
         return complex(val, vi)
     return val
 
@@ -268,8 +279,10 @@ def cuspidal_elliptic_term(g: Callable, classes: Sequence[CuspidalEllipticClass]
       (tr chi(g_i)/|C(g_i)|) [ 2 g(0)(log|c_i| + log A) + I_i ] / |1-eps_i^2|^2
 
     with I_i = Integral_0^inf g(x) sinh x / (cosh x - 1 + |1-eps_i^2|^2/2) dx.
-    route "series" (resolvent pair only, pass s_B=(s, B)) evaluates I_i from
-    the partial-fraction series instead of quadrature.
+    route "series" (resolvent pair only, pass s_B=(s, B)) evaluates I_i as
+    cosh_integral(s, t_i)/(2s) - cosh_integral(B, t_i)/(2B), the digamma
+    closed form of the partial-fraction series (its Euler transform at
+    t_i = pi), instead of quadrature.
     """
     from scipy.integrate import quad
     if A <= 0:
@@ -284,7 +297,7 @@ def cuspidal_elliptic_term(g: Callable, classes: Sequence[CuspidalEllipticClass]
             cos_t = 1.0 - norm / 2.0
             integral, _ = quad(
                 lambda x: (g(x) * _sinh_over_cosh_shift(x, cos_t)).real,
-                0.0, np.inf, limit=300, epsabs=1e-13, epsrel=1e-12)
+                0.0, np.inf, limit=300, **QUAD_EPS)
         elif route == "series":
             if s_B is None:
                 raise ValueError("series route needs s_B=(s, B)")
@@ -318,7 +331,7 @@ def digamma_poisson_integral(s: float) -> float:
         raise ValueError("need s > 0")
     val, _ = quad(lambda w: (2.0 * s / (s * s + w * w))
                   * digamma(complex(1.0, w)).real,
-                  0.0, np.inf, limit=300)
+                  0.0, np.inf, limit=300, **QUAD_EPS)
     return 2.0 * val / (2.0 * math.pi)
 
 
@@ -355,7 +368,7 @@ def parabolic_term(h: Callable, g0: complex, index: int, l_infinity: int,
         raise ValueError("A must be positive")
     dig, _ = quad(lambda t: (h(1.0 + t * t)
                              * digamma(complex(1.0, t)).real).real,
-                  0.0, np.inf, limit=300)
+                  0.0, np.inf, limit=300, **QUAD_EPS)
     dig = 2.0 * dig / (2.0 * math.pi)
     core = (g0 * math.log(A) + h(1.0) / 4.0
             + g0 * (eta_infinity / 2.0 - EULER_GAMMA) - dig)

@@ -135,6 +135,22 @@ def _auto_cutoff(n0: float, s_real: float) -> int:
                       - s_real - 1.0))
 
 
+def _factor_terms(zcd: ZetaClassData, s: complex,
+                  kl_cutoff: Optional[int]):
+    """Yield x = t_j a0^(-2k) conj(a0)^(-2l) N0^(-s-1) for every selected
+    factor, at kl_cutoff or else the automatic cutoff at Re s."""
+    a0 = zcd.cls.a0
+    n0 = zcd.cls.N0
+    cutoff = (kl_cutoff if kl_cutoff is not None
+              else _auto_cutoff(n0, s.real))
+    base = n0 ** (-s - 1.0)
+    # each power once per exponent, not once per factor
+    powers = [a0 ** (-2 * k) for k in range(cutoff + 1)]
+    conj_powers = [a0.conjugate() ** (-2 * l) for l in range(cutoff + 1)]
+    for t_j, k, l in _iter_factors(zcd, cutoff):
+        yield t_j * powers[k] * conj_powers[l] * base
+
+
 def zeta_truncated(s, data: Sequence[ZetaClassData],
                    kl_cutoff: Optional[int] = None) -> complex:
     """Product of (1 - t_j a0^(-2k) conj(a0)^(-2l) N0^(-s-1)) over the
@@ -147,17 +163,15 @@ def log_zeta_truncated(s, data: Sequence[ZetaClassData],
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("Euler product needs Re(s) > 1")
-    total = 0.0 + 0.0j
+    re_parts, im_parts = [], []
     for zcd in data:
-        a0 = zcd.cls.a0
-        n0 = zcd.cls.N0
-        cutoff = (kl_cutoff if kl_cutoff is not None
-                  else _auto_cutoff(n0, s.real))
-        base = n0 ** (-s - 1.0)
-        for t_j, k, l in _iter_factors(zcd, cutoff):
-            x = t_j * a0 ** (-2 * k) * a0.conjugate() ** (-2 * l) * base
-            total += complex(np.log1p(-x))
-    return total
+        for x in _factor_terms(zcd, s, kl_cutoff):
+            # log(1 - x) = log|1 - x| + i arg(1 - x), each part to full
+            # relative accuracy however small |x| is
+            re_parts.append(0.5 * math.log1p(
+                x.real * x.real + x.imag * x.imag - 2.0 * x.real))
+            im_parts.append(math.atan2(-x.imag, 1.0 - x.real))
+    return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
 def zeta_tail_bound(s, data: Sequence[ZetaClassData], kl_cutoff: int) -> float:
@@ -201,13 +215,8 @@ def log_derivative_series(s, data: Sequence[ZetaClassData],
     if route == "factors":
         total = 0.0 + 0.0j
         for zcd in data:
-            a0 = zcd.cls.a0
-            n0 = zcd.cls.N0
-            log_n0 = math.log(n0)
-            cutoff = _auto_cutoff(n0, s.real)
-            base = n0 ** (-s - 1.0)
-            for t_j, k, l in _iter_factors(zcd, cutoff):
-                x = t_j * a0 ** (-2 * k) * a0.conjugate() ** (-2 * l) * base
+            log_n0 = math.log(zcd.cls.N0)
+            for x in _factor_terms(zcd, s, None):
                 total += x * log_n0 / (1.0 - x)
         return total
     if route != "classes":
@@ -284,11 +293,17 @@ class CentralDifferenceCheck:
 
 def central_difference_check(s: float, data: Sequence[ZetaClassData],
                              step: float = 1e-4) -> CentralDifferenceCheck:
-    """Compare d/ds log Z (central difference of the truncated product)
-    against the analytic series at matched truncation."""
-    lo = log_zeta_truncated(s - step, data)
-    hi = log_zeta_truncated(s + step, data)
-    diff = (hi - lo) / (2.0 * step)
+    """Compare d/ds log Z (fourth-order central difference of the
+    truncated product, points s +- step and s +- 2 step) against the
+    analytic series at matched truncation.  When s - 1 < 4 step the step
+    shrinks to (s - 1)/4, so every point stays in Re s > 1."""
+    step = min(step, (s - 1.0) / 4.0)
+
+    def log_z(x):
+        return log_zeta_truncated(x, data)
+
+    diff = (8.0 * (log_z(s + step) - log_z(s - step))
+            - (log_z(s + 2.0 * step) - log_z(s - 2.0 * step))) / (12.0 * step)
     series = log_derivative_series(s, data, route="factors")
     rel = abs(diff - series) / max(abs(series), 1e-300)
     return CentralDifferenceCheck(s=complex(s), series=series,

@@ -32,6 +32,17 @@ OMEGA = cmath.exp(2j * math.pi / 3)
 
 # -- cosh integral ----------------------------------------------------------
 
+def _mpmath_cosh_integral(s, t):
+    """The integral by mpmath quadrature at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        sm = mpmath.mpmathify(s)
+        c = mpmath.cos(mpmath.mpf(t))
+        return complex(mpmath.quad(
+            lambda x: mpmath.exp(-sm * x) * mpmath.sinh(x)
+            / (mpmath.cosh(x) - c), [0, 1, 4, 16, 64, mpmath.inf]))
+
+
 class TestCoshIntegral:
     def test_series_vs_quadrature_grid(self):
         start = time.time()
@@ -64,6 +75,23 @@ class TestCoshIntegral:
             cosh_integral(2.0, 3.5)
         with pytest.raises(ValueError):
             cosh_integral(-1.0, math.pi)
+        # the closed form needs t = 2 pi p/q; t = 1 is no such angle
+        with pytest.raises(ValueError, match="torsion angle"):
+            cosh_integral(2.0, 1.0)
+
+    @pytest.mark.parametrize("t", [math.pi / 3, math.pi / 2, 2 * math.pi / 3,
+                                   5 * math.pi / 6])
+    @pytest.mark.parametrize("s", [1.0, 1.1, 2.0, 6.0, 2 + 0.5j, 1.2 - 3j])
+    def test_closed_form_against_mpmath(self, s, t):
+        assert abs(cosh_integral(s, t) - _mpmath_cosh_integral(s, t)) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    def test_quadrature_oracle_at_pi(self):
+        """At this s (spectral_eval seed 11) quad at scipy's default
+        absolute tolerance missed the integral by 1.8e-8."""
+        s = 1.4324783493959072
+        assert abs(cosh_integral_quad(s, math.pi)
+                   - _mpmath_cosh_integral(s, math.pi)) <= 1e-12
 
 
 # -- identity term ----------------------------------------------------------

@@ -230,12 +230,23 @@ class TestLogDerivative:
             scale = max(abs(lhs), abs(rhs), 1e-300)
             assert abs(lhs - rhs) / scale <= 1e-12, (ci, n)
 
-    @pytest.mark.parametrize("s", [2.0, 2.5])
+    # s = 1.00005 lies within 2 step of s = 1: the stencil shrinks its step
+    @pytest.mark.parametrize("s", [2.0, 2.5, 1.00005])
     def test_central_difference(self, s, picard_zeta):
         check = central_difference_check(s, picard_zeta)
         assert check.relative_error <= 1e-6
         assert check.s == complex(s)
         assert abs(check.series) > 0
+
+    def test_central_difference_near_a_zero(self, eisenstein_data):
+        """Z'/Z for eisenstein/cube crosses zero near s = 1.5595, so at
+        this s (spectral_eval seed 12) the second-order stencil over the
+        np.log1p sum missed by 1.56e-6 relative (1.3e-10 absolute)."""
+        data = build_zeta_class_data(eisenstein_data.loxodromic,
+                                     _char("eisenstein", "cube"))
+        check = central_difference_check(1.554738455438198, data)
+        assert abs(check.central_difference - check.series) <= 1e-11
+        assert check.relative_error <= 1e-6
 
 
 # -- agreement with the geometric side --------------------------------------
@@ -280,22 +291,34 @@ class TestCrossModule:
         rhs = xi_s / (2.0 * s) - xi_b / (2.0 * big)
         assert abs(lhs - rhs) <= 1e-9
 
-    def test_completed_pair_near_s_one(self, picard_data):
-        """At this (s, B) the cuspidal elliptic quadrature at scipy's default
-        absolute tolerance (about 1.5e-8) left a pair error of 1.6e-9."""
-        s, big, trS0 = 1.4324260309580783, 3.1682903188596496, -1.0
+    @staticmethod
+    def _picard_pair_error(gd, s, big, trS0):
         chi = trivial_rep(PICARD.ring)
-        rep = geometric_side(resolvent_pair(s, big), picard_data, chi, A=5.0,
+        rep = geometric_side(resolvent_pair(s, big), gd, chi, A=5.0,
                              norm_bound=14.0)
-        data = build_zeta_class_data(picard_data.loxodromic, chi)
-        blocks = geometric_blocks(picard_data, chi)
+        data = build_zeta_class_data(gd.loxodromic, chi)
+        blocks = geometric_blocks(gd, chi)
         lhs = rep.finite_part - trS0 * (1.0 / (4.0 * s * s)
                                         - 1.0 / (4.0 * big * big))
         rhs = (xi_log_derivative(s, data, blocks, trS0, power_norm_bound=14.0)
                / (2.0 * s)
                - xi_log_derivative(big, data, blocks, trS0,
                                    power_norm_bound=14.0) / (2.0 * big))
-        assert abs(lhs - rhs) <= 1e-9
+        return abs(lhs - rhs)
+
+    def test_completed_pair_near_s_one(self, picard_data):
+        """At this (s, B) the cuspidal elliptic quadrature at scipy's default
+        absolute tolerance (about 1.5e-8) left a pair error of 1.6e-9."""
+        assert self._picard_pair_error(
+            picard_data, 1.4324260309580783, 3.1682903188596496, -1.0) <= 1e-9
+
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    def test_completed_pair_at_round_off(self, picard_data):
+        """At this (s, B) (spectral_eval seed 7) the identity and parabolic
+        quadratures at scipy's default tolerances left a pair error of
+        3.1e-10; at the module's one tolerance pair it is round-off."""
+        assert self._picard_pair_error(
+            picard_data, 2.607411457430315, 4.8300273640385125, -1.0) <= 1e-12
 
 
 # -- divisor bookkeeping ----------------------------------------------------
