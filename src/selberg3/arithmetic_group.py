@@ -500,19 +500,6 @@ class ConjugatorSet:
         return self.hits(self.images(element_array([T]))[0], target)
 
 
-def find_conjugator(T1: GroupElement, T2: GroupElement,
-                    conjugators: Iterable[GroupElement]) -> Optional[GroupElement]:
-    """First conjugator g with g T1 g^-1 = T2, or None.
-
-    `conjugators` is a `ConjugatorSet` or any iterable of elements; pass a
-    set built once when searching the same list repeatedly.
-    """
-    if not isinstance(conjugators, ConjugatorSet):
-        conjugators = ConjugatorSet(T1.ring, conjugators)
-    hits = conjugators.matches(T1, T2)
-    return conjugators.elements[hits[0]] if len(hits) else None
-
-
 # ---------------------------------------------------------------------------
 # cuspidal elliptic classes
 

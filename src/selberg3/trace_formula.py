@@ -35,9 +35,11 @@ __all__ = [
     "loxodromic_term",
     "cosh_integral",
     "cosh_integral_quad",
+    "cusp_lattice_constants",
+    "XiBlocks",
+    "geometric_blocks",
     "cuspidal_elliptic_term",
     "parabolic_term",
-    "cusp_lattice_constants",
     "digamma_halfplane_value",
     "digamma_poisson_integral",
     "digamma_reflection_series",
@@ -263,52 +265,87 @@ def cosh_integral_quad(s, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the s-independent geometric constants
+
+def cusp_lattice_constants(group: GroupDescriptor,
+                           sing: SingularData) -> tuple:
+    """(kappa, L-values) of the cusp lattice: the lattice Euler constant
+    (eta in the parabolic term) and the Kronecker-limit values of the
+    non-singular lattice characters of chi, in their listed order."""
+    lat = Lattice(group.tau)
+    return kappa_lattice(lat).kappa, [
+        L_value_kronecker(lat, psi)
+        for psi in sing.lattice_characters[sing.l_infinity:]]
+
+
+@dataclass(frozen=True)
+class XiBlocks:
+    """s-independent geometric constants: the one record of the cusp
+    constants, read by the geometric side and the completed function."""
+
+    index: int
+    k_infinity: int
+    l_infinity: int
+    vol: float
+    dim_v: int
+    nce_constant: complex       # sum tr chi(R) log N0 / (4 m sin^2)
+    log_c_sum: complex          # sum 2 tr chi(g_i) log|c_i| / (|C| |1-eps^2|^2)
+    cusp_constant: complex      # (1/idx)(l_inf (eta/2 - gamma) + sum L)
+    ce_weights: tuple           # (w_i, t_i): tr chi/(|C| |1-eps^2|^2), angle
+
+    @property
+    def e_constant(self) -> complex:
+        """The linear-coefficient constant of the functional equation."""
+        return self.nce_constant + self.log_c_sum + self.cusp_constant
+
+
+def geometric_blocks(gdata: GroupData, chi: UnitaryRep) -> XiBlocks:
+    group = gdata.group
+    sing = singular_spaces(chi, gdata.stabilizer)
+    eta_infinity, L_values = cusp_lattice_constants(group, sing)
+    nce = nce_term(1.0, gdata.non_cuspidal_elliptic, chi)
+    log_c = 0.0 + 0.0j
+    weights = []
+    for cls in gdata.cuspidal_elliptic:
+        norm = cls.one_minus_eps_sq_norm
+        w = chi.trace(cls.representative) / (cls.centralizer_order * norm)
+        log_c += 2.0 * w * cls.log_c
+        # cos t = 1 - |1 - eps^2|^2 / 2
+        weights.append((w, math.acos(1.0 - norm / 2.0)))
+    cusp = (sing.l_infinity * (eta_infinity / 2.0 - EULER_GAMMA)
+            + sum(L_values)) / group.index
+    return XiBlocks(index=group.index, k_infinity=sing.k_infinity,
+                    l_infinity=sing.l_infinity, vol=group.volume,
+                    dim_v=chi.dim, nce_constant=nce, log_c_sum=log_c,
+                    cusp_constant=cusp, ce_weights=tuple(weights))
+
+
+# ---------------------------------------------------------------------------
 # cuspidal elliptic term
 
-def _class_angle(norm: int) -> float:
-    # cos t = 1 - |1 - eps^2|^2 / 2
-    return math.acos(1.0 - norm / 2.0)
+def cuspidal_elliptic_term(g: Callable, blocks: XiBlocks) -> tuple:
+    """(constant, log A coefficient) of the sum over cuspidal elliptic
+    classes g_i of
 
+      w_i [ 2 g(0)(log|c_i| + log A) + I_i ],
+      w_i = tr chi(g_i) / (|C(g_i)| |1-eps_i^2|^2),
 
-def cuspidal_elliptic_term(g: Callable, classes: Sequence[CuspidalEllipticClass],
-                           chi: UnitaryRep, A: float,
-                           route: str = "quad",
-                           s_B: Optional[tuple] = None) -> complex:
-    """Sum over cuspidal elliptic classes g_i of
-
-      (tr chi(g_i)/|C(g_i)|) [ 2 g(0)(log|c_i| + log A) + I_i ] / |1-eps_i^2|^2
-
-    with I_i = Integral_0^inf g(x) sinh x / (cosh x - 1 + |1-eps_i^2|^2/2) dx.
-    route "series" (resolvent pair only, pass s_B=(s, B)) evaluates I_i as
-    cosh_integral(s, t_i)/(2s) - cosh_integral(B, t_i)/(2B), the digamma
-    closed form of the partial-fraction series (its Euler transform at
-    t_i = pi), instead of quadrature.
+    with I_i = Integral_0^inf g(x) sinh x / (cosh x - cos t_i) dx, one
+    quadrature per class.  The constant is g(0) log_c_sum + sum_i w_i I_i
+    and the coefficient 2 g(0) sum_i w_i.
     """
     from scipy.integrate import quad
-    if A <= 0:
-        raise ValueError("A must be positive")
     g0 = g(0.0)
-    total = 0.0 + 0.0j
-    for cls in classes:
-        norm = cls.one_minus_eps_sq_norm
-        tr = chi.trace(cls.representative)
-        weight = tr / (cls.centralizer_order * norm)
-        if route == "quad":
-            cos_t = 1.0 - norm / 2.0
-            integral, _ = quad(
-                lambda x: (g(x) * _sinh_over_cosh_shift(x, cos_t)).real,
-                0.0, np.inf, limit=300, **QUAD_EPS)
-        elif route == "series":
-            if s_B is None:
-                raise ValueError("series route needs s_B=(s, B)")
-            s, B = s_B
-            t = _class_angle(norm)
-            integral = (cosh_integral(s, t) / (2.0 * s)
-                        - cosh_integral(B, t) / (2.0 * B))
-        else:
-            raise ValueError(f"unknown route {route!r}")
-        total += weight * (2.0 * g0 * (cls.log_c + math.log(A)) + integral)
-    return total
+    constant = g0 * blocks.log_c_sum
+    weight_sum = 0.0 + 0.0j
+    for w, t in blocks.ce_weights:
+        cos_t = math.cos(t)
+        integral, _ = quad(
+            lambda x: (g(x) * _sinh_over_cosh_shift(x, cos_t)).real,
+            0.0, np.inf, limit=300, **QUAD_EPS)
+        constant += w * integral
+        weight_sum += w
+    return constant, 2.0 * g0 * weight_sum
 
 
 # ---------------------------------------------------------------------------
@@ -353,37 +390,26 @@ def digamma_reflection_series(s: float, terms: Optional[int] = None) -> float:
     return base + float(np.sum(1.0 / (s + k) + 1.0 / (s - k)))
 
 
-def parabolic_term(h: Callable, g0: complex, index: int, l_infinity: int,
-                   eta_infinity: float, L_values: Sequence[float],
-                   A: float) -> complex:
-    """Cusp-at-infinity parabolic contribution at truncation height A:
+def parabolic_term(h: Callable, g0: complex, blocks: XiBlocks) -> tuple:
+    """(constant, log A coefficient) of the cusp-at-infinity parabolic
+    contribution at truncation height A,
 
-      (l_inf/idx)[ g(0) log A + h(1)/4 + g(0)(eta/2 - gamma)
+      (l_inf/idx)[ g(0) log A + h(1)/4
                    - (1/2pi) Integral_R h(1+t^2) psi(1+it) dt ]
-      + (g(0)/idx) Sum L(Lambda, psi_l)  over the non-singular characters.
+      + g(0) cusp_constant,
+
+    where cusp_constant carries g(0)(eta/2 - gamma) and the L-values of
+    the non-singular characters.
     """
     from scipy.integrate import quad
     from scipy.special import digamma
-    if A <= 0:
-        raise ValueError("A must be positive")
     dig, _ = quad(lambda t: (h(1.0 + t * t)
                              * digamma(complex(1.0, t)).real).real,
                   0.0, np.inf, limit=300, **QUAD_EPS)
     dig = 2.0 * dig / (2.0 * math.pi)
-    core = (g0 * math.log(A) + h(1.0) / 4.0
-            + g0 * (eta_infinity / 2.0 - EULER_GAMMA) - dig)
-    return (l_infinity / index) * core + (g0 / index) * sum(L_values)
-
-
-def cusp_lattice_constants(group: GroupDescriptor,
-                           sing: SingularData) -> tuple:
-    """(kappa, L-values) of the cusp lattice: the lattice Euler constant
-    (eta in the parabolic term) and the Kronecker-limit values of the
-    non-singular lattice characters of chi, in their listed order."""
-    lat = Lattice(group.tau)
-    return kappa_lattice(lat).kappa, [
-        L_value_kronecker(lat, psi)
-        for psi in sing.lattice_characters[sing.l_infinity:]]
+    ratio = blocks.l_infinity / blocks.index
+    return (ratio * (h(1.0) / 4.0 - dig) + g0 * blocks.cusp_constant,
+            ratio * g0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,46 +470,37 @@ class GeometricSideReport:
 
 
 def geometric_side(triple: TestFunctionTriple, gdata: GroupData,
-                   chi: UnitaryRep, A: float, norm_bound: float,
-                   ce_route: str = "quad",
-                   s_B: Optional[tuple] = None) -> GeometricSideReport:
+                   chi: UnitaryRep, A: float, norm_bound: float
+                   ) -> GeometricSideReport:
     """Assemble every geometric term at truncation height A.
 
-    The log A coefficient is measured by evaluating the A-dependent terms at
-    A and at e*A (their difference is the coefficient exactly), then checked
-    against g(0) * k_infinity, the cancellation the cusp identity enforces.
+    Each cusp term is an A-free constant plus a log A coefficient read
+    from the class weights and l_inf/idx.  Their summed coefficient is
+    checked against g(0) * k_infinity, the cancellation the cusp identity
+    enforces; finite_part is the sum of the A-free parts.
     """
+    if A <= 0:
+        raise ValueError("A must be positive")
     h, g = triple.h, triple.g
     g0 = g(0.0)
-    group = gdata.group
-    sing = singular_spaces(chi, gdata.stabilizer)
-    eta_infinity, L_values = cusp_lattice_constants(group, sing)
-
-    ident = identity_term(h, group.volume, chi.dim)
-    nce = nce_term(g0, gdata.non_cuspidal_elliptic, chi)
+    blocks = geometric_blocks(gdata, chi)
+    ident = identity_term(h, blocks.vol, blocks.dim_v)
+    nce = g0 * blocks.nce_constant
     lox = loxodromic_term(g, gdata.loxodromic, chi, norm_bound)
-
-    def cusp_terms(height):
-        ce = cuspidal_elliptic_term(g, gdata.cuspidal_elliptic, chi, height,
-                                    route=ce_route, s_B=s_B)
-        par = parabolic_term(h, g0, group.index, sing.l_infinity,
-                             eta_infinity, L_values, height)
-        return ce, par
-
-    ce_A, par_A = cusp_terms(A)
-    ce_eA, par_eA = cusp_terms(math.e * A)
-    coef = (ce_eA + par_eA - ce_A - par_A).real
-    expected = (g0 * sing.k_infinity).real if isinstance(g0, complex) \
-        else g0 * sing.k_infinity
+    ce, ce_coef = cuspidal_elliptic_term(g, blocks)
+    par, par_coef = parabolic_term(h, g0, blocks)
+    coef = ce_coef + par_coef
+    expected = (g0 * blocks.k_infinity).real
     if not abs(coef - expected) <= 1e-9:  # a NaN coefficient fails too
         raise RuntimeError(
             f"log A coefficient {coef!r} != g(0) k_infinity {expected!r}; "
             "cusp cancellation violated")
-    total = ident + nce + lox.value + ce_A + par_A
+    log_a = math.log(A)
     return GeometricSideReport(
         A=A, identity_term=ident, nce_term=nce,
         loxodromic_term=lox.value, loxodromic_tail=lox.tail_estimate,
-        cuspidal_elliptic_term=ce_A, parabolic_term=par_A,
-        logA_coefficient=coef, expected_logA_coefficient=expected,
-        finite_part=total - coef * math.log(A),
+        cuspidal_elliptic_term=ce + ce_coef * log_a,
+        parabolic_term=par + par_coef * log_a,
+        logA_coefficient=coef.real, expected_logA_coefficient=expected,
+        finite_part=ident + nce + lox.value + ce + par,
         errors={"loxodromic_tail": lox.tail_estimate})

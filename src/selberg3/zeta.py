@@ -17,13 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arithmetic_group import GroupData, PrimitiveLoxodromicClass
+from .arithmetic_group import PrimitiveLoxodromicClass
 from .representation import (UnitaryRep, simultaneous_diagonalization,
-                             singular_spaces, snap_unit_angle)
-from .trace_formula import (EULER_GAMMA, SpectralSideInputs,
+                             snap_unit_angle)
+from .trace_formula import (SpectralSideInputs, XiBlocks,
                             _euler_transform_alternating, cosh_integral,
-                            cusp_lattice_constants, digamma_halfplane_value,
-                            nce_term)
+                            digamma_halfplane_value, geometric_blocks)
 
 __all__ = [
     "ZetaClassData",
@@ -32,7 +31,6 @@ __all__ = [
     "log_zeta_truncated",
     "zeta_tail_bound",
     "log_derivative_series",
-    "collapse_identity_report",
     "central_difference_check",
     "DivisorRecord",
     "topological_divisor",
@@ -249,40 +247,6 @@ def log_derivative_series(s, data: Sequence[ZetaClassData],
     return total
 
 
-def collapse_identity_report(data: Sequence[ZetaClassData], s) -> list:
-    """Per-class check of the v-sum collapse for the powers n = 1..6.
-
-    1/|a - 1/a|^2 = N^-1 sum_{k,l} a^-2k conj(a)^-2l turns the v-sum over
-    torsion twists into the c = 1 selection (the geometric sum of c^v over
-    v = 1..m is m when c = 1, else 0).  Returns (class_index, n, lhs, rhs)
-    rows; lhs is the v-sum, rhs the selected (l, k) sum.
-    """
-    s = complex(s)
-    rows = []
-    for ci, zcd in enumerate(data):
-        cls = zcd.cls
-        m, n0, a0, zeta0 = cls.m, cls.N0, cls.a0, cls.zeta0
-        log_n0 = math.log(n0)
-        for n in range(1, 7):
-            norm = n0 ** n
-            a_pow = a0 ** n
-            lhs = 0.0 + 0.0j
-            for v in range(1, m + 1):
-                a_t = (zeta0 ** v) * a_pow
-                tr = sum(t ** n * tp ** v
-                         for t, tp in zip(zcd.t_eigen, zcd.t_prime_eigen))
-                lhs += (tr * log_n0 * norm ** (-s)
-                        / (m * abs(a_t - 1.0 / a_t) ** 2))
-            cutoff = max(4, int(40.0 / n) + 4)
-            rhs = 0.0 + 0.0j
-            for t_j, k, l in _iter_factors(zcd, cutoff):
-                rhs += (t_j ** n * a_pow ** (-2 * k)
-                        * a_pow.conjugate() ** (-2 * l))
-            rhs *= log_n0 * norm ** (-s - 1.0)
-            rows.append((ci, n, lhs, rhs))
-    return rows
-
-
 @dataclass(frozen=True)
 class CentralDifferenceCheck:
     s: complex
@@ -490,46 +454,6 @@ def functional_factor_psi(s, index: int, k_infinity: int, l_infinity: int,
 
 # ---------------------------------------------------------------------------
 # completed log-derivative
-
-@dataclass(frozen=True)
-class XiBlocks:
-    """s-independent geometric constants entering the completed function."""
-
-    index: int
-    k_infinity: int
-    l_infinity: int
-    vol: float
-    dim_v: int
-    nce_constant: complex       # sum tr chi(R) log N0 / (4 m sin^2)
-    log_c_sum: complex          # sum 2 tr chi(g_i) log|c_i| / (|C| |1-eps^2|^2)
-    cusp_constant: complex      # (1/idx)(l_inf (eta/2 - gamma) + sum L)
-    ce_weights: tuple           # (w_i, t_i): tr chi/(|C| |1-eps^2|^2), angle
-
-    @property
-    def e_constant(self) -> complex:
-        """The linear-coefficient constant of the functional equation."""
-        return self.nce_constant + self.log_c_sum + self.cusp_constant
-
-
-def geometric_blocks(gdata: GroupData, chi: UnitaryRep) -> XiBlocks:
-    group = gdata.group
-    sing = singular_spaces(chi, gdata.stabilizer)
-    eta_infinity, L_values = cusp_lattice_constants(group, sing)
-    nce = nce_term(1.0, gdata.non_cuspidal_elliptic, chi)
-    log_c = 0.0 + 0.0j
-    weights = []
-    for cls in gdata.cuspidal_elliptic:
-        norm = cls.one_minus_eps_sq_norm
-        w = chi.trace(cls.representative) / (cls.centralizer_order * norm)
-        log_c += 2.0 * w * cls.log_c
-        weights.append((w, math.acos(1.0 - norm / 2.0)))
-    cusp = (sing.l_infinity * (eta_infinity / 2.0 - EULER_GAMMA)
-            + sum(L_values)) / group.index
-    return XiBlocks(index=group.index, k_infinity=sing.k_infinity,
-                    l_infinity=sing.l_infinity, vol=group.volume,
-                    dim_v=chi.dim, nce_constant=nce, log_c_sum=log_c,
-                    cusp_constant=cusp, ce_weights=tuple(weights))
-
 
 def xi_log_derivative(s, data: Sequence[ZetaClassData], blocks: XiBlocks,
                       trS0: float,

@@ -20,7 +20,6 @@ from selberg3.arithmetic_group import (
     cuspidal_elliptic_classes,
     element_array,
     enumerate_elements,
-    find_conjugator,
     from_ints,
     get_group,
     identity,
@@ -497,16 +496,16 @@ class TestConjugationKernel:
         assert sorted((c.representative.key(), c.order_primitive)
                       for c in nce) == _ref_non_cuspidal(els)
 
-    def test_find_conjugator_first_hit(self, picard_elements):
+    def test_matches_first_hit(self, picard_elements):
         conj = ConjugatorSet(PICARD.ring, picard_elements)
         for t in _sample_of_each_kind(picard_elements, per_kind=2):
             for g in picard_elements[::97]:
                 target = t.conjugate_by(g)
                 want = _ref_find_conjugator(t, target, picard_elements)
-                assert find_conjugator(t, target, conj) == want
-                assert find_conjugator(t, target, picard_elements) == want
+                hits = conj.matches(t, target)
+                assert len(hits) and conj.elements[hits[0]] == want
         far = GroupElement(GAUSSIAN, (1, 0), (50, 0), (0, 0), (1, 0))
-        assert find_conjugator(R_PIC, far, conj) is None
+        assert len(conj.matches(R_PIC, far)) == 0
 
     def test_guard_boundary(self, picard_elements):
         # the images stay exact right up to the proven bound 2^62 and the
@@ -534,7 +533,7 @@ class TestConjugationKernel:
         with pytest.raises(ValueError, match="int64"):
             conj.images(element_array([huge]))
         with pytest.raises(ValueError, match="int64"):
-            find_conjugator(huge, huge, conj)
+            conj.matches(huge, huge)
 
 
 # -- the build path ------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Source hygiene: every name imported in the package is used, and every
-module-level private name is read somewhere in the package."""
+"""Source hygiene: every name imported in the package is used, every
+module-level private name is read somewhere in the package, and every
+name a module exports in __all__ is bound in it."""
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -100,6 +102,14 @@ def unused_imports(source: str) -> list:
 
 def test_modules_found():
     assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exported_names_are_bound(path):
+    name = "selberg3" if path.stem == "__init__" else f"selberg3.{path.stem}"
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert [name for name in exported if not hasattr(module, name)] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

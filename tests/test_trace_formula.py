@@ -14,16 +14,17 @@ from selberg3.lattice_lfn import kappa_lattice
 from selberg3.representation import (CyclotomicValue, find_character,
                                      singular_spaces, trivial_rep)
 from selberg3.trace_formula import (EULER_GAMMA, SpectralSideInputs,
-                                    cosh_integral, cosh_integral_quad,
+                                    XiBlocks, cosh_integral,
+                                    cosh_integral_quad,
                                     cuspidal_elliptic_term,
                                     cuspidal_identity_check,
                                     digamma_halfplane_value,
                                     digamma_poisson_integral,
                                     digamma_reflection_series,
-                                    exact_cyclotomic_trace, geometric_side,
-                                    identity_term, loxodromic_term, nce_term,
+                                    exact_cyclotomic_trace, geometric_blocks,
+                                    geometric_side, identity_term,
+                                    loxodromic_term, nce_term,
                                     parabolic_term)
-from selberg3.zeta import geometric_blocks
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -206,65 +207,56 @@ class TestLoxodromicTerm:
 # -- cuspidal elliptic term -------------------------------------------------
 
 class TestCuspidalElliptic:
+    @pytest.mark.parametrize("fixture,char_spec", [
+        ("picard_data", None),
+        ("picard_data", ((1, 1), -1, -1, 1)),
+        ("eisenstein_data", None),
+        ("eisenstein_data", ((1, 2), OMEGA, OMEGA, 1)),
+    ])
+    def test_quadrature_against_series(self, fixture, char_spec, request,
+                                       triple):
+        # for the resolvent pair I_i = I(s, t_i)/(2s) - I(B, t_i)/(2B)
+        gd = request.getfixturevalue(fixture)
+        chi = (trivial_rep(gd.group.ring) if char_spec is None
+               else find_character(gd.group, *char_spec))
+        blocks = geometric_blocks(gd, chi)
+        constant, _ = cuspidal_elliptic_term(triple.g, blocks)
+        series = triple.g(0.0) * blocks.log_c_sum + sum(
+            w * (cosh_integral(2.0, t) / 4.0 - cosh_integral(3.0, t) / 6.0)
+            for w, t in blocks.ce_weights)
+        assert abs(constant - series) < 1e-10
+
     @pytest.mark.parametrize("group_key", ["picard", "eisenstein"])
-    def test_quad_vs_series_routes(self, group_key, picard_data,
-                                   eisenstein_data, triple):
-        gd = picard_data if group_key == "picard" else eisenstein_data
-        chi = trivial_rep(gd.group.ring)
-        a = cuspidal_elliptic_term(triple.g, gd.cuspidal_elliptic, chi, 5.0,
-                                   route="quad")
-        b = cuspidal_elliptic_term(triple.g, gd.cuspidal_elliptic, chi, 5.0,
-                                   route="series", s_B=(2.0, 3.0))
-        assert abs(a - b) < 1e-10
-
-    def test_sign_character_routes(self, picard_data, triple):
-        chi = find_character(PICARD, (1, 1), -1, -1, 1)
-        a = cuspidal_elliptic_term(triple.g, picard_data.cuspidal_elliptic,
-                                   chi, 5.0, route="quad")
-        b = cuspidal_elliptic_term(triple.g, picard_data.cuspidal_elliptic,
-                                   chi, 5.0, route="series", s_B=(2.0, 3.0))
-        assert abs(a - b) < 1e-10
-
-    def test_log_A_slope(self, picard_data, triple):
+    def test_log_A_coefficient_from_class_data(self, group_key, picard_data,
+                                               eisenstein_data, triple):
         # d/d(log A) = 2 g(0) sum tr chi / (|C| |1-eps^2|^2)
-        chi = trivial_rep(PICARD.ring)
-        g0 = triple.g(0.0)
-        a5 = cuspidal_elliptic_term(triple.g, picard_data.cuspidal_elliptic,
-                                    chi, 5.0)
-        ae5 = cuspidal_elliptic_term(triple.g, picard_data.cuspidal_elliptic,
-                                     chi, 5.0 * math.e)
+        gd = picard_data if group_key == "picard" else eisenstein_data
+        blocks = geometric_blocks(gd, trivial_rep(gd.group.ring))
+        _, coef = cuspidal_elliptic_term(triple.g, blocks)
         weight = sum(1.0 / (c.centralizer_order * c.one_minus_eps_sq_norm)
-                     for c in picard_data.cuspidal_elliptic)
-        assert abs((ae5 - a5) - 2.0 * g0 * weight) < 1e-14
-
-    def test_invalid_inputs(self, picard_data, triple):
-        chi = trivial_rep(PICARD.ring)
-        with pytest.raises(ValueError):
-            cuspidal_elliptic_term(triple.g, picard_data.cuspidal_elliptic,
-                                   chi, -1.0)
-        with pytest.raises(ValueError):
-            cuspidal_elliptic_term(triple.g, picard_data.cuspidal_elliptic,
-                                   chi, 5.0, route="series")
+                     for c in gd.cuspidal_elliptic)
+        assert abs(coef - 2.0 * triple.g(0.0) * weight) < 1e-14
 
 
 # -- parabolic term ---------------------------------------------------------
 
 class TestParabolicTerm:
-    def test_log_A_slope(self, triple):
-        g0 = triple.g(0.0)
-        a = parabolic_term(triple.h, g0, 2, 1, 0.8, [], 5.0)
-        b = parabolic_term(triple.h, g0, 2, 1, 0.8, [], 5.0 * math.e)
-        assert abs((b - a) - g0 * (1 / 2)) < 1e-14
+    BLOCKS = XiBlocks(index=2, k_infinity=1, l_infinity=1, vol=1.0, dim_v=1,
+                      nce_constant=0j, log_c_sum=0j, cusp_constant=0.4 + 0j,
+                      ce_weights=())
 
-    def test_l_values_enter_linearly(self, triple):
+    def test_log_A_coefficient(self, triple):
         g0 = triple.g(0.0)
-        base = parabolic_term(triple.h, g0, 2, 1, 0.8, [], 5.0)
-        with_l = parabolic_term(triple.h, g0, 2, 1, 0.8, [0.25, -0.1], 5.0)
-        assert abs((with_l - base) - g0 * 0.15 / 2) < 1e-14
+        _, coef = parabolic_term(triple.h, g0, self.BLOCKS)
+        assert abs(coef - g0 * (1 / 2)) < 1e-14
 
-    def test_invalid_A(self, triple):
-        with pytest.raises(ValueError):
-            parabolic_term(triple.h, 0.1, 1, 1, 0.8, [], 0.0)
+    def test_cusp_constant_enters_linearly(self, triple):
+        g0 = triple.g(0.0)
+        base, _ = parabolic_term(triple.h, g0, self.BLOCKS)
+        shifted, _ = parabolic_term(
+            triple.h, g0,
+            dataclasses.replace(self.BLOCKS, cusp_constant=0.55 + 0j))
+        assert abs((shifted - base) - g0 * 0.15) < 1e-14
 
 
 # -- exact cuspidal-elliptic identity ---------------------------------------
@@ -366,12 +358,11 @@ class TestGeometricSide:
         assert abs(rep.finite_part
                    - (parts - rep.logA_coefficient * math.log(5.0))) < 1e-15
 
-    def test_series_route_agrees(self, picard_data, triple):
-        chi = trivial_rep(PICARD.ring)
-        a = geometric_side(triple, picard_data, chi, A=5.0, norm_bound=14.0)
-        b = geometric_side(triple, picard_data, chi, A=5.0, norm_bound=14.0,
-                           ce_route="series", s_B=(2.0, 3.0))
-        assert abs(a.total - b.total) < 1e-10
+    @pytest.mark.parametrize("A", [0.0, -1.0])
+    def test_invalid_A(self, A, picard_data, triple):
+        with pytest.raises(ValueError, match="A must be positive"):
+            geometric_side(triple, picard_data, trivial_rep(PICARD.ring),
+                           A=A, norm_bound=14.0)
 
     def test_kappa_fitted_once_per_lattice(self, monkeypatch, picard_data,
                                            triple):
@@ -393,6 +384,37 @@ class TestGeometricSide:
                                norm_bound=14.0)
         assert len(calls) == 1
         assert again.finite_part == first.finite_part
+
+    @pytest.mark.parametrize("group_key", ["picard", "eisenstein"])
+    def test_one_quadrature_per_term(self, group_key, monkeypatch,
+                                     picard_data, eisenstein_data, triple):
+        # identity, one I_i per cuspidal elliptic class, and the digamma
+        # integral: each A-free quadrature runs once per call
+        import scipy.integrate
+        gd = picard_data if group_key == "picard" else eisenstein_data
+        chi = trivial_rep(gd.group.ring)
+        calls = []
+        inner = scipy.integrate.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counted)
+        geometric_side(triple, gd, chi, A=5.0, norm_bound=14.0)
+        assert len(calls) == 1 + len(gd.cuspidal_elliptic) + 1
+
+    @pytest.mark.parametrize("group_key", ["picard", "eisenstein"])
+    def test_dropped_class_breaks_cancellation(self, group_key, picard_data,
+                                               eisenstein_data, triple):
+        # the log A coefficient comes from the class weights, so a class
+        # list missing one class cannot cancel to g(0) k_infinity
+        gd = picard_data if group_key == "picard" else eisenstein_data
+        short = dataclasses.replace(
+            gd, cuspidal_elliptic=gd.cuspidal_elliptic[1:])
+        with pytest.raises(RuntimeError, match="cusp cancellation"):
+            geometric_side(triple, short, trivial_rep(gd.group.ring), A=5.0,
+                           norm_bound=14.0)
 
     def test_nan_log_A_coefficient_raises(self, picard_data, triple):
         def g(r):

@@ -15,7 +15,6 @@ from selberg3.transform import resolvent_pair
 from selberg3.zeta import (DivisorRecord, XiBlocks, _iter_factors,
                            _selection_residue, abel_product_log,
                            build_zeta_class_data, central_difference_check,
-                           collapse_identity_report,
                            functional_factor_psi, geometric_blocks,
                            log_derivative_series, log_zeta_truncated,
                            meromorphy_order, meromorphy_report,
@@ -197,9 +196,14 @@ class TestLogDerivative:
             b = log_derivative_series(s, data, route="factors")
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
-    def test_routes_agree_nontrivial_character(self, eisenstein_data):
-        data = build_zeta_class_data(eisenstein_data.loxodromic,
-                                     _char("eisenstein", "cube"))
+    @pytest.mark.parametrize("group_name,char_name", [
+        ("picard", "sign"), ("eisenstein", "cube"),
+    ])
+    def test_routes_agree_nontrivial_character(self, group_name, char_name,
+                                               request):
+        gd = request.getfixturevalue(f"{group_name}_data")
+        data = build_zeta_class_data(gd.loxodromic,
+                                     _char(group_name, char_name))
         a = log_derivative_series(2.0, data, route="classes")
         b = log_derivative_series(2.0, data, route="factors")
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
@@ -212,23 +216,6 @@ class TestLogDerivative:
     def test_unknown_route(self, picard_zeta):
         with pytest.raises(ValueError, match="route"):
             log_derivative_series(2.0, picard_zeta, route="weights")
-
-    @pytest.mark.parametrize("group_name,char_name", [
-        ("picard", None), ("picard", "sign"),
-        ("eisenstein", None), ("eisenstein", "cube"),
-    ])
-    def test_collapse_identity(self, group_name, char_name, request):
-        """Per class and power, the v-sum over torsion twists equals the
-        selected (l, k) double sum: the geometric-series collapse behind
-        the Euler product."""
-        gd = request.getfixturevalue(f"{group_name}_data")
-        data = build_zeta_class_data(gd.loxodromic, _char(group_name,
-                                                          char_name))
-        rows = collapse_identity_report(data, 2.0)
-        assert rows
-        for ci, n, lhs, rhs in rows:
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            assert abs(lhs - rhs) / scale <= 1e-12, (ci, n)
 
     # s = 1.00005 lies within 2 step of s = 1: the stencil shrinks its step
     @pytest.mark.parametrize("s", [2.0, 2.5, 1.00005])
