@@ -407,7 +407,7 @@ def trace_class_key(T: GroupElement) -> tuple:
 _INV_ORDER = [6, 7, 2, 3, 4, 5, 0, 1]
 _INV_SIGN = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=np.int64)
 _INT64_SAFE = 1 << 62
-# conjugator images held at once (rows x conjugators) by the loxodromic merge
+# conjugator images held at once (rows x conjugators) by _conjugate_hits
 _MERGE_CHUNK = 1 << 12
 
 
@@ -428,16 +428,6 @@ def _entries(arr: np.ndarray) -> tuple:
     return tuple((arr[..., 2 * i], arr[..., 2 * i + 1]) for i in range(4))
 
 
-def _canonical_rows(ring: Ring, rows: np.ndarray) -> np.ndarray:
-    """Vectorized `_canonical_entries` on (..., 8) coordinate rows."""
-    xs, ys = rows[..., 0::2], rows[..., 1::2]
-    first = ((xs != 0) | (ys != 0)).argmax(axis=-1)[..., None]
-    x = np.take_along_axis(xs, first, axis=-1)
-    y = np.take_along_axis(ys, first, axis=-1)
-    r2 = ring.real2((x, y))
-    return np.where((r2 < 0) | ((r2 == 0) & (y < 0)), -rows, rows)
-
-
 class ConjugatorSet:
     """A conjugator list held once as one Z-linear map per conjugator.
 
@@ -445,13 +435,11 @@ class ConjugatorSet:
     (8, 8) map of g is built once, in exact int64 products by the ring's rule
     u^2 = u2_x + u2_y u: its row j is the image of the j-th unit coordinate
     row.  `raw_images` conjugates elements by all N conjugators with one
-    int64 matmul, guarded to stay below 2^62.  `images` also canonicalizes
-    the +-I sign as `GroupElement` does, so an image row equals
-    `T.conjugate_by(g).key()`; `hits` finds a target among such rows.
+    int64 matmul, guarded to stay below 2^62.  The images skip the +-I sign
+    rule: `_conjugate_hits` looks them up among both signs of its targets.
     """
 
     def __init__(self, ring: Ring, elements: Iterable[GroupElement]):
-        self.ring = ring
         self.elements = list(elements)
         G = element_array(self.elements)
         g_max = int(np.abs(G).max(initial=0))
@@ -486,18 +474,61 @@ class ConjugatorSet:
                 f"range 2^62; entries are too large for the exact kernel")
         return (T @ self._maps).reshape(len(T), len(self), 8)
 
-    def images(self, T: np.ndarray) -> np.ndarray:
-        """Canonical g T g^-1 for every row T of a (K, 8) array: (K, N, 8)."""
-        return _canonical_rows(self.ring, self.raw_images(T))
 
-    @staticmethod
-    def hits(imgs: np.ndarray, target: GroupElement) -> np.ndarray:
-        """Indices of the rows of one element's (N, 8) `images` equal to target."""
-        return np.flatnonzero((imgs == np.array(target.key())).all(axis=1))
+def _conjugate_hits(conj: ConjugatorSet, leads: np.ndarray,
+                    members: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(lead, conjugator, label) index triples with g lead g^-1 = member.
 
-    def matches(self, T: GroupElement, target: GroupElement) -> np.ndarray:
-        """Indices of the conjugators g with g T g^-1 = target."""
-        return self.hits(self.images(element_array([T]))[0], target)
+    leads and members are (K, 8) and (M, 8) coordinate rows of canonical
+    elements, and labels holds one integer per member.  A raw image is +-m
+    exactly when its canonical form is the member m, so the table holds m
+    and -m.  Members are packed into sorted int64 keys with a base derived
+    from their largest coordinate |x| <= bound; an image with a coordinate
+    beyond the bound is exactly a non-member and gets the key -1.  The
+    images of _MERGE_CHUNK // len(conj) leads, at least one, are held at a
+    time.
+    """
+    members = np.concatenate([members, -members])
+    labels = np.concatenate([labels, labels])
+    bound = int(np.abs(members).max(initial=0))
+    base = 2 * bound + 1
+    if base ** 8 > _INT64_SAFE:
+        raise ValueError(f"coordinates up to {bound} do not pack into int64 keys")
+    powers = base ** np.arange(7, -1, -1, dtype=np.int64)
+    keys = (members + bound) @ powers
+    order = np.argsort(keys)
+    keys, labels = keys[order], labels[order]
+    hits = [np.empty((0, 3), dtype=np.int64)]
+    step = max(1, _MERGE_CHUNK // max(1, len(conj)))
+    for start in range(0, len(leads), step):
+        imgs = conj.raw_images(leads[start:start + step])
+        img_keys = np.where((np.abs(imgs) <= bound).all(axis=-1),
+                            (imgs + bound) @ powers, -1)
+        pos = np.minimum(np.searchsorted(keys, img_keys), len(keys) - 1)
+        rows, cols = np.nonzero(keys[pos] == img_keys)
+        hits.append(np.stack([start + rows, cols, labels[pos[rows, cols]]],
+                             axis=1))
+    return np.concatenate(hits)
+
+
+def _components(n: int, lead: np.ndarray, label: np.ndarray) -> list[int]:
+    """Root of each of n items linked by the pairs (lead, label) by
+    union-find: the least index in its component."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # each link once: a lead meets itself through its whole centralizer
+    links = np.unique(lead * n + label)
+    for i, j in zip((links // n).tolist(), (links % n).tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +605,13 @@ def _witness_c0(group: GroupDescriptor, p) -> Pair:
     return cand.c
 
 
-def _centralizer_order(g: GroupElement, conj: ConjugatorSet) -> int:
-    hits = conj.matches(g, g)
-    for i in hits:
+def _centralizer_order(conj: ConjugatorSet, fixers: np.ndarray) -> int:
+    """Number of conjugators that fix a class representative."""
+    for i in fixers.tolist():
         if classify(conj.elements[i]).kind not in ("identity", "elliptic"):
             raise CompletenessError(
                 "infinite centralizer detected for a cuspidal elliptic class")
-    return len(hits)
+    return len(fixers)
 
 
 def cuspidal_elliptic_classes(group: GroupDescriptor,
@@ -620,15 +651,13 @@ def _cuspidal_elliptic_classes(group: GroupDescriptor, conj: ConjugatorSet
             rep = GroupElement(r, eps, r.mul(eps, w), (0, 0), r.conj(eps))
             candidates.append((eps, w, rep))
 
-    kept: list[tuple] = []
-    for eps, w, rep in candidates:
-        imgs = conj.images(element_array([rep]))[0]
-        if not any(seen == rep or len(conj.hits(imgs, seen))
-                   for _, _, seen in kept):
-            kept.append((eps, w, rep))
-
+    # each class keeps its first candidate, the root of its component
+    rows = element_array(rep for _, _, rep in candidates)
+    lead, g, label = _conjugate_hits(conj, rows, rows,
+                                     np.arange(len(candidates))).T
     out = []
-    for eps, w, rep in kept:
+    for i in sorted(set(_components(len(candidates), lead, label))):
+        eps, w, rep = candidates[i]
         order = _elliptic_order(rep)
         cls = classify(rep)
         if cls.kind != "elliptic" or not cls.cuspidal:
@@ -639,7 +668,8 @@ def _cuspidal_elliptic_classes(group: GroupDescriptor, conj: ConjugatorSet
         c0 = _witness_c0(group, p)
         out.append(CuspidalEllipticClass(
             representative=rep, epsilon=eps, w=w, order=order,
-            centralizer_order=_centralizer_order(rep, conj),
+            centralizer_order=_centralizer_order(
+                conj, g[(lead == i) & (label == i)]),
             one_minus_eps_sq_norm=r.norm(margin),
             p=p, c0=c0, c_norm=r.norm(c0)))
     out.sort(key=lambda c: c.representative.key())
@@ -817,20 +847,6 @@ def _axis_families(ax: AxisData) -> list[_Family]:
     return fams
 
 
-def _packing_base(bound: int) -> int:
-    """Base for packing 8 coordinates in [-bound, bound] into one int64."""
-    base = 2 * bound + 1
-    if base ** 8 > _INT64_SAFE:
-        raise ValueError(f"coordinates up to {bound} do not pack into int64 keys")
-    return base
-
-
-def _pack(rows: np.ndarray, bound: int, base: int) -> np.ndarray:
-    """Injective int64 key of each (..., 8) row with coordinates in [-bound, bound]."""
-    powers = base ** np.arange(7, -1, -1, dtype=np.int64)
-    return (rows + bound) @ powers
-
-
 def primitive_loxodromic_classes(group: GroupDescriptor, norm_bound: float,
                                  height: int,
                                  elements: Optional[Sequence[GroupElement]] = None
@@ -840,12 +856,10 @@ def primitive_loxodromic_classes(group: GroupDescriptor, norm_bound: float,
     Families on conjugate axes (and opposite directions of one axis, when an
     endpoint swapper exists) are merged by exact conjugator search over the
     enumeration: g merges family F into family G when g F.lead g^-1 lands in
-    G's minimal member set.  The images of a lead under all conjugators come
-    from one exact matmul with the conjugators' linear maps
-    (`ConjugatorSet.raw_images`, which raises ValueError when a product
-    could leave the int64 range).  They skip the +-I sign rule and are
-    looked up as packed integer keys in a table that holds both signs of
-    every member; the families they link are merged by union-find.
+    G's minimal member set.  `_conjugate_hits`, the lookup kernel of all
+    three class lists, finds every such g, and the families it links are
+    merged by union-find.  It raises ValueError when a product could leave
+    the int64 range.  `height` is read only when `elements` is None.
     Completeness in `height` is heuristic; re-running at a larger height
     and comparing the class list is the supported certification.
     """
@@ -864,58 +878,19 @@ def _primitive_loxodromic_classes(axes: dict[tuple, AxisData],
         if ax.loxodromics:
             families.extend(_axis_families(ax))
 
-    # Union-find over families.  Each family lead is conjugated by every
-    # element of the enumeration and the images are looked up among all
-    # minimal members, which makes the merge independent of processing
-    # order.  A raw image is +-m exactly when its canonical form
-    # is the member m, so the table holds m and -m.  Members are packed into
-    # sorted int64 keys with a base derived from their largest coordinate
-    # |x| <= bound; an image with a coordinate beyond the bound is exactly
-    # a non-member and gets the key -1.  Families are disjoint (one axis,
-    # one direction each).
+    # Each family lead is conjugated by every element of the enumeration
+    # and the images are looked up among all minimal members, which makes
+    # the merge independent of processing order; the families a lead meets
+    # are merged by union-find.  Families are disjoint (one axis, one
+    # direction each).
     member_family = np.array([i for i, fam in enumerate(families)
                               for _ in fam.minimal_members], dtype=np.int64)
     members = element_array(g for fam in families for g in fam.minimal_members)
-    members = np.concatenate([members, -members])
-    member_family = np.concatenate([member_family, member_family])
-    bound = int(np.abs(members).max(initial=0))
-    base = _packing_base(bound)
-    member_keys = _pack(members, bound, base)
-    order = np.argsort(member_keys)
-    member_keys, member_family = member_keys[order], member_family[order]
-    n = len(families)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
     leads = element_array(fam.lead for fam in families)
-    step = max(1, _MERGE_CHUNK // max(1, len(conj)))
-    for start in range(0, n, step):
-        imgs = conj.raw_images(leads[start:start + step])
-        keys = np.where((np.abs(imgs) <= bound).all(axis=-1),
-                        _pack(imgs, bound, base), -1)
-        pos = np.minimum(np.searchsorted(member_keys, keys),
-                         len(member_keys) - 1)
-        rows, cols = np.nonzero(member_keys[pos] == keys)
-        lead, hit = start + rows, member_family[pos[rows, cols]]
-        # each (lead, hit) edge once: a lead meets its own family through
-        # every element of its centralizer
-        edges = np.unique(lead * n + hit)
-        for i, j in zip((edges // n).tolist(), (edges % n).tolist()):
-            union(i, j)
-
+    lead, _, hit = _conjugate_hits(conj, leads, members, member_family).T
     components: dict[int, list[_Family]] = {}
-    for i, fam in enumerate(families):
-        components.setdefault(find(i), []).append(fam)
+    for root, fam in zip(_components(len(families), lead, hit), families):
+        components.setdefault(root, []).append(fam)
 
     records = []
     for root in sorted(components):
@@ -973,9 +948,9 @@ def non_cuspidal_elliptic_classes(group: GroupDescriptor,
 
     The rotation invariant sin^2(pi k/m) is computed exactly from the trace:
     the class of R has eigenvalues exp(+-i pi k/m), so sin^2 = 1 - tr^2/4.
+    `norm_bound` is not read: the minimal norm on an elliptic axis is
+    needed whatever its size, so every loxodromic is collected.
     """
-    # collect all loxodromics regardless of norm_bound: the minimal norm on
-    # an elliptic axis is needed whatever its size
     return _non_cuspidal_elliptic_classes(collect_axes(elements, math.inf),
                                           ConjugatorSet(group.ring, elements))
 
@@ -983,28 +958,26 @@ def non_cuspidal_elliptic_classes(group: GroupDescriptor,
 def _non_cuspidal_elliptic_classes(axes: dict[tuple, AxisData],
                                    conj: ConjugatorSet
                                    ) -> list[NonCuspidalEllipticClass]:
-    nce_elems = [(t, axes[key]) for key in sorted(axes) for t in axes[key].torsion]
-    classes: list[tuple[GroupElement, list[AxisData]]] = []
-    for g, ax in sorted(nce_elems, key=lambda p: p[0].key()):
-        imgs = conj.images(element_array([g]))[0]
-        for seen, seen_axes in classes:
-            if len(conj.hits(imgs, seen)):
-                # conjugate member: its axis still contributes the class
-                # norm (conjugation preserves N0, but the ball may only
-                # realize a loxodromic on one of the conjugate axes)
-                seen_axes.append(ax)
-                break
-        else:
-            classes.append((g, [ax]))
+    torsion = sorted(((t, ax) for ax in axes.values() for t in ax.torsion),
+                     key=lambda p: p[0].key())
+    rows = element_array(t for t, _ in torsion)
+    lead, _, label = _conjugate_hits(conj, rows, rows,
+                                     np.arange(len(torsion))).T
+    # the least key of a class represents it; every member's axis still
+    # contributes the class norm (conjugation preserves N0, but the ball
+    # may only realize a loxodromic on one of the conjugate axes)
+    classes: dict[int, list[AxisData]] = {}
+    for root, (_, ax) in zip(_components(len(torsion), lead, label), torsion):
+        classes.setdefault(root, []).append(ax)
     out = []
-    for g, ax_list in classes:
+    for root, ax_list in classes.items():
+        g = torsion[root][0]
         t = g.trace()
         sin_sq = 1 - Fraction(t[0] * t[0], 4)
         norms = [ax.norms[0] for ax in ax_list if ax.loxodromics]
         out.append(NonCuspidalEllipticClass(
             representative=g, order_primitive=ax_list[0].m, sin_sq=sin_sq,
             N0=min(norms) if norms else None, axis=ax_list[0].key))
-    out.sort(key=lambda c: c.representative.key())
     return out
 
 

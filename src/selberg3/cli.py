@@ -491,6 +491,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number: {text!r}")
+    return value
+
+
 def _point(text: str) -> Point3:
     parts = text.rsplit(",", 1)
     try:
@@ -526,8 +537,8 @@ def build_parser() -> _Parser:
     p.add_argument("--u", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--v", type=_fraction, default=Fraction(0))
     p.add_argument("--tau", choices=sorted(_LATTICES))
-    p.add_argument("--x-max", dest="x_max", type=float, default=1e6)
-    p.add_argument("--max-discrepancy", type=float,
+    p.add_argument("--x-max", dest="x_max", type=_positive, default=1e6)
+    p.add_argument("--max-discrepancy", type=_positive,
                    default=LSUM_MAX_DISCREPANCY)
 
     sub.add_parser("identity", parents=[common],
@@ -553,8 +564,8 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--point", type=_point,
                    default=Point3(complex(0.3, 0.2), 1.1))
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-3)
-    p.add_argument("--residual-tol", dest="residual_tol", type=float,
+    p.add_argument("--fd-step", dest="fd_step", type=_positive, default=1e-3)
+    p.add_argument("--residual-tol", dest="residual_tol", type=_positive,
                    default=1e-3)
     return parser
 

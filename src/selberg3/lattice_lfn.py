@@ -131,18 +131,13 @@ def _iter_rows(lat: Lattice, x: float, c, b, exact: bool):
         yield n, m[keep], q[keep].astype(float)
 
 
-def partial_sum_Z(x: float, lat: Lattice, psi: LatticeCharacter) -> complex:
-    """Sum of psi(mu)/|mu|^2 over lattice points with 0 < |mu|^2 <= x.
+def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
+    """Z(x), the sum of psi(mu)/|mu|^2 over lattice points with
+    0 < |mu|^2 <= x, at every cutoff x in xs, in the order given, from one
+    sweep over the rows of the largest cutoff.
 
     The cutoff is exact whenever the norm form has integer coefficients
     (tau = i, omega, 1 + omega, multiples of i, ...).
-    """
-    return ladder_sums([x], lat, psi)[0]
-
-
-def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
-    """partial_sum_Z at every cutoff in xs, in the order given, from one
-    sweep over the rows of the largest cutoff.
 
     Within a row, the points a cutoff keeps (its row bounds and masks) are
     one run of the largest cutoff's kept points: the bounds only widen as
@@ -150,8 +145,8 @@ def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
     m1 < m2 < m3, q(m2) <= max(q(m1), q(m3)) - c, a margin far above the
     rounding of q.  Each run is summed with the same terms in the same
     order as a sweep of that cutoff alone, so every total is bit-identical
-    to partial_sum_Z at that cutoff (a skipped empty run would add +0j,
-    which changes no total).
+    to ladder_sums([x]) (a skipped empty run would add +0j, which changes
+    no total).
     """
     xs = np.array(xs, dtype=float)
     if xs.min() <= 0:
@@ -325,29 +320,3 @@ def L_value_kronecker(lat: Lattice, psi: LatticeCharacter) -> float:
     g = siegel_g(-v, u, lat.tau)
     return (-2.0 * math.pi / lat.area) * math.log(abs(g.value))
 
-
-@dataclass(frozen=True)
-class EisensteinKroneckerValue:
-    value: complex
-    tail_estimate: float
-
-    def __complex__(self):
-        return self.value
-
-
-def eisenstein_kronecker_E(u: float, v: float, tau: complex, s: complex,
-                           cutoff: float = 1e5) -> EisensteinKroneckerValue:
-    """E_{u,v}(tau, s) = y^s * sum' e^{2 pi i(mu + nv)} / |m tau + n|^{2s}."""
-    if s.real <= 1:
-        raise ValueError("need Re(s) > 1 for absolute convergence")
-    if abs(u - round(u)) < 1e-12 and abs(v - round(v)) < 1e-12:
-        raise ValueError("need a nontrivial character")
-    lat = Lattice(tau)
-    total = 0.0 + 0.0j
-    for n, m, q in _iter_rows(lat, cutoff, *lat.norm_form()):
-        phase = np.exp(2j * np.pi * (u * m + v * n))
-        total += complex(np.sum(phase * np.power(q, -s)))
-    y = tau.imag
-    tail = 4.0 * (math.pi / y) * cutoff ** (1.0 - s.real) / (s.real - 1.0)
-    return EisensteinKroneckerValue(value=(y ** s) * total,
-                                    tail_estimate=(y ** s.real) * tail)

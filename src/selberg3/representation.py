@@ -9,10 +9,6 @@ generators.  One-dimensional characters try every finite-order angle on
 the images of R, S and J, which generate the quotient, and carry exact
 phase angles; higher dimensions are supplied as generator-image tables.
 
-A third kind, "cusp-local", is defined only on the stabilizer of infinity
-(needed for singular-space examples where no congruence character has the
-requested torsion value).  Its evaluator raises outside that subgroup.
-
 Character values of order dividing 6 are also carried exactly as elements
 a + b*omega of Q(omega), which is what downstream rational identities
 consume.
@@ -124,7 +120,7 @@ def snap_unit_angle(z: complex, tol: float = SNAP_TOL,
 class UnitaryRep:
     """dim, evaluator M -> unitary matrix, and optional exact phase data.
 
-    kind is "trivial", "congruence", "cusp-local", or "sum".  For 1-dim
+    kind is "trivial", "congruence", or "sum".  For 1-dim
     representations with snapped finite-order values, exact_angle maps an
     element to the Fraction a with chi(M) = exp(2 pi i a).
     """
@@ -196,22 +192,6 @@ def direct_sum(reps: Sequence[UnitaryRep]) -> UnitaryRep:
 
     return UnitaryRep(dim, "sum", evaluator,
                       label="+".join(r.label for r in reps))
-
-
-def verify_unitary_rep(rep: UnitaryRep,
-                       elements: Sequence[GroupElement]) -> dict:
-    """Sampled homomorphism/unitarity residuals; all should sit at 1e-12."""
-    rng = np.random.default_rng(7)
-    elements = list(elements)
-    hom = 0.0
-    uni = 0.0
-    for _ in range(40):
-        M = elements[rng.integers(len(elements))]
-        N = elements[rng.integers(len(elements))]
-        a, b = rep(M), rep(N)
-        hom = max(hom, float(np.max(np.abs(rep(M * N) - a @ b))))
-        uni = max(uni, float(np.max(np.abs(a @ a.conj().T - np.eye(rep.dim)))))
-    return {"homomorphism": hom, "unitarity": uni}
 
 
 # ---------------------------------------------------------------------------
@@ -497,73 +477,6 @@ def congruence_table_rep(group: GroupDescriptor, modulus: Pair,
 
     return UnitaryRep(dim, "congruence", evaluator,
                       label=label or f"congruence-table mod {tuple(modulus)}")
-
-
-# ---------------------------------------------------------------------------
-# cusp-local characters
-
-def _translation_coordinates(T: GroupElement, stab: StabilizerData):
-    """(m, n) with T = translation by m + n*tau, or None."""
-    if T.c != (0, 0) or T.a != (1, 0) or T.d != (1, 0):
-        return None
-    if stab.tau_pair != (0, 1):
-        raise NotImplementedError("cusp lattice basis other than (1, generator)")
-    return T.b  # coordinates in the (1, ring generator) basis
-
-
-def _conjugation_exponents(stab: StabilizerData, T: GroupElement):
-    conj = stab.E * T * stab.E.inv()
-    coords = _translation_coordinates(conj, stab)
-    if coords is None:
-        raise AssertionError("torsion conjugate left the translation subgroup")
-    return coords
-
-
-def cusp_local_character(group: GroupDescriptor, on_R: complex, on_S: complex,
-                         on_E: complex) -> UnitaryRep:
-    """Character of the full cusp stabilizer <R, S, E> only.
-
-    The three values must satisfy the stabilizer relations (the torsion
-    conjugation action on translations, and the order of E); these are
-    derived from the group data, not hard-coded.  The evaluator raises on
-    elements outside the stabilizer.
-    """
-    stab = stabilizer_data(group)
-    vals = {}
-    for name, v in (("R", on_R), ("S", on_S), ("E", on_E)):
-        ang = snap_unit_angle(complex(v), max_den=48)
-        if ang is None:
-            raise ValueError(f"value for {name} is not a snapped root of unity")
-        vals[name] = ang
-
-    aR, bR = _conjugation_exponents(stab, stab.R)
-    aS, bS = _conjugation_exponents(stab, stab.S)
-    checks = [
-        ("E R E^-1 = R^%d S^%d" % (aR, bR),
-         (vals["R"] - (aR * vals["R"] + bR * vals["S"])) % 1 == 0),
-        ("E S E^-1 = R^%d S^%d" % (aS, bS),
-         (vals["S"] - (aS * vals["R"] + bS * vals["S"])) % 1 == 0),
-        ("E^%d = 1" % stab.torsion_order,
-         (stab.torsion_order * vals["E"]) % 1 == 0),
-    ]
-    for relation, ok in checks:
-        if not ok:
-            raise ValueError(f"values violate the stabilizer relation {relation}")
-
-    def exact_angle(M: GroupElement) -> Fraction:
-        for j in range(stab.torsion_order):
-            T = stab.E.power(-j) * M
-            coords = _translation_coordinates(T, stab)
-            if coords is not None:
-                m, n = coords
-                return (j * vals["E"] + m * vals["R"] + n * vals["S"]) % 1
-        raise ValueError("element is outside the cusp stabilizer")
-
-    def evaluator(M: GroupElement) -> np.ndarray:
-        return np.array([[cmath.exp(2j * math.pi * float(exact_angle(M)))]])
-
-    return UnitaryRep(1, "cusp-local", evaluator, exact_angle=exact_angle,
-                      label=f"cusp-local(R={on_R}, S={on_S}, E={on_E})")
 
 
 # ---------------------------------------------------------------------------

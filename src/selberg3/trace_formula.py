@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "parabolic_term",
     "digamma_halfplane_value",
     "digamma_poisson_integral",
-    "digamma_reflection_series",
     "cuspidal_identity_check",
     "exact_cyclotomic_trace",
     "geometric_side",
@@ -370,24 +369,6 @@ def digamma_poisson_integral(s: float) -> float:
                   * digamma(complex(1.0, w)).real,
                   0.0, np.inf, limit=300, **QUAD_EPS)
     return 2.0 * val / (2.0 * math.pi)
-
-
-def digamma_reflection_series(s: float, terms: Optional[int] = None) -> float:
-    """psi(1-s) + Sum_k (1/(s+k) + 1/(s-k)), the printed reflected form.
-
-    With terms=None the sum is closed: pi cot(pi s) - 1/s.  This is NOT the
-    analytic continuation of the Poisson integral; the two differ by exactly
-    2(pi cot(pi s) - 1/s), which moves the residue at each negative integer
-    from -1 to +1 and thereby produces the topological residue tables.
-    """
-    from scipy.special import digamma
-    if abs(s - round(s)) < 1e-12:
-        raise ValueError("reflected form has a pole at integer s")
-    base = float(digamma(1.0 - s))
-    if terms is None:
-        return base + math.pi / math.tan(math.pi * s) - 1.0 / s
-    k = np.arange(1, terms + 1, dtype=float)
-    return base + float(np.sum(1.0 / (s + k) + 1.0 / (s - k)))
 
 
 def parabolic_term(h: Callable, g0: complex, blocks: XiBlocks) -> tuple:

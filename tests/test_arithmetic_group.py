@@ -1,6 +1,7 @@
 """Group enumeration, classification, and conjugacy-class reduction."""
 import math
 
+import numpy as np
 import pytest
 
 from selberg3.arithmetic_group import (
@@ -394,6 +395,14 @@ class TestNonCuspidalElliptic:
             assert c.order_primitive == 2
             assert c.sin_sq == Fraction(1, 1)   # trace 0
 
+    def test_conjugacy_through_a_third_member(self):
+        # at height 2 the two least Eisenstein torsion keys have no
+        # conjugator between them in the ball, but share conjugates there:
+        # one class, as at every larger height
+        els = enumerate_elements(EISENSTEIN_GROUP, 2)
+        nce = non_cuspidal_elliptic_classes(EISENSTEIN_GROUP, els, 6.0)
+        assert len(nce) == 1
+
 
 # -- vectorized conjugation kernel -----------------------------------------
 #
@@ -464,21 +473,38 @@ def picard_elements_h8():
     return enumerate_elements(PICARD, 8)
 
 
+def _up_to_sign(rows, elements):
+    """Is each raw image row +-key() of the matching element?"""
+    return all(tuple(v) == g.key() or tuple(-x for x in v) == g.key()
+               for v, g in zip(rows.tolist(), elements))
+
+
 class TestConjugationKernel:
     @pytest.mark.parametrize("fixture", ["picard_elements", "eisenstein_elements"])
-    def test_images_match_conjugate_by(self, fixture, request):
+    def test_hits_equal_brute_force(self, fixture, request):
         els = request.getfixturevalue(fixture)
-        ts = _sample_of_each_kind(els)
-        kinds = {classify(t).kind for t in ts}
-        assert kinds == {"identity", "parabolic", "elliptic", "loxodromic"}
-        # an element far outside the ball exercises larger coordinates
         ring = els[0].ring
-        ts.append(GroupElement(ring, (1, 0), (1 << 20, -(1 << 19)), (0, 0), (1, 0)))
-        imgs = ConjugatorSet(ring, els).images(element_array(ts))
-        assert imgs.shape == (len(ts), len(els), 8)
-        for row, t in zip(imgs, ts):
-            assert [tuple(v) for v in row.tolist()] == \
-                [t.conjugate_by(g).key() for g in els]
+        sample = _sample_of_each_kind(els)
+        kinds = {classify(t).kind for t in sample}
+        assert kinds == {"identity", "parabolic", "elliptic", "loxodromic"}
+        # targets: the sample and some of its conjugates, each once
+        targets = list(dict.fromkeys(
+            sample + [t.conjugate_by(g) for t in sample for g in els[::97]]))
+        # the far element's images fall outside the packed bound
+        far = GroupElement(ring, (1, 0), (1 << 20, -(1 << 19)), (0, 0), (1, 0))
+        leads = sample + [far]
+        conj = ConjugatorSet(ring, els)
+        got = arithmetic_group._conjugate_hits(
+            conj, element_array(leads), element_array(targets),
+            np.arange(len(targets)))
+        label = {m: k for k, m in enumerate(targets)}
+        want = {(i, j, label[t.conjugate_by(g)])
+                for i, t in enumerate(leads) for j, g in enumerate(els)
+                if t.conjugate_by(g) in label}
+        assert len(got) == len(want)
+        assert set(map(tuple, got.tolist())) == want
+        assert all(i < len(sample) for i, _, _ in want)
+        assert len(want) > len(sample)    # not only the identity hits
 
     @pytest.mark.parametrize("group,h", [(PICARD, 6), (EISENSTEIN_GROUP, 6),
                                          (PICARD, 8)])
@@ -496,17 +522,6 @@ class TestConjugationKernel:
         assert sorted((c.representative.key(), c.order_primitive)
                       for c in nce) == _ref_non_cuspidal(els)
 
-    def test_matches_first_hit(self, picard_elements):
-        conj = ConjugatorSet(PICARD.ring, picard_elements)
-        for t in _sample_of_each_kind(picard_elements, per_kind=2):
-            for g in picard_elements[::97]:
-                target = t.conjugate_by(g)
-                want = _ref_find_conjugator(t, target, picard_elements)
-                hits = conj.matches(t, target)
-                assert len(hits) and conj.elements[hits[0]] == want
-        far = GroupElement(GAUSSIAN, (1, 0), (50, 0), (0, 0), (1, 0))
-        assert len(conj.matches(R_PIC, far)) == 0
-
     def test_guard_boundary(self, picard_elements):
         # the images stay exact right up to the proven bound 2^62 and the
         # kernel raises just beyond it
@@ -520,20 +535,22 @@ class TestConjugationKernel:
             x = b - 1
             return GroupElement(GAUSSIAN, (x, 0), (x - 1, 0), (x + 1, 0), (x, 0))
 
-        t = element(t_max)
-        imgs = conj.images(element_array([t]))[0]
-        assert [tuple(v) for v in imgs.tolist()] == \
-            [t.conjugate_by(g).key() for g in els]
+        ts = [R_PIC, T21, element(t_max)]
+        imgs = conj.raw_images(element_array(ts))
+        assert imgs.shape == (len(ts), len(els), 8)
+        for row, t in zip(imgs, ts):
+            assert _up_to_sign(row, [t.conjugate_by(g) for g in els])
         with pytest.raises(ValueError, match="int64"):
-            conj.images(element_array([element(t_max + 1)]))
+            conj.raw_images(element_array([element(t_max + 1)]))
 
     def test_overflow_guard(self, picard_elements):
         conj = ConjugatorSet(PICARD.ring, picard_elements)
         huge = GroupElement(GAUSSIAN, (1, 0), (1 << 58, 0), (0, 0), (1, 0))
         with pytest.raises(ValueError, match="int64"):
-            conj.images(element_array([huge]))
+            conj.raw_images(element_array([huge]))
+        # a class list refuses conjugators whose maps would overflow
         with pytest.raises(ValueError, match="int64"):
-            conj.matches(huge, huge)
+            cuspidal_elliptic_classes(PICARD, picard_elements + [huge])
 
 
 # -- the build path ------------------------------------------------------------

@@ -98,6 +98,17 @@ class TestConfig:
         assert code == 1
         assert "height" in err
 
+    @pytest.mark.parametrize("command,flag", [
+        ("lsum", "--x-max"), ("lsum", "--max-discrepancy"),
+        ("eisenstein-check", "--fd-step"),
+        ("eisenstein-check", "--residual-tol")])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_float_flag(self, capsys, command, flag, value):
+        code, out, err = run(capsys, command, flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and flag in err
+
 
 # -- enumerate ---------------------------------------------------------------
 

@@ -196,3 +196,66 @@ def test_detector_sees_unread_private_names():
     }
     assert unread_private_names(sources) == [
         ("a.py", 2, "_SPARE"), ("a.py", 4, "_helper"), ("a.py", 8, "_Orphan")]
+
+
+# public names that only tests call, each kept for a reason
+TEST_ONLY_ALLOWLIST = {
+    "digamma_poisson_integral": "quadrature oracle of psi(1+s) in the dual-route digamma test",
+    "congruence_table_rep": "higher-dimensional representations from generator tables",
+    "direct_sum": "sums of representations for the singular-space and divisor checks",
+    "spectral_divisor": "spectral side of the divisor, fed externally supplied eigenvalues",
+    "functional_factor_psi": "product factor of the functional equation",
+}
+CALLERS = [SRC, SRC.parent.parent / "demos", SRC.parent.parent / "perfbench"]
+
+
+def public_names_named_nowhere(sources: dict, defining: set) -> list:
+    """(module, name) of each public top-level function or class of a
+    defining module that no source names outside its own definition.
+
+    sources maps a path to its source.  A name counts when it is loaded,
+    read as an attribute or from-imported, so `module.name` and
+    `from module import name` both keep it; a string in __all__ does not.
+    """
+    reads = {}               # name -> {(path, statement index)}
+    definitions = []
+    for path, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            if (path in defining and isinstance(
+                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                definitions.append((path, i, stmt.name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    reads.setdefault(name, set()).add((path, i))
+    return sorted((path, name) for path, i, name in definitions
+                  if not reads.get(name, set()) - {(path, i)})
+
+
+def test_public_names_are_used_outside_tests():
+    sources = {p.name if p.parent == SRC else f"{p.parent.name}/{p.name}":
+               p.read_text() for d in CALLERS for p in sorted(d.glob("*.py"))}
+    unused = public_names_named_nowhere(sources, {p.name for p in MODULES})
+    assert sorted(name for _, name in unused) == sorted(TEST_ONLY_ALLOWLIST)
+
+
+def test_detector_sees_public_names_named_nowhere():
+    sources = {
+        "a.py": ("__all__ = ['orphan']\n"
+                 "def orphan():\n    return orphan()\n"
+                 "def by_attribute():\n    return 1\n"
+                 "def by_import():\n    return 1\n"
+                 "class Used:\n    pass\n"
+                 "def _private():\n    return Used()\n"),
+        "b.py": ("import a\nfrom a import by_import\n"
+                 "def orphan():\n    return a.by_attribute()\n"),
+    }
+    assert public_names_named_nowhere(sources, {"a.py"}) == [("a.py", "orphan")]

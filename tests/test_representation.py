@@ -19,7 +19,6 @@ from selberg3.representation import (
     ResidueRing,
     UnitaryRep,
     congruence_table_rep,
-    cusp_local_character,
     direct_sum,
     find_character,
     quotient_characters,
@@ -28,7 +27,6 @@ from selberg3.representation import (
     singular_spaces,
     snap_unit_angle,
     trivial_rep,
-    verify_unitary_rep,
 )
 from selberg3.rings import EISENSTEIN, GAUSSIAN
 
@@ -82,6 +80,18 @@ def s3_table_rep():
 
 def translation(ring, m, n):
     return from_ints(ring, (((1, 0), (m, n)), ((0, 0), (1, 0))))
+
+
+def residuals(rep, elements):
+    """Largest homomorphism and unitarity residuals over sampled pairs."""
+    rng = np.random.default_rng(7)
+    hom = uni = 0.0
+    for _ in range(40):
+        M, N = (elements[i] for i in rng.integers(len(elements), size=2))
+        a, b = rep(M), rep(N)
+        hom = max(hom, float(np.max(np.abs(rep(M * N) - a @ b))))
+        uni = max(uni, float(np.max(np.abs(a @ a.conj().T - np.eye(rep.dim)))))
+    return hom, uni
 
 
 class TestCyclotomicValue:
@@ -231,18 +241,18 @@ class TestFindCharacter:
             find_character(PICARD, (1, 1), -1, -1, float("nan"))
 
     def test_residuals(self, cube_character, sign_character, picard_elements):
-        res = verify_unitary_rep(sign_character, picard_elements)
-        assert res["homomorphism"] < 1e-12 and res["unitarity"] < 1e-12
+        hom, uni = residuals(sign_character, picard_elements)
+        assert hom < 1e-12 and uni < 1e-12
         els = enumerate_elements(EISENSTEIN_GROUP, 2)
-        res = verify_unitary_rep(cube_character, els)
-        assert res["homomorphism"] < 1e-12 and res["unitarity"] < 1e-12
+        hom, uni = residuals(cube_character, els)
+        assert hom < 1e-12 and uni < 1e-12
 
 
 class TestTableRep:
     def test_two_dim_s3(self, s3_table_rep, picard_elements):
         assert s3_table_rep.dim == 2
-        res = verify_unitary_rep(s3_table_rep, picard_elements)
-        assert res["homomorphism"] < 1e-10 and res["unitarity"] < 1e-12
+        hom, uni = residuals(s3_table_rep, picard_elements)
+        assert hom < 1e-10 and uni < 1e-12
 
     def test_non_unitary_image_rejected(self):
         bad = np.array([[2, 0], [0, 1]], dtype=complex)
@@ -267,41 +277,6 @@ class TestTableRep:
         refl = np.array([[1, 0], [0, -1]], dtype=complex)
         with pytest.raises(ValueError, match="generators reach"):
             congruence_table_rep(PICARD, (1, 1), [(STAB_P.R, refl)])
-
-
-class TestCuspLocal:
-    def test_torsion_sign_character(self):
-        chi = cusp_local_character(PICARD, 1, 1, -1)
-        assert chi.angle(STAB_P.E) == Fraction(1, 2)
-        assert chi.angle(STAB_P.R) == 0
-        prod = STAB_P.E * STAB_P.R * STAB_P.S
-        assert abs(chi.trace(prod) + 1) < 1e-12
-
-    def test_translation_values(self):
-        chi = cusp_local_character(PICARD, -1, 1, 1)
-        assert chi.angle(translation(GAUSSIAN, 3, 2)) == Fraction(1, 2)
-        assert chi.angle(translation(GAUSSIAN, 2, 5)) == 0
-
-    def test_relation_violations_rejected(self):
-        # conjugation by E inverts translations, so chi(R) must be +-1
-        with pytest.raises(ValueError, match="stabilizer relation"):
-            cusp_local_character(PICARD, 1j, 1, 1)
-        # E has order 3 in the Eisenstein stabilizer, so chi(E) = -1 is impossible
-        with pytest.raises(ValueError, match="stabilizer relation"):
-            cusp_local_character(EISENSTEIN_GROUP, OMEGA, OMEGA, -1)
-
-    def test_eisenstein_cube_values_allowed(self):
-        chi = cusp_local_character(EISENSTEIN_GROUP, OMEGA, OMEGA, OMEGA)
-        assert chi.angle(STAB_E.E) == Fraction(1, 3)
-
-    def test_outside_stabilizer_rejected(self):
-        chi = cusp_local_character(PICARD, 1, 1, -1)
-        with pytest.raises(ValueError, match="outside"):
-            chi(SIGMA)
-
-    def test_unsnappable_value_rejected(self):
-        with pytest.raises(ValueError, match="snapped"):
-            cusp_local_character(PICARD, cmath.exp(2j), 1, 1)
 
 
 class TestSimultaneousDiagonalization:
@@ -336,7 +311,12 @@ class TestSingularSpaces:
         assert (sd.k_infinity, sd.l_infinity) == (0, 0)
 
     def test_cusp_local_torsion_minus_one(self):
-        chi = cusp_local_character(PICARD, 1, 1, -1)
+        # a character of the cusp stabilizer only: chi(R) = chi(S) = 1 and
+        # chi(E) = -1, which no congruence character of PICARD has
+        def evaluator(M):
+            return np.array([[-1.0 if M == STAB_P.E else 1.0]])
+
+        chi = UnitaryRep(1, "congruence", evaluator)
         sd = singular_spaces(chi, STAB_P)
         assert (sd.k_infinity, sd.l_infinity) == (0, 1)
 

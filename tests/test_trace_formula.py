@@ -20,7 +20,6 @@ from selberg3.trace_formula import (EULER_GAMMA, SpectralSideInputs,
                                     cuspidal_identity_check,
                                     digamma_halfplane_value,
                                     digamma_poisson_integral,
-                                    digamma_reflection_series,
                                     exact_cyclotomic_trace, geometric_blocks,
                                     geometric_side, identity_term,
                                     loxodromic_term, nce_term,
@@ -126,26 +125,6 @@ class TestDigammaForms:
     def test_quadrature_equals_shifted_digamma(self, s):
         assert abs(digamma_poisson_integral(s)
                    - digamma_halfplane_value(s).real) < 1e-9
-
-    @pytest.mark.parametrize("s", [0.3, 0.7, 1.5, 2.6])
-    def test_reflected_form_offset(self, s):
-        # the reflected partial-fraction form moves every negative-integer
-        # residue from -1 to +1: the two continuations differ by exactly
-        # 2 (pi cot(pi s) - 1/s), and agree nowhere except half-integers
-        gap = (digamma_reflection_series(s)
-               - digamma_halfplane_value(s).real)
-        want = 2.0 * (math.pi / math.tan(math.pi * s) - 1.0 / s)
-        assert abs(gap - want) < 1e-9
-
-    def test_partial_sum_converges_to_closed_form(self):
-        s = 0.7
-        closed = digamma_reflection_series(s)
-        partial = digamma_reflection_series(s, terms=200000)
-        assert abs(partial - closed) < 1e-4
-
-    def test_integer_pole_raises(self):
-        with pytest.raises(ValueError):
-            digamma_reflection_series(2.0)
 
 
 # -- non-cuspidal elliptic term ---------------------------------------------
