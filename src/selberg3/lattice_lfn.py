@@ -13,8 +13,11 @@ no code and serve as each other's oracle.
 
 kappa and the direct L-value read Z at a ladder of 17 cutoffs spanning
 the last decade below x_max.  One sweep over the lattice rows of the
-largest cutoff serves the whole ladder (ladder_sums), and each Z(x) it
-returns is bit-identical to a sweep of its own.
+largest cutoff serves the whole ladder (ladder_sums).  The character is
+evaluated per axis, psi(m tau + n) = exp(2 pi i v m) exp(2 pi i u n), from
+one table of column phases and one of row phases, and the rows are
+processed with numpy in blocks of bounded size.  Each Z(x) it returns is
+bit-identical to a sweep of its own that sums the same per-axis product.
 
 The constant kappa of the cusp lattice is the same quantity that enters
 the parabolic contribution of the trace formula (written eta there);
@@ -93,10 +96,11 @@ class LatticeCharacter:
 TRIVIAL_CHARACTER = LatticeCharacter(0, 0)
 
 
-def _row_bounds(c, b, x, n: int):
-    """Integer m-range [lo, hi] with |m tau + n|^2 <= x for fixed n, lo > hi
-    when the row is empty; elementwise when x is an array of cutoffs.  c and
-    b are the norm-form coefficients of the lattice (Lattice.norm_form)."""
+def _row_bounds(c, b, x, n):
+    """Integer m-ranges [lo, hi] with |m tau + n|^2 <= x, lo > hi where a
+    row is empty.  x (cutoffs) and n (row indices) are scalars or arrays
+    and broadcast against each other.  c and b are the norm-form
+    coefficients of the lattice (Lattice.norm_form)."""
     # c m^2 + b n m + (n^2 - x) <= 0
     disc = (b * n) ** 2 - 4.0 * c * (n * n - x)
     sq = np.sqrt(np.maximum(disc, 0.0))
@@ -105,30 +109,34 @@ def _row_bounds(c, b, x, n: int):
     return lo, np.where(disc < 0, lo - 1, hi)
 
 
+def _norms(c, b, exact: bool, m, n):
+    """|m tau + n|^2 as floats, elementwise over arrays m and n; computed
+    in int64 when the norm form has integer coefficients."""
+    if exact:
+        return (c * m * m + b * m * n + n * n).astype(float)
+    return c * m.astype(float) ** 2 + b * m.astype(float) * n + (n * n).astype(float)
+
+
+def _kept_bounds(c, b, exact: bool, x, n):
+    """_row_bounds trimmed to the points with |m tau + n|^2 <= x: the
+    rounding slack of the roots can admit a point past the cutoff at
+    either end."""
+    lo, hi = _row_bounds(c, b, x, n)
+    while (over := (lo <= hi) & (_norms(c, b, exact, lo, n) > x)).any():
+        lo = lo + over
+    while (over := (lo <= hi) & (_norms(c, b, exact, hi, n) > x)).any():
+        hi = hi - over
+    return lo, hi
+
+
 def _n_max(lat: Lattice, x: float) -> int:
     """Largest |n| of a row that can hold a point with |m tau + n|^2 <= x."""
     # min over real m of |m tau + n|^2 is n^2 area^2/|tau|^2
     return int(math.floor(math.sqrt(x) * abs(lat.tau) / lat.area + 1))
 
 
-def _iter_rows(lat: Lattice, x: float, c, b, exact: bool):
-    """Rows (n, m_array, normsq_array) in deterministic ascending-n order;
-    (c, b, exact) is lat.norm_form()."""
-    n_max = _n_max(lat, x)
-    for n in range(-n_max, n_max + 1):
-        lo, hi = _row_bounds(c, b, x, n)
-        if lo > hi:
-            continue
-        m = np.arange(lo, hi + 1, dtype=np.int64)
-        if exact:
-            q = c * m * m + b * m * n + n * n
-            keep = (q <= x) & (q > 0)
-        else:
-            q = c * m.astype(float) ** 2 + b * m.astype(float) * n + float(n * n)
-            keep = (q <= x) & (q > 1e-15)
-        if n == 0:
-            keep &= m != 0
-        yield n, m[keep], q[keep].astype(float)
+# lattice points per block of rows: bounds the sweep's working memory
+_BLOCK_POINTS = 1 << 13
 
 
 def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
@@ -139,37 +147,64 @@ def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
     The cutoff is exact whenever the norm form has integer coefficients
     (tau = i, omega, 1 + omega, multiples of i, ...).
 
-    Within a row, the points a cutoff keeps (its row bounds and masks) are
-    one run of the largest cutoff's kept points: the bounds only widen as
-    x grows, and q is a convex quadratic in m, so for integers
-    m1 < m2 < m3, q(m2) <= max(q(m1), q(m3)) - c, a margin far above the
-    rounding of q.  Each run is summed with the same terms in the same
-    order as a sweep of that cutoff alone, so every total is bit-identical
-    to ladder_sums([x]) (a skipped empty run would add +0j, which changes
-    no total).
+    Points are indexed as m*tau + n (row n, column m), so psi factors as
+    exp(2 pi i v m) exp(2 pi i u n): one table of column phases and one of
+    row phases make about 2 (rows + columns) complex exps per sweep, and
+    each term is the product of two table entries divided by |mu|^2.  The
+    rows are taken in blocks of about _BLOCK_POINTS points; per block the
+    row ranges, the norms, the terms and every (row, cutoff) run bound are
+    numpy arrays, and the origin is left out of the n = 0 row.
+
+    Within a row, the points a cutoff keeps are one run of the largest
+    cutoff's points: the bounds only widen as x grows, and q is a convex
+    quadratic in m, so for integers m1 < m2 < m3,
+    q(m2) <= max(q(m1), q(m3)) - c, a margin far above the rounding of q.
+    Each nonempty run is summed by one np.add.reduce of its contiguous
+    slice, and the rows are added in ascending n, so every total is
+    bit-identical to ladder_sums([x]) (a skipped empty run would add +0j,
+    which changes no total).  For the trivial character both phases are
+    exactly 1, so each term is 1/q.
     """
     xs = np.array(xs, dtype=float)
     if xs.min() <= 0:
         raise ValueError("cutoff must be positive")
-    u, v = float(psi.u), float(psi.v)
-    cutoffs = [(x, _n_max(lat, x)) for x in xs.tolist()]
-    totals = [0.0 + 0.0j] * len(xs)
     c, b, exact = lat.norm_form()
-    # row iteration indexes points as m*tau + n, so psi contributes v^m u^n
-    for n, m, q in _iter_rows(lat, xs.max(), c, b, exact):
-        terms = np.exp(2j * np.pi * (v * m + u * n)) / q
-        lo, hi = _row_bounds(c, b, xs, n)
-        runs = zip(m.searchsorted(lo).tolist(),
-                   m.searchsorted(hi, "right").tolist())
-        for j, ((x, n_max), (a, e)) in enumerate(zip(cutoffs, runs)):
-            if abs(n) > n_max:
-                continue
-            while a < e and q[a] > x:
-                a += 1
-            while e > a and q[e - 1] > x:
-                e -= 1
-            if a < e:
-                totals[j] += complex(np.add.reduce(terms[a:e]))
+    n_top = _n_max(lat, xs.max())
+    ns = np.arange(-n_top, n_top + 1)
+    lo, hi = _kept_bounds(c, b, exact, xs.max(), ns)
+    u, v = float(psi.u), float(psi.v)
+    row_phase = np.exp(2j * np.pi * (u * ns))
+    nonempty = lo <= hi
+    ns, lo, hi = ns[nonempty], lo[nonempty], hi[nonempty]
+    m_min = int(lo.min())
+    col_phase = np.exp(2j * np.pi * (v * np.arange(m_min, int(hi.max()) + 1)))
+    widths = hi - lo + 1
+    sizes = widths - (ns == 0)  # the origin is left out of the n = 0 row
+    starts = np.cumsum(sizes) - sizes
+    cuts = [0, *(np.flatnonzero(np.diff(starts // _BLOCK_POINTS)) + 1).tolist(), len(ns)]
+    totals = [0.0 + 0.0j] * len(xs)
+    add = np.add.reduce
+    for block in map(slice, cuts[:-1], cuts[1:]):
+        n, blo, width = ns[block], lo[block], widths[block]
+        zero = n == 0
+        m = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - blo, width)
+        nn = np.repeat(n, width)
+        if zero.any():
+            keep = (m != 0) | (nn != 0)
+            m, nn = m[keep], nn[keep]
+        terms = col_phase[m - m_min]
+        terms *= row_phase[nn + n_top]
+        terms /= _norms(c, b, exact, m, nn)
+        # [a, e) is the slice of terms that cutoff j keeps in row i, with
+        # cutoffs along axis 0 and the block's rows along axis 1
+        rlo, rhi = _kept_bounds(c, b, exact, xs[:, None], n[None, :])
+        first = starts[block] - starts[block.start]
+        a = first + (rlo - blo) - (zero & (rlo > 0))
+        e = first + (rhi + 1 - blo) - (zero & (rhi >= 0))
+        live = a < e
+        for j, s, t in zip(np.nonzero(live)[0].tolist(), a[live].tolist(),
+                           e[live].tolist()):
+            totals[j] += complex(add(terms[s:t]))
     return totals
 
 

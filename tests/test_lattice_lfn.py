@@ -2,6 +2,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -60,12 +61,10 @@ def reference_row_bounds(lat, x, n):
     return lo, hi
 
 
-def reference_Z(x, lat, psi):
-    """Z(x) by its own sweep: the summation order ladder_sums must keep."""
+def reference_rows(x, lat):
+    """Rows (n, m, |m tau + n|^2) of one cutoff's own sweep, ascending n."""
     c, b, exact = lat.norm_form()
     n_max = int(math.floor(math.sqrt(x) * abs(lat.tau) / lat.area + 1))
-    u, v = float(psi.u), float(psi.v)
-    total = 0.0 + 0.0j
     for n in range(-n_max, n_max + 1):
         lo, hi = reference_row_bounds(lat, x, n)
         if lo > hi:
@@ -79,9 +78,26 @@ def reference_Z(x, lat, psi):
             keep = (q <= x) & (q > 1e-15)
         if n == 0:
             keep &= m != 0
-        m, q = m[keep], q[keep].astype(float)
-        phase = np.exp(2j * np.pi * (v * m + u * n))
+        yield n, m[keep], q[keep].astype(float)
+
+
+def reference_Z(x, lat, psi):
+    """Z(x) by its own sweep: the summation order ladder_sums must keep."""
+    u, v = float(psi.u), float(psi.v)
+    total = 0.0 + 0.0j
+    for n, m, q in reference_rows(x, lat):
+        phase = np.exp(2j * np.pi * (v * m)) * np.exp(2j * np.pi * (u * n))
         total += complex(np.sum(phase / q))
+    return total
+
+
+def reference_Z_single_exp(x, lat, psi):
+    """Z(x) with one exp per point, psi = exp(2 pi i (v m + u n)); it and
+    the per-axis product differ by round-off only."""
+    u, v = float(psi.u), float(psi.v)
+    total = 0.0 + 0.0j
+    for n, m, q in reference_rows(x, lat):
+        total += complex(np.sum(np.exp(2j * np.pi * (v * m + u * n)) / q))
     return total
 
 
@@ -207,6 +223,47 @@ class TestLadderSums:
         else:
             want = reference_L(reference_ladder_sums(lat, uv, x_max), x_max)
             assert repr(L_value_direct(lat, psi, x_max)) == repr(want)
+
+
+@pytest.mark.parametrize("x_max", [1e3, 2e5])
+@pytest.mark.parametrize("uv", [(Fraction(1, 3), Fraction(2, 3)), (0.25, 0.1),
+                                (Fraction(1, 2), Fraction(1, 2))])
+@pytest.mark.parametrize("lat", LADDER_LATTICES, ids=lambda lat: repr(lat.tau))
+def test_per_axis_phases_within_round_off_of_one_exp(lat, uv, x_max):
+    psi = LatticeCharacter(*uv)
+    xs = reference_ladder(x_max)[::8]
+    for x, z in zip(xs, ladder_sums(xs, lat, psi)):
+        assert abs(z - reference_Z_single_exp(x, lat, psi)) <= 1e-13 * max(1.0, abs(z))
+
+
+@pytest.mark.parametrize("uv", LADDER_CHARACTERS)
+@pytest.mark.parametrize("lat, xs", [
+    (SQUARE_LATTICE, [0.5]),                   # below the shortest vector
+    (SQUARE_LATTICE, [0.99, 50.0]),
+    (SQUARE_LATTICE, [5.0, 5.0, 2.0, 5.0]),    # duplicates
+    (SQUARE_LATTICE, [1.0, 2.0, 4.0]),         # at norms of Z[i]
+    (HEX_LATTICE, [1.0, 3.0]),                 # at norms of Z[omega]
+    (HEX_LATTICE, [50.0]),
+    (HEX_SHIFTED, [10.0, 3.0, 30.0, 1.0]),     # unsorted
+    (Lattice(complex(0.3, 1.1)), [40.0, 0.2, 7.0]),
+], ids=str)
+def test_edge_cutoffs_bit_identical(lat, xs, uv):
+    psi = LatticeCharacter(*uv)
+    got = ladder_sums(xs, lat, psi)
+    assert got == [reference_Z(x, lat, psi) for x in xs]
+    # the shortest vectors of every lattice listed have norm 1
+    assert all(z == 0j for x, z in zip(xs, got) if x < 1.0)
+
+
+def test_sweep_memory_is_bounded():
+    psi = LatticeCharacter(Fraction(1, 3), Fraction(1, 4))
+    tracemalloc.start()
+    try:
+        L_value_direct(HEX_SHIFTED, psi, x_max=1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 class TestKappa:
