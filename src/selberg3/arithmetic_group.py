@@ -47,14 +47,17 @@ def _unit_volume(ring: Ring) -> float:
     # Humbert's covolume |d|^(3/2) zeta_K(2) / (4 pi^2), with the quadratic
     # L-value expressed through trigamma values so no decimal literal is
     # needed: L(2, chi_-4) = (psi1(1/4) - psi1(3/4))/16 and
-    # L(2, chi_-3) = (psi1(1/3) - psi1(2/3))/9.  Evaluated on first read,
-    # so that importing the group layer does not load scipy.
-    from scipy.special import polygamma
+    # L(2, chi_-3) = (psi1(1/3) - psi1(2/3))/9.  Evaluated on first read
+    # and cached, so every read returns the same float; only the trace
+    # formula reads it, so the group layer imports the quadrature module
+    # here.
+    from .quadrature import trigamma
     if ring.name == "gauss":
-        lval = (polygamma(1, 0.25) - polygamma(1, 0.75)) / 16.0
-        return 8.0 * (math.pi ** 2 / 6.0) * lval / (4.0 * math.pi ** 2)
-    lval = (polygamma(1, 1.0 / 3.0) - polygamma(1, 2.0 / 3.0)) / 9.0
-    return 3.0 ** 1.5 * (math.pi ** 2 / 6.0) * lval / (4.0 * math.pi ** 2)
+        lval = (trigamma(0.25) - trigamma(0.75)) / 16.0
+        return float(8.0 * (math.pi ** 2 / 6.0) * lval / (4.0 * math.pi ** 2))
+    lval = (trigamma(1.0 / 3.0) - trigamma(2.0 / 3.0)) / 9.0
+    return float(3.0 ** 1.5 * (math.pi ** 2 / 6.0) * lval
+                 / (4.0 * math.pi ** 2))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ completeness failure, 3 numerical failure.  Output formats: text (default),
 csv, json; CSV and JSON carry identical formatted payloads, so either can
 serve as a golden file.  The trace-formula, transform and zeta modules are
 imported by the subcommands that use them, so a command pays only for its
-own imports; only trace loads scipy.
+own imports.  No command loads scipy: trace's quadratures and digamma
+values come from the numpy module selberg3.quadrature.
 """
 
 from __future__ import annotations
@@ -593,7 +594,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CompletenessError, EnumerationCapError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    # transform.QuadratureError is a RuntimeError
+    # quadrature.QuadratureError is a RuntimeError
     except (ValueError, ArithmeticError, RuntimeError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3

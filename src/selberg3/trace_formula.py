@@ -21,6 +21,7 @@ from .arithmetic_group import (CuspidalEllipticClass, GroupData,
                                GroupDescriptor, NonCuspidalEllipticClass,
                                PrimitiveLoxodromicClass)
 from .lattice_lfn import Lattice, L_value_kronecker, kappa_lattice
+from .quadrature import digamma, integrate_halfline
 from .representation import (CyclotomicValue, SingularData, UnitaryRep,
                              singular_spaces, snap_unit_angle)
 from .transform import TestFunctionTriple
@@ -80,23 +81,27 @@ class SpectralSideInputs:
 # identity term
 
 def identity_term(h: Callable, vol: float, dim_v: int,
-                  route: str = "direct") -> float:
-    """(vol * dim V / 4 pi^2) Integral_R h(1+t^2) t^2 dt.
+                  route: str = "direct") -> tuple:
+    """(value, error estimate) of (vol * dim V / 4 pi^2) Integral_R
+    h(1+t^2) t^2 dt.
 
-    route "substitution" integrates Integral_1^inf h(w) sqrt(w-1) dw instead
-    (w = 1 + t^2), an independent change-of-variables check.
+    route "substitution" integrates Integral_1^inf h(w) sqrt(w-1) dw instead,
+    an independent change-of-variables check.  It runs over u with
+    w = (1+u)^2: in w - 1 itself the w^(-3/2) tail would be an x^(-1/2)
+    endpoint singularity of the half-line rule's map.
     """
-    from scipy.integrate import quad
     if route == "direct":
-        val, err = quad(lambda t: (h(1.0 + t * t) * t * t).real, 0.0, np.inf,
-                        limit=200, **QUAD_EPS)
-        val *= 2.0
+        val, err = integrate_halfline(
+            lambda t: (h(1.0 + t * t) * t * t).real, **QUAD_EPS)
+        val, err = 2.0 * val, 2.0 * err
     elif route == "substitution":
-        val, err = quad(lambda w: (h(w) * math.sqrt(w - 1.0)).real, 1.0,
-                        np.inf, limit=200, **QUAD_EPS)
+        val, err = integrate_halfline(
+            lambda u: (h((1.0 + u) ** 2) * np.sqrt(u * (u + 2.0))
+                       * 2.0 * (1.0 + u)).real, **QUAD_EPS)
     else:
         raise ValueError(f"unknown route {route!r}")
-    return vol * dim_v / (4.0 * math.pi ** 2) * val
+    scale = vol * dim_v / (4.0 * math.pi ** 2)
+    return scale * val, scale * err
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,6 @@ def cosh_integral(s, t: float):
     if angle is None or not 0 < angle < 0.5:
         raise ValueError(f"t = {t!r} is not a torsion angle 2 pi p/q "
                          f"with q <= {COSH_ANGLE_MAX_DEN}")
-    from scipy.special import digamma
     p, q = angle.numerator, angle.denominator
     r = np.arange(1, q)
     sines = np.sin(2.0 * math.pi * ((p * r) % q) / q)
@@ -323,28 +327,33 @@ def geometric_blocks(gdata: GroupData, chi: UnitaryRep) -> XiBlocks:
 # cuspidal elliptic term
 
 def cuspidal_elliptic_term(g: Callable, blocks: XiBlocks) -> tuple:
-    """(constant, log A coefficient) of the sum over cuspidal elliptic
-    classes g_i of
+    """(constant, log A coefficient, error estimate) of the sum over
+    cuspidal elliptic classes g_i of
 
       w_i [ 2 g(0)(log|c_i| + log A) + I_i ],
       w_i = tr chi(g_i) / (|C(g_i)| |1-eps_i^2|^2),
 
     with I_i = Integral_0^inf g(x) sinh x / (cosh x - cos t_i) dx, one
-    quadrature per class.  The constant is g(0) log_c_sum + sum_i w_i I_i
-    and the coefficient 2 g(0) sum_i w_i.
+    quadrature per class.  The constant is g(0) log_c_sum + sum_i w_i I_i,
+    the coefficient 2 g(0) sum_i w_i, and the estimate sum_i |w_i| err_i.
     """
-    from scipy.integrate import quad
     g0 = g(0.0)
     constant = g0 * blocks.log_c_sum
     weight_sum = 0.0 + 0.0j
+    error = 0.0
     for w, t in blocks.ce_weights:
         cos_t = math.cos(t)
-        integral, _ = quad(
-            lambda x: (g(x) * _sinh_over_cosh_shift(x, cos_t)).real,
-            0.0, np.inf, limit=300, **QUAD_EPS)
+
+        def integrand(x):
+            e = np.exp(-x)   # sinh x / (cosh x - cos t) without overflow
+            return (g(x) * (1.0 - e * e)
+                    / (1.0 + e * e - 2.0 * cos_t * e)).real
+
+        integral, err = integrate_halfline(integrand, **QUAD_EPS)
         constant += w * integral
         weight_sum += w
-    return constant, 2.0 * g0 * weight_sum
+        error += abs(w) * err
+    return constant, 2.0 * g0 * weight_sum, error
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +361,6 @@ def cuspidal_elliptic_term(g: Callable, blocks: XiBlocks) -> tuple:
 
 def digamma_halfplane_value(s) -> complex:
     """psi(1+s): the analytic value of the Poisson digamma integral."""
-    from scipy.special import digamma
     return complex(digamma(1.0 + complex(s)))
 
 
@@ -372,25 +380,26 @@ def digamma_poisson_integral(s: float) -> float:
 
 
 def parabolic_term(h: Callable, g0: complex, blocks: XiBlocks) -> tuple:
-    """(constant, log A coefficient) of the cusp-at-infinity parabolic
-    contribution at truncation height A,
+    """(constant, log A coefficient, error estimate) of the cusp-at-infinity
+    parabolic contribution at truncation height A,
 
       (l_inf/idx)[ g(0) log A + h(1)/4
                    - (1/2pi) Integral_R h(1+t^2) psi(1+it) dt ]
       + g(0) cusp_constant,
 
     where cusp_constant carries g(0)(eta/2 - gamma) and the L-values of
-    the non-singular characters.
+    the non-singular characters.  The integral runs over u = sqrt(t): the
+    t^(-4) log t tail of the integrand would be an x^2 log x endpoint
+    singularity of the half-line rule's map, and in u it is x^5 log x.
     """
-    from scipy.integrate import quad
-    from scipy.special import digamma
-    dig, _ = quad(lambda t: (h(1.0 + t * t)
-                             * digamma(complex(1.0, t)).real).real,
-                  0.0, np.inf, limit=300, **QUAD_EPS)
-    dig = 2.0 * dig / (2.0 * math.pi)
+    def integrand(u):
+        t = u * u
+        return 2.0 * u * (h(1.0 + t * t) * digamma(1.0 + 1j * t).real).real
+
+    dig, err = integrate_halfline(integrand, **QUAD_EPS)
     ratio = blocks.l_infinity / blocks.index
-    return (ratio * (h(1.0) / 4.0 - dig) + g0 * blocks.cusp_constant,
-            ratio * g0)
+    return (ratio * (h(1.0) / 4.0 - dig / math.pi) + g0 * blocks.cusp_constant,
+            ratio * g0, abs(ratio) * err / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +474,11 @@ def geometric_side(triple: TestFunctionTriple, gdata: GroupData,
     h, g = triple.h, triple.g
     g0 = g(0.0)
     blocks = geometric_blocks(gdata, chi)
-    ident = identity_term(h, blocks.vol, blocks.dim_v)
+    ident, ident_err = identity_term(h, blocks.vol, blocks.dim_v)
     nce = g0 * blocks.nce_constant
     lox = loxodromic_term(g, gdata.loxodromic, chi, norm_bound)
-    ce, ce_coef = cuspidal_elliptic_term(g, blocks)
-    par, par_coef = parabolic_term(h, g0, blocks)
+    ce, ce_coef, ce_err = cuspidal_elliptic_term(g, blocks)
+    par, par_coef, par_err = parabolic_term(h, g0, blocks)
     coef = ce_coef + par_coef
     expected = (g0 * blocks.k_infinity).real
     if not abs(coef - expected) <= 1e-9:  # a NaN coefficient fails too
@@ -484,4 +493,7 @@ def geometric_side(triple: TestFunctionTriple, gdata: GroupData,
         parabolic_term=par + par_coef * log_a,
         logA_coefficient=coef.real, expected_logA_coefficient=expected,
         finite_part=ident + nce + lox.value + ce + par,
-        errors={"loxodromic_tail": lox.tail_estimate})
+        errors={"loxodromic_tail": lox.tail_estimate,
+                "identity_quadrature": ident_err,
+                "cuspidal_elliptic_quadrature": ce_err,
+                "parabolic_quadrature": par_err})

@@ -18,11 +18,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .quadrature import QuadratureError
+
 QUAD_TOL = 1e-10
-
-
-class QuadratureError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,9 @@ class TestFunctionTriple:
     """A compatible (k, h, g) family; members may be closed-form or derived.
 
     h is a function of the eigenvalue w = 1 - s^2; g is even on R; k acts
-    on the point-pair distance delta >= 1.
+    on the point-pair distance delta >= 1.  The geometric side integrates
+    h and g with quadrature.integrate_halfline, so there they must act
+    elementwise on numpy arrays as well as on scalars.
     """
 
     __test__ = False  # not a pytest test class despite the name
@@ -159,9 +159,12 @@ def resolvent_pair(s: float, B: float) -> TestFunctionTriple:
     def h(w: complex) -> complex:
         return 1.0 / (s * s + w - 1.0) - 1.0 / (B * B + w - 1.0)
 
-    def g(x: float) -> float:
+    def g(x):
+        # math.exp for a scalar (one call per loxodromic class power),
+        # numpy's for the node arrays of the half-line rule
         ax = abs(x)
-        return math.exp(-s * ax) / (2.0 * s) - math.exp(-B * ax) / (2.0 * B)
+        exp = np.exp if isinstance(ax, np.ndarray) else math.exp
+        return exp(-s * ax) / (2.0 * s) - exp(-B * ax) / (2.0 * B)
 
     return TestFunctionTriple(h=h, g=g, k=None)
 

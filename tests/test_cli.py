@@ -340,6 +340,14 @@ class TestTrace:
         check = sections["logA_check"][0]
         assert check["cancel_ok"] == "true"
         assert float(check["cancellation_error"]) <= 1e-9
+        estimates = {r["source"]: float(r["estimate"])
+                     for r in sections["error_estimates"]}
+        assert sorted(estimates) == [
+            "cuspidal_elliptic_quadrature", "identity_quadrature",
+            "loxodromic_tail", "parabolic_quadrature"]
+        assert estimates["loxodromic_tail"] == by_term["loxodromic_tail"]
+        for source in ("cuspidal_elliptic", "identity", "parabolic"):
+            assert 0.0 < estimates[source + "_quadrature"] <= 1e-12
 
     def test_quadrature_error_is_numerical(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

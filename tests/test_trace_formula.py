@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selberg3 import lattice_lfn
+from selberg3 import lattice_lfn, trace_formula
 from selberg3.arithmetic_group import (EISENSTEIN_GROUP, PICARD,
                                        NonCuspidalEllipticClass)
 from selberg3.lattice_lfn import kappa_lattice
@@ -24,6 +24,7 @@ from selberg3.trace_formula import (EULER_GAMMA, SpectralSideInputs,
                                     geometric_side, identity_term,
                                     loxodromic_term, nce_term,
                                     parabolic_term)
+from selberg3.transform import resolvent_pair
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -98,19 +99,21 @@ class TestCoshIntegral:
 
 class TestIdentityTerm:
     def test_change_of_variables(self, triple):
-        a = identity_term(triple.h, PICARD.volume, 1, route="direct")
-        b = identity_term(triple.h, PICARD.volume, 1, route="substitution")
+        a, _ = identity_term(triple.h, PICARD.volume, 1, route="direct")
+        b, _ = identity_term(triple.h, PICARD.volume, 1,
+                             route="substitution")
         assert abs(a - b) < 1e-10
 
     def test_resolvent_closed_form(self, triple):
         # integral of t^2 (1/(s^2+t^2) - 1/(B^2+t^2)) over R is pi (B - s)
         want = PICARD.volume * 1 / (4.0 * math.pi) * (3.0 - 2.0)
-        got = identity_term(triple.h, PICARD.volume, 1)
+        got, err = identity_term(triple.h, PICARD.volume, 1)
         assert abs(got - want) < 1e-12
+        assert 0.0 < err < 1e-12
 
     def test_scales_with_dim(self, triple):
-        one = identity_term(triple.h, PICARD.volume, 1)
-        three = identity_term(triple.h, PICARD.volume, 3)
+        one, _ = identity_term(triple.h, PICARD.volume, 1)
+        three, _ = identity_term(triple.h, PICARD.volume, 3)
         assert abs(three - 3 * one) < 1e-14
 
     def test_unknown_route(self, triple):
@@ -199,11 +202,12 @@ class TestCuspidalElliptic:
         chi = (trivial_rep(gd.group.ring) if char_spec is None
                else find_character(gd.group, *char_spec))
         blocks = geometric_blocks(gd, chi)
-        constant, _ = cuspidal_elliptic_term(triple.g, blocks)
+        constant, _, err = cuspidal_elliptic_term(triple.g, blocks)
         series = triple.g(0.0) * blocks.log_c_sum + sum(
             w * (cosh_integral(2.0, t) / 4.0 - cosh_integral(3.0, t) / 6.0)
             for w, t in blocks.ce_weights)
         assert abs(constant - series) < 1e-10
+        assert 0.0 < err < 1e-12
 
     @pytest.mark.parametrize("group_key", ["picard", "eisenstein"])
     def test_log_A_coefficient_from_class_data(self, group_key, picard_data,
@@ -211,7 +215,7 @@ class TestCuspidalElliptic:
         # d/d(log A) = 2 g(0) sum tr chi / (|C| |1-eps^2|^2)
         gd = picard_data if group_key == "picard" else eisenstein_data
         blocks = geometric_blocks(gd, trivial_rep(gd.group.ring))
-        _, coef = cuspidal_elliptic_term(triple.g, blocks)
+        _, coef, _ = cuspidal_elliptic_term(triple.g, blocks)
         weight = sum(1.0 / (c.centralizer_order * c.one_minus_eps_sq_norm)
                      for c in gd.cuspidal_elliptic)
         assert abs(coef - 2.0 * triple.g(0.0) * weight) < 1e-14
@@ -226,13 +230,27 @@ class TestParabolicTerm:
 
     def test_log_A_coefficient(self, triple):
         g0 = triple.g(0.0)
-        _, coef = parabolic_term(triple.h, g0, self.BLOCKS)
+        _, coef, _ = parabolic_term(triple.h, g0, self.BLOCKS)
         assert abs(coef - g0 * (1 / 2)) < 1e-14
+
+    @pytest.mark.parametrize("s,big", [(2.0, 3.0), (1.4324260309580783,
+                                                  3.1682903188596496)])
+    def test_digamma_integral_closed_form(self, s, big):
+        # (1/2pi) Integral_R 2s/(s^2+t^2) psi(1+it) dt = psi(1+s), so for
+        # the resolvent pair the integral is psi(1+s)/2s - psi(1+B)/2B
+        pair = resolvent_pair(s, big)
+        g0 = pair.g(0.0)
+        got, _, err = parabolic_term(pair.h, g0, self.BLOCKS)
+        closed = (digamma_halfplane_value(s) / (2.0 * s)
+                  - digamma_halfplane_value(big) / (2.0 * big))
+        want = 0.5 * (pair.h(1.0) / 4.0 - closed) + g0 * 0.4
+        assert abs(got - want) <= 1e-13
+        assert 0.0 < err <= 1e-12
 
     def test_cusp_constant_enters_linearly(self, triple):
         g0 = triple.g(0.0)
-        base, _ = parabolic_term(triple.h, g0, self.BLOCKS)
-        shifted, _ = parabolic_term(
+        base, _, _ = parabolic_term(triple.h, g0, self.BLOCKS)
+        shifted, _, _ = parabolic_term(
             triple.h, g0,
             dataclasses.replace(self.BLOCKS, cusp_constant=0.55 + 0j))
         assert abs((shifted - base) - g0 * 0.15) < 1e-14
@@ -328,6 +346,27 @@ class TestGeometricSide:
         r2 = geometric_side(triple, picard_data, chi, A=11.0, norm_bound=14.0)
         assert abs(r1.finite_part - r2.finite_part) < 1e-9
 
+    @pytest.mark.parametrize("group_key", ["picard", "eisenstein"])
+    def test_quadrature_error_estimates(self, group_key, picard_data,
+                                        eisenstein_data, triple):
+        # each term's half-line quadrature reports its error estimate,
+        # scaled to the term, next to the loxodromic tail
+        gd = picard_data if group_key == "picard" else eisenstein_data
+        chi = trivial_rep(gd.group.ring)
+        rep = geometric_side(triple, gd, chi, A=5.0, norm_bound=14.0)
+        blocks = geometric_blocks(gd, chi)
+        assert rep.errors == {
+            "loxodromic_tail": rep.loxodromic_tail,
+            "identity_quadrature": identity_term(
+                triple.h, blocks.vol, blocks.dim_v)[1],
+            "cuspidal_elliptic_quadrature": cuspidal_elliptic_term(
+                triple.g, blocks)[2],
+            "parabolic_quadrature": parabolic_term(
+                triple.h, triple.g(0.0), blocks)[2],
+        }
+        for key in ("identity", "cuspidal_elliptic", "parabolic"):
+            assert 0.0 < rep.errors[key + "_quadrature"] <= 1e-12
+
     def test_total_matches_parts(self, picard_data, triple):
         chi = trivial_rep(PICARD.ring)
         rep = geometric_side(triple, picard_data, chi, A=5.0, norm_bound=14.0)
@@ -369,17 +408,16 @@ class TestGeometricSide:
                                      picard_data, eisenstein_data, triple):
         # identity, one I_i per cuspidal elliptic class, and the digamma
         # integral: each A-free quadrature runs once per call
-        import scipy.integrate
         gd = picard_data if group_key == "picard" else eisenstein_data
         chi = trivial_rep(gd.group.ring)
         calls = []
-        inner = scipy.integrate.quad
+        inner = trace_formula.integrate_halfline
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.integrate, "quad", counted)
+        monkeypatch.setattr(trace_formula, "integrate_halfline", counted)
         geometric_side(triple, gd, chi, A=5.0, norm_bound=14.0)
         assert len(calls) == 1 + len(gd.cuspidal_elliptic) + 1
 
@@ -397,7 +435,7 @@ class TestGeometricSide:
 
     def test_nan_log_A_coefficient_raises(self, picard_data, triple):
         def g(r):
-            return math.nan if r == 0.0 else triple.g(r)
+            return np.where(r == 0.0, math.nan, triple.g(r))
 
         with pytest.raises(RuntimeError, match="cusp cancellation"):
             geometric_side(dataclasses.replace(triple, g=g), picard_data,
