@@ -44,32 +44,43 @@ class CompletenessError(RuntimeError):
 
 @functools.cache
 def _unit_volume(ring: Ring) -> float:
-    # Humbert's covolume |d|^(3/2) zeta_K(2) / (4 pi^2), with the quadratic
+    # Humbert's covolume |D|^(3/2) zeta_K(2) / (4 pi^2), with the quadratic
     # L-value expressed through trigamma values so no decimal literal is
-    # needed: L(2, chi_-4) = (psi1(1/4) - psi1(3/4))/16 and
-    # L(2, chi_-3) = (psi1(1/3) - psi1(2/3))/9.  Evaluated on first read
-    # and cached, so every read returns the same float; only the trace
-    # formula reads it, so the group layer imports the quadrature module
-    # here.
+    # needed: L(2, chi_D) = (psi1(1/|D|) - psi1((|D|-1)/|D|)) / D^2 for
+    # D = -4 and D = -3, whose characters are nonzero only at 1 and -1
+    # mod |D|.  (|D|-1)/|D| is one correctly rounded division, which
+    # 1 - 1/|D| is not.  Evaluated on first read and cached, so every read
+    # returns the same float; only the trace formula reads it, so the
+    # group layer imports the quadrature module here.
     from .quadrature import trigamma
-    if ring.name == "gauss":
-        lval = (trigamma(0.25) - trigamma(0.75)) / 16.0
-        return float(8.0 * (math.pi ** 2 / 6.0) * lval / (4.0 * math.pi ** 2))
-    lval = (trigamma(1.0 / 3.0) - trigamma(2.0 / 3.0)) / 9.0
-    return float(3.0 ** 1.5 * (math.pi ** 2 / 6.0) * lval
-                 / (4.0 * math.pi ** 2))
+    d = -ring.field_disc
+    lval = (trigamma(1 / d) - trigamma((d - 1) / d)) / d ** 2
+    return float(d ** 1.5 * (math.pi ** 2 / 6.0) * lval / (4.0 * math.pi ** 2))
 
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """A supported Bianchi group with its cusp data at infinity."""
+    """PSL(2, O) for a ring O of class number one, with its cusp at infinity.
+
+    The translations at infinity form the lattice O = Z + Z u itself, and
+    the stabilizer adds diag(eps, eps^-1) for each unit eps, so the cusp
+    data are read from the ring.
+    """
 
     name: str
     ring: Ring
-    tau: complex               # lattice generator of the cusp lattice Z + Z tau
-    tau_pair: Pair             # the same generator as a ring element
-    index: int                 # [stabilizer : translation part] at infinity
     epsilon_pair: Pair         # diagonal entry of the torsion generator E
+    tau_pair = (0, 1)          # u, as in the cusp lattice Z + Z u; not a field
+
+    @property
+    def tau(self) -> complex:
+        """The embedding of tau_pair."""
+        return self.ring.to_complex(self.tau_pair)
+
+    @property
+    def index(self) -> int:
+        """[stabilizer : translation part] at infinity: units modulo +-1."""
+        return len(self.ring.units) // 2
 
     @property
     def volume(self) -> float:
@@ -80,15 +91,9 @@ class GroupDescriptor:
         return f"GroupDescriptor({self.name})"
 
 
-PICARD = GroupDescriptor(
-    name="picard", ring=GAUSSIAN, tau=1j, tau_pair=(0, 1), index=2,
-    epsilon_pair=(0, 1),
-)
-EISENSTEIN_GROUP = GroupDescriptor(
-    name="eisenstein", ring=EISENSTEIN,
-    tau=complex(-0.5, math.sqrt(3.0) / 2.0), tau_pair=(0, 1), index=3,
-    epsilon_pair=(-1, -1),
-)
+PICARD = GroupDescriptor(name="picard", ring=GAUSSIAN, epsilon_pair=(0, 1))
+EISENSTEIN_GROUP = GroupDescriptor(name="eisenstein", ring=EISENSTEIN,
+                                   epsilon_pair=(-1, -1))
 
 GROUPS = {"picard": PICARD, "eisenstein": EISENSTEIN_GROUP}
 
@@ -162,18 +167,6 @@ class GroupElement:
     def inv(self) -> "GroupElement":
         r = self.ring
         return GroupElement(r, self.d, r.neg(self.b), r.neg(self.c), self.a, _checked=True)
-
-    def power(self, n: int) -> "GroupElement":
-        if n < 0:
-            return self.inv().power(-n)
-        result = identity(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conjugate_by(self, g: "GroupElement") -> "GroupElement":
         return g * self * g.inv()
@@ -268,20 +261,6 @@ def classify(T: GroupElement) -> ElementClassification:
 # enumeration
 
 
-def _np_mul_conj(ring: Ring, qx: int, qy: int, bx, by):
-    """Coordinates of q * conj(b) for arrays bx, by."""
-    if ring.name == "gauss":
-        return qx * bx + qy * by, qy * bx - qx * by
-    cx, cy = bx - by, -by
-    return qx * cx - qy * cy, qx * cy + qy * cx - qy * cy
-
-
-def _np_norm(ring: Ring, x, y):
-    if ring.name == "gauss":
-        return x * x + y * y
-    return x * x - x * y + y * y
-
-
 def enumerate_elements(group: GroupDescriptor, height: int,
                        cap: int = DEFAULT_ELEMENT_CAP) -> list[GroupElement]:
     """All determinant-1 matrices mod +-I with every entry norm <= height.
@@ -293,8 +272,9 @@ def enumerate_elements(group: GroupDescriptor, height: int,
     r = group.ring
     small = r.elements_with_norm_le(height)
     coords = np.array(small, dtype=np.int64)
-    bx, by = coords[:, 0], coords[:, 1]
-    nb = _np_norm(r, bx, by)
+    b = (coords[:, 0], coords[:, 1])
+    b_conj = r.conj(b)
+    nb = r.norm(b)
 
     out = set()
 
@@ -304,7 +284,6 @@ def enumerate_elements(group: GroupDescriptor, height: int,
             raise EnumerationCapError(
                 f"element cap {cap} exceeded at height {height}")
 
-    units = [u for u in r.units()]
     zero = (0, 0)
     ad_list = [zero] + small
     for a in ad_list:
@@ -320,12 +299,12 @@ def enumerate_elements(group: GroupDescriptor, height: int,
                 continue
             # b runs over divisors of q with both cofactors inside the ball
             nq = r.norm(q)
-            px, py = _np_mul_conj(r, q[0], q[1], bx, by)
+            px, py = r.mul(q, b_conj)
             ok = (nq % nb == 0) & (px % nb == 0) & (py % nb == 0)
             if not ok.any():
                 continue
             cx_all, cy_all = px[ok] // nb[ok], py[ok] // nb[ok]
-            keep = _np_norm(r, cx_all, cy_all) <= height
+            keep = r.norm((cx_all, cy_all)) <= height
             for (bxx, byy), cxx, cyy in zip(
                     coords[ok][keep], cx_all[keep], cy_all[keep]):
                 emit(a, (int(bxx), int(byy)), (int(cxx), int(cyy)), d)
@@ -342,7 +321,6 @@ class StabilizerData:
     R: GroupElement            # translation by 1
     S: GroupElement            # translation by tau
     E: GroupElement            # torsion generator diag(eps, eps^-1)
-    tau_pair: Pair
     torsion_order: int         # order of E mod +-I, the cusp index
 
 
@@ -364,8 +342,7 @@ def stabilizer_data(group: GroupDescriptor) -> StabilizerData:
     comm = E * R * E.inv() * R.inv()
     if comm.c != (0, 0) or r.mul(comm.a, comm.a) != (1, 0):
         raise AssertionError("E R E^-1 R^-1 left the translation subgroup")
-    return StabilizerData(R=R, S=S, E=E, tau_pair=group.tau_pair,
-                          torsion_order=order)
+    return StabilizerData(R=R, S=S, E=E, torsion_order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +362,7 @@ def axis_key(T: GroupElement) -> tuple:
     if g != (0, 0):
         v = tuple(r.exact_div(x, g) for x in v)
     best = None
-    for u in r.units():
+    for u in r.units:
         cand = tuple(r.mul(u, x) for x in v)
         flat = (*cand[0], *cand[1], *cand[2])
         if best is None or flat < best:
@@ -635,18 +612,10 @@ def cuspidal_elliptic_classes(group: GroupDescriptor,
 def _cuspidal_elliptic_classes(group: GroupDescriptor, conj: ConjugatorSet
                                ) -> list[CuspidalEllipticClass]:
     r = group.ring
-    eps0 = group.epsilon_pair
-    eps_powers = []
-    e = eps0
-    while True:
-        canon = GroupElement(r, e, (0, 0), (0, 0), r.conj(e))
-        if canon.is_identity():
-            break
-        if e not in eps_powers:
-            eps_powers.append(e)
-        e = r.mul(e, eps0)
-        if len(eps_powers) > 6:
-            raise AssertionError("unit loop failed")
+    # eps^1 .. eps^(index-1): the nontrivial diagonal stabilizer elements
+    eps_powers = [group.epsilon_pair]
+    for _ in range(group.index - 2):
+        eps_powers.append(r.mul(eps_powers[-1], group.epsilon_pair))
 
     candidates = []
     for eps in eps_powers:
@@ -715,10 +684,6 @@ class PrimitiveLoxodromicClass:
     E_T: Optional[GroupElement]
     ambiguous: bool = False             # equal invariants, no conjugator found
 
-    @property
-    def trace_key(self):
-        return trace_class_key(self.T0)
-
 
 def _eigvec_for(mat: MoebiusMatrix, lam: complex):
     # (a - lam) x + b y = 0; pick the better-conditioned row
@@ -728,17 +693,6 @@ def _eigvec_for(mat: MoebiusMatrix, lam: complex):
     if abs(row[0]) >= abs(row[1]):
         return (-row[1] / row[0], 1.0 + 0j)
     return (1.0 + 0j, -row[0] / row[1])
-
-
-def _attracting_direction(g: GroupElement, a: complex) -> tuple:
-    """Expanding eigenvector of g (eigenvalue a), normalized for projective comparison."""
-    v = _eigvec_for(g.to_moebius(), a)
-    scale = math.hypot(abs(v[0]), abs(v[1]))
-    return (v[0] / scale, v[1] / scale)
-
-
-def _projective_dist(v: tuple, w: tuple) -> float:
-    return abs(v[0] * w[1] - v[1] * w[0])
 
 
 _SNAP_TOL = 1e-8
@@ -833,19 +787,35 @@ class _Family:
     minimal_members: frozenset      # norm-N0 elements moving in this direction
 
 
+def _is_torsion(g: GroupElement) -> bool:
+    """Identity or elliptic: finite order in PSL(2, O)."""
+    t = g.trace()
+    return g.is_identity() or (t[1] == 0 and abs(t[0]) < 2)
+
+
 def _axis_families(ax: AxisData) -> list[_Family]:
+    """The family of the lead's direction and, if met, the reverse one.
+
+    A member g moves with the lead when g lead^-1 is torsion and against
+    it when g lead is.  Either forces N(g) = N0 exactly, and every member
+    of norm N0 passes one of them, since g and the lead fix the same two
+    boundary points.  Norms on an axis are powers of the primitive norm,
+    so the scan stops at N0^2, far from round-off in the float norms.
+    """
     lead, N0 = ax.loxodromics[0], ax.norms[0]
-    eigenvalue = {g: classify(g).a for g, n in zip(ax.loxodromics, ax.norms)
-                  if abs(n - N0) <= 1e-9 * N0}      # the norm-N0 members
-    fwd_dir = _attracting_direction(lead, eigenvalue[lead])
+    lead_inv = lead.inv()
     fwd, rev = [], []
-    for g, a in eigenvalue.items():
-        d = _projective_dist(_attracting_direction(g, a), fwd_dir)
-        (fwd if d < 1e-6 else rev).append(g)
-    fams = [_Family(ax, lead, eigenvalue[lead], N0, frozenset(fwd))]
+    for g, n in zip(ax.loxodromics, ax.norms):
+        if n >= N0 * N0:        # norms ascend
+            break
+        if _is_torsion(g * lead_inv):
+            fwd.append(g)
+        elif _is_torsion(g * lead):
+            rev.append(g)
+    fams = [_Family(ax, lead, classify(lead).a, N0, frozenset(fwd))]
     if rev:
         rev_lead = min(rev, key=GroupElement.key)
-        fams.append(_Family(ax, rev_lead, eigenvalue[rev_lead], N0,
+        fams.append(_Family(ax, rev_lead, classify(rev_lead).a, N0,
                             frozenset(rev)))
     return fams
 

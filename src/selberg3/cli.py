@@ -74,8 +74,8 @@ class RunConfig:
         if self.height < 1:
             raise UsageError("height must be >= 1")
         for name in ("norm_bound", "A"):
-            if not getattr(self, name) > 0:
-                raise UsageError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be a finite positive number")
         if self.format not in FORMATS:
             raise UsageError(f"unknown format {self.format!r}; "
                              f"choose from {FORMATS}")
@@ -492,12 +492,19 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0 < value < math.inf:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number: {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0:
         raise argparse.ArgumentTypeError(
             f"must be a finite positive number: {text!r}")
     return value
@@ -547,7 +554,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("zeta", parents=[common],
                        help="zeta values, log-derivative check, divisor CSV")
-    p.add_argument("--s", action="append", type=float,
+    p.add_argument("--s", action="append", type=_finite,
                    help="evaluation point, repeatable (default 2.0 2.5)")
     p.add_argument("--trs0", type=float,
                    help="trace of the scattering matrix at s = 0 "
@@ -557,12 +564,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("trace", parents=[common],
                        help="geometric side for the resolvent pair (s, B)")
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--B", type=float, default=3.0)
+    p.add_argument("--s", type=_finite, default=2.0)
+    p.add_argument("--B", type=_finite, default=3.0)
 
     p = sub.add_parser("eisenstein-check", parents=[common],
                        help="eigenvalue-equation residual of the series")
-    p.add_argument("--s", type=float, default=2.0)
+    p.add_argument("--s", type=_finite, default=2.0)
     p.add_argument("--point", type=_point,
                    default=Point3(complex(0.3, 0.2), 1.1))
     p.add_argument("--fd-step", dest="fd_step", type=_positive, default=1e-3)

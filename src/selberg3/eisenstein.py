@@ -50,7 +50,7 @@ class EisensteinSample:
 def _bottom_row_key(group: GroupDescriptor, c, d) -> tuple:
     """Canonical form of (c, d) under joint unit scaling."""
     ring = group.ring
-    return min((ring.mul(u, c), ring.mul(u, d)) for u in ring.units())
+    return min((ring.mul(u, c), ring.mul(u, d)) for u in ring.units)
 
 
 def coset_representatives(group: GroupDescriptor, height: int) -> list[GroupElement]:
@@ -120,9 +120,7 @@ def _tail_estimate(group: GroupDescriptor, P: Point3, sigma: float,
     # pairs (c,d) with form value <= Q number about (pi^2/2) Q^2 / (r^2 w^2)
     # for ring covolume w, counted once per unit orbit.
     ring = group.ring
-    covol = 1.0 if ring.name == "gauss" else math.sqrt(3.0) / 2.0
-    n_units = len(ring.units())
-    density = math.pi ** 2 / (covol ** 2 * n_units)
+    density = math.pi ** 2 / (ring.covolume ** 2 * len(ring.units))
     d0 = lam_min * height
     return (TAIL_SAFETY * density * vnorm * r ** (sigma - 1.0)
             * d0 ** (1.0 - sigma) / (sigma - 1.0))

@@ -32,7 +32,7 @@ from .arithmetic_group import (
     stabilizer_data,
 )
 from .lattice_lfn import LatticeCharacter
-from .rings import Pair, Ring
+from .rings import EISENSTEIN, Pair, Ring
 
 UNITARY_TOL = 1e-12
 DIAG_TOL = 1e-10
@@ -63,10 +63,9 @@ class CyclotomicValue:
 
     def __mul__(self, other):
         if isinstance(other, CyclotomicValue):
-            # omega^2 = -1 - omega
-            cross = self.b * other.b
-            return CyclotomicValue(self.a * other.a - cross,
-                                   self.a * other.b + self.b * other.a - cross)
+            # Q(omega) is the fraction field of Z[omega]
+            return CyclotomicValue(*EISENSTEIN.mul((self.a, self.b),
+                                                   (other.a, other.b)))
         return CyclotomicValue(self.a * other, self.b * other)
 
     __rmul__ = __mul__
@@ -78,14 +77,8 @@ class CyclotomicValue:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def rational_part(self) -> Fraction:
-        """The value as a rational; raises if omega survives."""
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def to_complex(self) -> complex:
-        return complex(self.a) + complex(self.b) * complex(-0.5, math.sqrt(3.0) / 2.0)
+        return EISENSTEIN.to_complex((self.a, self.b))
 
     @classmethod
     def from_rational(cls, a) -> "CyclotomicValue":
@@ -153,11 +146,6 @@ class UnitaryRep:
         if self._exact_angle is not None:
             return CyclotomicValue.from_angle(self._exact_angle(M))
         return None
-
-    def angle(self, M: GroupElement) -> Optional[Fraction]:
-        if self._exact_angle is None:
-            return None
-        return self._exact_angle(M)
 
     def __repr__(self):
         return f"UnitaryRep(dim={self.dim}, kind={self.kind!r}, label={self.label!r})"
@@ -267,14 +255,6 @@ class ResidueRing:
             self._elements = tuple((x, y) for x in range(self._d1)
                                    for y in range(self._d2))
         return self._elements
-
-    def inverse(self, x: Pair) -> Optional[Pair]:
-        x = self.reduce(x)
-        one = self.reduce((1, 0))
-        for y in self.elements():
-            if self.mul(x, y) == one:
-                return y
-        return None
 
 
 class CongruenceQuotient:

@@ -1,14 +1,18 @@
-"""Exact arithmetic in the Gaussian and Eisenstein integers and their fields.
+"""Exact arithmetic in imaginary quadratic rings Z[u] and their fields.
 
-Elements are coordinate pairs (x, y) meaning x + y*u where u = i (Gaussian)
-or u = omega = exp(2*pi*i/3) (Eisenstein).  Coordinates are ints for ring
-elements and fractions.Fraction for field elements; all the arithmetic below
-is generic over both.  Both rings are norm-Euclidean, which `divmod_nearest`
-and `gcd` rely on.
+A ring is described by one rule, u^2 = u2_x + u2_y * u; the Gaussian
+integers (u = i) and the Eisenstein integers (u = omega = exp(2 pi i/3))
+are the two instances the groups use.  Elements are coordinate pairs
+(x, y) meaning x + y*u, with ints for ring elements and
+fractions.Fraction for field elements.  Every operation below is derived
+from the rule; `mul`, `conj`, `norm` and `real2` also act on int64
+arrays.  Both rings are norm-Euclidean, which `divmod_nearest` and `gcd`
+rely on.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,17 +20,29 @@ from typing import Optional
 
 Pair = tuple  # (x, y) coordinate pair; ints or Fractions
 
-_SQRT3_2 = math.sqrt(3.0) / 2.0
-
 
 @dataclass(frozen=True)
 class Ring:
-    """Descriptor for Z[i] or Z[omega]; u^2 = u2_x + u2_y * u."""
+    """Z[u] with u^2 = u2_x + u2_y * u and u2_y^2 + 4 u2_x < 0."""
 
     name: str
     u2_x: int
     u2_y: int
-    field_disc: int  # discriminant of the fraction field (-4 or -3)
+
+    @property
+    def field_disc(self) -> int:
+        """D = u2_y^2 + 4 u2_x, the discriminant of Z[u] (-4 and -3 here)."""
+        return self.u2_y * self.u2_y + 4 * self.u2_x
+
+    @functools.cached_property
+    def _u(self) -> tuple[float, float]:
+        """Real and imaginary part of the embedding u = (u2_y + i sqrt|D|) / 2."""
+        return self.u2_y / 2, math.sqrt(-self.field_disc) / 2
+
+    @property
+    def covolume(self) -> float:
+        """Area of a fundamental parallelogram of the lattice Z + Z u."""
+        return self._u[1]
 
     def mul(self, a: Pair, b: Pair) -> Pair:
         ax, ay = a
@@ -45,43 +61,34 @@ class Ring:
         return (-a[0], -a[1])
 
     def conj(self, a: Pair) -> Pair:
+        # conj(u) = u2_y - u, the other root of u^2 - u2_y u - u2_x
         x, y = a
-        if self.name == "gauss":
-            return (x, -y)
-        # conj(omega) = omega^2 = -1 - omega
-        return (x - y, -y)
+        return (x + self.u2_y * y, -y)
 
     def norm(self, a: Pair):
         x, y = a
-        if self.name == "gauss":
-            return x * x + y * y
-        return x * x - x * y + y * y
+        return x * x + (self.u2_y * x - self.u2_x * y) * y
 
     def real2(self, a: Pair):
         """Twice the real part of the complex embedding (exact)."""
         x, y = a
-        if self.name == "gauss":
-            return 2 * x
-        return 2 * x - y
+        return 2 * x + self.u2_y * y
 
     def to_complex(self, a: Pair) -> complex:
         x, y = a
-        if self.name == "gauss":
-            return complex(x, y)
-        return complex(x - y / 2.0, y * _SQRT3_2)
+        u_re, u_im = self._u
+        return complex(x + y * u_re, y * u_im)
 
     def from_complex(self, z: complex) -> Pair:
         """Nearest ring element to z (rounding in the (1, u) basis)."""
-        if self.name == "gauss":
-            return (round(z.real), round(z.imag))
-        y = z.imag / _SQRT3_2
-        x = z.real + y / 2.0
-        return (round(x), round(y))
+        u_re, u_im = self._u
+        y = z.imag / u_im
+        return (round(z.real - y * u_re), round(y))
 
+    @functools.cached_property
     def units(self) -> tuple[Pair, ...]:
-        if self.name == "gauss":
-            return ((1, 0), (0, 1), (-1, 0), (0, -1))
-        return ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
+        """The norm-1 elements, in sorted order."""
+        return tuple(self.elements_with_norm_le(1))
 
     def is_unit(self, a: Pair) -> bool:
         return self.norm(a) == 1
@@ -108,11 +115,6 @@ class Ring:
         q = (_div_half_even(num[0], nb), _div_half_even(num[1], nb))
         r = self.sub(a, self.mul(q, b))
         return q, r
-
-    def divides(self, b: Pair, a: Pair) -> bool:
-        """True when b | a exactly (b nonzero)."""
-        _, r = self.divmod_nearest(a, b)
-        return r == (0, 0)
 
     def exact_div(self, a: Pair, b: Pair) -> Optional[Pair]:
         q, r = self.divmod_nearest(a, b)
@@ -150,38 +152,24 @@ class Ring:
                         return t
         return None
 
-    def elements_with_norm_le(self, bound) -> list[Pair]:
+    def elements_with_norm_le(self, bound: int) -> list[Pair]:
         """All nonzero elements of norm <= bound, deterministic order."""
+        # 4 N(x + y u) = (2x + u2_y y)^2 + |D| y^2
+        disc = -self.field_disc
         out = []
-        if self.name == "gauss":
-            m = math.isqrt(bound)
-            for x in range(-m, m + 1):
-                rem = bound - x * x
-                if rem < 0:
-                    continue
-                k = math.isqrt(rem)
-                for y in range(-k, k + 1):
-                    if (x, y) != (0, 0):
-                        out.append((x, y))
-        else:
-            # x^2 - x y + y^2 <= bound  <=>  (2x - y)^2 <= 4*bound - 3*y^2
-            m = math.isqrt((4 * bound) // 3) + 1
-            for y in range(-m, m + 1):
-                disc = 4 * bound - 3 * y * y
-                if disc < 0:
-                    continue
-                half = math.isqrt(disc)
-                for x in range((y - half) // 2 - 1, (y + half) // 2 + 2):
-                    if (x, y) == (0, 0):
-                        continue
-                    if x * x - x * y + y * y <= bound:
-                        out.append((x, y))
+        m = math.isqrt(4 * bound // disc)
+        for y in range(-m, m + 1):
+            half = math.isqrt(4 * bound - disc * y * y)
+            lo = -self.u2_y * y - half
+            for x in range(-(-lo // 2), (lo + 2 * half) // 2 + 1):
+                if (x, y) != (0, 0):
+                    out.append((x, y))
         out.sort()
         return out
 
     def canonical_associate(self, a: Pair) -> Pair:
         """Lexicographically smallest unit multiple of a."""
-        return min(self.mul(u, a) for u in self.units())
+        return min(self.mul(u, a) for u in self.units)
 
 
 def _div_half_even(n: int, d: int) -> int:
@@ -194,8 +182,8 @@ def _div_half_even(n: int, d: int) -> int:
     return q + (q & 1)  # exact tie toward even
 
 
-GAUSSIAN = Ring("gauss", -1, 0, -4)
-EISENSTEIN = Ring("eisenstein", -1, -1, -3)
+GAUSSIAN = Ring("gauss", -1, 0)
+EISENSTEIN = Ring("eisenstein", -1, -1)
 
 RINGS = {"gauss": GAUSSIAN, "eisenstein": EISENSTEIN}
 

@@ -1,5 +1,8 @@
 """Group enumeration, classification, and conjugacy-class reduction."""
+import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from selberg3.arithmetic_group import (
     EnumerationCapError,
     EISENSTEIN_GROUP,
     GroupData,
+    GroupDescriptor,
     GroupElement,
     PICARD,
     _INT64_SAFE,
@@ -35,6 +39,11 @@ from selberg3.rings import EISENSTEIN, GAUSSIAN
 
 def gi(rows):
     return from_ints(GAUSSIAN, rows)
+
+
+def power(g, n):
+    """g^n for n >= 1."""
+    return functools.reduce(operator.mul, [g] * n)
 
 
 def ei(rows):
@@ -172,7 +181,7 @@ class TestStabilizer:
         st = stabilizer_data(PICARD)
         assert st.torsion_order == 2
         assert st.R * st.S == st.S * st.R
-        assert st.E.power(2).is_identity()
+        assert power(st.E, 2).is_identity()
         # E R E^-1 = R^-1 since eps^2 = -1
         assert st.E * st.R * st.E.inv() == st.R.inv()
 
@@ -180,9 +189,19 @@ class TestStabilizer:
         st = stabilizer_data(EISENSTEIN_GROUP)
         assert st.torsion_order == 3
         assert st.R * st.S == st.S * st.R
-        assert st.E.power(3).is_identity()
+        assert power(st.E, 3).is_identity()
         # E R E^-1 = S since eps^2 = omega
         assert st.E * st.R * st.E.inv() == st.S
+
+    def test_descriptor_reads_cusp_data_from_the_ring(self):
+        assert [f.name for f in dataclasses.fields(GroupDescriptor)] == [
+            "name", "ring", "epsilon_pair"]
+        assert (PICARD.tau, PICARD.index) == (1j, 2)
+        assert EISENSTEIN_GROUP.tau == complex(-0.5, math.sqrt(3.0) / 2.0)
+        assert EISENSTEIN_GROUP.index == 3
+        for group in (PICARD, EISENSTEIN_GROUP):
+            assert group.tau_pair == (0, 1)
+            assert group.ring.to_complex(group.tau_pair) == group.tau
 
     def test_commutator_lands_in_translations(self):
         for group in (PICARD, EISENSTEIN_GROUP):
@@ -218,7 +237,7 @@ class TestAxes:
     def test_axis_shared_with_inverse_and_commuting_torsion(self):
         t0 = gi((((0, 0), (0, 1)), ((0, 1), (0, -1))))
         assert axis_key(t0) == axis_key(t0.inv())
-        assert axis_key(t0) == axis_key(t0.power(2))
+        assert axis_key(t0) == axis_key(power(t0, 2))
 
     def test_unit_scaling_invariance(self):
         # [[2,1],[1,1]] and its square lie on one axis
@@ -307,6 +326,36 @@ class TestLoxodromicClasses:
         assert len(pair) == 2
         assert all(c.ambiguous for c in pair)
 
+    @pytest.mark.parametrize("fixture", ["picard_elements",
+                                         "eisenstein_elements"])
+    def test_family_split_matches_attracting_fixed_points(self, fixture,
+                                                          request):
+        # numeric oracle for the exact split: the families of an axis hold
+        # its norm-N0 members, each family shares its lead's attracting
+        # fixed point (expanding eigenvector), and the two families differ
+        def attracting(g):
+            m = g.to_moebius()
+            vals, vecs = np.linalg.eig(np.array([[m.a, m.b], [m.c, m.d]]))
+            return vecs[:, np.argmax(np.abs(vals))]     # unit length
+
+        def same_point(v, w):
+            return abs(v[0] * w[1] - v[1] * w[0]) < 1e-8
+
+        axes = collect_axes(request.getfixturevalue(fixture), 14.0)
+        for ax in (ax for ax in axes.values() if ax.loxodromics):
+            fams = _axis_families(ax)
+            N0 = ax.norms[0]
+            assert sorted(g.key() for f in fams for g in f.minimal_members) \
+                == sorted(g.key() for g, n in zip(ax.loxodromics, ax.norms)
+                          if abs(n - N0) <= 1e-9 * N0)
+            leads = [attracting(f.lead) for f in fams]
+            for f, v in zip(fams, leads):
+                assert f.lead in f.minimal_members
+                assert all(same_point(attracting(g), v)
+                           for g in f.minimal_members)
+            if len(fams) == 2:
+                assert not same_point(*leads)
+
     @pytest.mark.parametrize("fixture,flagged", [("picard_data", 25),
                                                  ("eisenstein_data", 14)])
     def test_ambiguity_keys_on_trace_up_to_sign(self, fixture, flagged, request):
@@ -321,7 +370,7 @@ class TestLoxodromicClasses:
                         and abs(o.N0 - c.N0) <= 1e-6
                         and o.T0.trace() in (t, r.neg(t))]
             assert c.ambiguous == bool(partners)
-            assert c.trace_key == trace_class_key(c.T0) == min(t, r.neg(t))
+            assert trace_class_key(c.T0) == min(t, r.neg(t))
 
     def test_powers_not_listed_as_primitive(self, picard_elements):
         cls = primitive_loxodromic_classes(PICARD, 8.0, 6, picard_elements)
@@ -338,11 +387,11 @@ class TestLoxodromicClasses:
         for ci, c in enumerate(cls):
             n = 1
             while c.N0 ** n <= bound + 1e-9:
-                base = c.T0.power(n)
+                base = power(c.T0, n)
                 if c.E_T is None:
                     reps = [base]
                 else:
-                    reps = [base * c.E_T.power(v) for v in range(1, c.m + 1)]
+                    reps = [base * power(c.E_T, v) for v in range(1, c.m + 1)]
                 for p in reps:
                     for g in els:
                         cover.setdefault(p.conjugate_by(g), set()).add(ci)

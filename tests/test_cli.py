@@ -109,6 +109,29 @@ class TestConfig:
         assert out == ""
         assert err.startswith("usage error:") and flag in err
 
+    # an infinite value is a usage error, not a report or a numerical failure
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--A", "inf"),
+        ("trace", "--norm-bound", "inf"),
+        ("trace", "--B", "inf"),
+        ("zeta", "--s", "inf"),
+        ("eisenstein-check", "--s", "inf"),
+    ], ids=["trace-A", "trace-norm-bound", "trace-B", "zeta-s",
+            "eisenstein-check-s"])
+    def test_infinite_flag(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], *PICARD_SMALL, *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
+    def test_infinite_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("A = inf\nheight = 4\nnorm_bound = 6\n")
+        code, out, err = run(capsys, "trace", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and "A" in err
+
 
 # -- enumerate ---------------------------------------------------------------
 

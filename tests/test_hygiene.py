@@ -1,6 +1,7 @@
 """Source hygiene: every name imported in the package is used, every
-module-level private name is read somewhere in the package, and every
-name a module exports in __all__ is bound in it."""
+module-level private name is read somewhere in the package, every name a
+module exports in __all__ is bound in it, and every public function, class,
+method and property is used outside the tests or allowlisted."""
 import ast
 import importlib
 import pathlib
@@ -259,3 +260,61 @@ def test_detector_sees_public_names_named_nowhere():
                  "def orphan():\n    return a.by_attribute()\n"),
     }
     assert public_names_named_nowhere(sources, {"a.py"}) == [("a.py", "orphan")]
+
+
+# public methods and properties that only tests read, each kept for a reason
+TEST_ONLY_METHODS = {
+    "XiBlocks.e_constant": "linear coefficient of the functional equation's "
+                           "exponent, which the divisor work needs",
+}
+
+
+def public_methods_read_nowhere(sources: dict, defining: set) -> list:
+    """(path, "Class.method") of each public method or property of a class
+    in a defining module that no source reads outside the method's body.
+
+    A method is reached through an attribute (obj.method, Class.method),
+    so only attribute reads count; a bare name or a parameter that shares
+    the method's name does not keep it.
+    """
+    reads = {}               # attribute name -> [reading nodes]
+    definitions = []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append(node)
+            elif path in defining and isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    (path, node.name, stmt) for stmt in node.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not stmt.name.startswith("_"))
+    unread = []
+    for path, cls, stmt in definitions:
+        own = {id(n) for n in ast.walk(stmt)}
+        if all(id(n) in own for n in reads.get(stmt.name, [])):
+            unread.append((path, f"{cls}.{stmt.name}"))
+    return sorted(unread)
+
+
+def test_public_methods_are_used_outside_tests():
+    sources = {p.name if p.parent == SRC else f"{p.parent.name}/{p.name}":
+               p.read_text() for d in CALLERS for p in sorted(d.glob("*.py"))}
+    unread = public_methods_read_nowhere(sources, {p.name for p in MODULES})
+    assert sorted(name for _, name in unread) == sorted(TEST_ONLY_METHODS)
+
+
+def test_detector_sees_methods_read_nowhere():
+    sources = {
+        "a.py": ("class Box:\n"
+                 "    def used(self):\n        return self._hidden()\n"
+                 "    def recursive(self, n):\n"
+                 "        return self.recursive(n - 1) if n else 0\n"
+                 "    @property\n    def size(self):\n        return 1\n"
+                 "    def shadowed(self):\n        return 2\n"
+                 "    def _hidden(self):\n        return 3\n"
+                 "def shadowed(size):\n    return size\n"),
+        "b.py": "import a\nvalue = a.Box().used()\n",
+    }
+    assert public_methods_read_nowhere(sources, {"a.py"}) == [
+        ("a.py", "Box.recursive"), ("a.py", "Box.shadowed"),
+        ("a.py", "Box.size")]

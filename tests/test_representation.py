@@ -108,10 +108,10 @@ class TestCyclotomicValue:
         assert CyclotomicValue.from_angle(Fraction(1, 4)) is None
         assert CyclotomicValue.from_angle(Fraction(1, 5)) is None
 
-    def test_rational_part(self):
-        assert CyclotomicValue.from_rational(Fraction(3, 2)).rational_part() == Fraction(3, 2)
-        with pytest.raises(ValueError):
-            CyclotomicValue.from_angle(Fraction(1, 3)).rational_part()
+    def test_from_rational_has_no_omega_part(self):
+        assert (CyclotomicValue.from_rational(Fraction(3, 2))
+                == CyclotomicValue(Fraction(3, 2), Fraction(0)))
+        assert CyclotomicValue.from_angle(Fraction(1, 3)).b != 0
 
     def test_cube_roots_sum_to_zero(self):
         total = CyclotomicValue(Fraction(0), Fraction(0))
@@ -152,13 +152,6 @@ class TestResidueRing:
             assert rr.reduce(r) == r
             assert rr.add(x, (1, 1)) == rr.reduce(GAUSSIAN.add(x, (1, 1)))
             assert rr.mul(x, (0, 1)) == rr.reduce(GAUSSIAN.mul(x, (0, 1)))
-
-    def test_inverse(self):
-        re = ResidueRing(EISENSTEIN, (1, 2))
-        inv = re.inverse((2, 0))
-        assert re.mul((2, 0), inv) == re.reduce((1, 0))
-        rr = ResidueRing(GAUSSIAN, (2, 0))
-        assert rr.inverse((1, 1)) is None  # 1+i is a zero divisor mod 2
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -219,9 +212,10 @@ class TestFindCharacter:
 
     def test_cube_character_exact_angles(self, cube_character):
         chi = cube_character
-        assert chi.angle(STAB_E.R) == Fraction(1, 3)
-        assert chi.angle(STAB_E.S) == Fraction(1, 3)
-        assert chi.angle(STAB_E.E) == 0
+        third = CyclotomicValue.from_angle(Fraction(1, 3))
+        assert chi.exact_trace(STAB_E.R) == third
+        assert chi.exact_trace(STAB_E.S) == third
+        assert chi.exact_trace(STAB_E.E) == CyclotomicValue.from_rational(1)
 
     def test_depends_only_on_residue(self, sign_character, picard_elements):
         # right-multiplying by the translation by q = 1+i fixes the residue

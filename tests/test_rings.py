@@ -1,13 +1,17 @@
-import math
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from selberg3.rings import EISENSTEIN, GAUSSIAN, RINGS, is_square_in_field
+from selberg3.rings import EISENSTEIN, GAUSSIAN, RINGS, Ring, is_square_in_field
 
-RING_IDS = ["gauss", "eisenstein"]
-RINGS_LIST = [GAUSSIAN, EISENSTEIN]
+# Z[sqrt(-2)]: u^2 = -2.  No group is built on it; it checks that the ring
+# arithmetic follows from u^2 = u2_x + u2_y u alone, whatever the name.
+SQRT_M2 = Ring("sqrt-2", -2, 0)
+RING_IDS = ["gauss", "eisenstein", "sqrt-2"]
+RINGS_LIST = [GAUSSIAN, EISENSTEIN, SQRT_M2]
+UNIT_COUNTS = {"gauss": 4, "eisenstein": 6, "sqrt-2": 2}
 
 
 @pytest.fixture(params=RINGS_LIST, ids=RING_IDS)
@@ -39,8 +43,8 @@ def test_norm_is_element_times_conjugate(ring):
 
 
 def test_units_form_a_group(ring):
-    units = ring.units()
-    assert len(units) == (4 if ring.name == "gauss" else 6)
+    units = ring.units
+    assert len(units) == UNIT_COUNTS[ring.name]
     for u in units:
         assert ring.is_unit(u)
         for v in units:
@@ -69,11 +73,12 @@ def test_gcd_and_bezout(ring):
         assert ring.add(ring.mul(s, a), ring.mul(t, b)) == g
         assert ring.gcd(a, b) == g
         if g != (0, 0):
-            assert ring.divides(g, a) and ring.divides(g, b)
+            assert ring.exact_div(a, g) is not None
+            assert ring.exact_div(b, g) is not None
 
 
 def test_gcd_of_coprime_elements_is_a_unit(ring):
-    # 1 + u and u are coprime in both rings
+    # 1 + u and u are coprime in each ring
     g = ring.gcd((1, 1), (0, 1))
     assert ring.is_unit(g)
 
@@ -142,7 +147,7 @@ def test_canonical_associate_is_orbit_invariant(ring):
         a = _rand_elem(rng, span=10)
         if a == (0, 0):
             continue
-        reps = {ring.canonical_associate(ring.mul(u, a)) for u in ring.units()}
+        reps = {ring.canonical_associate(ring.mul(u, a)) for u in ring.units}
         assert len(reps) == 1
         rep = reps.pop()
         assert ring.norm(rep) == ring.norm(a)
@@ -201,3 +206,12 @@ def test_rings_registry():
     assert RINGS["gauss"] is GAUSSIAN
     assert RINGS["eisenstein"] is EISENSTEIN
     assert GAUSSIAN.field_disc == -4 and EISENSTEIN.field_disc == -3
+    assert SQRT_M2.field_disc == -8
+    assert [f.name for f in dataclasses.fields(Ring)] == ["name", "u2_x", "u2_y"]
+
+
+def test_embedding_of_u(ring):
+    u = ring.to_complex((0, 1))
+    assert u * u == pytest.approx(ring.u2_x + ring.u2_y * u, abs=1e-12)
+    assert u.imag > 0
+    assert ring.covolume == u.imag
