@@ -205,10 +205,8 @@ class ElementClassification:
     kind: str                      # identity | parabolic | elliptic | loxodromic
     order: Optional[int] = None    # elliptic only
     cuspidal: Optional[bool] = None
-    epsilon: Optional[complex] = None   # elliptic rotation eigenvalue, Im > 0
     a: Optional[complex] = None         # loxodromic eigenvalue, |a| > 1
     norm: Optional[float] = None        # N(T) = |a|^2
-    hyperbolic: Optional[bool] = None   # loxodromic with real trace
 
 
 _MAX_TORSION_ORDER = 24
@@ -242,19 +240,14 @@ def classify(T: GroupElement) -> ElementClassification:
         return ElementClassification(kind="parabolic")
     if t[1] == 0 and abs(t[0]) < 2:
         # real trace in (-2, 2); for ring elements this forces t in {-1, 0, 1}
-        order = _elliptic_order(T)
-        tc = r.to_complex(t)
-        eps = (tc + 1j * math.sqrt(4.0 - tc.real ** 2)) / 2.0
-        return ElementClassification(
-            kind="elliptic", order=order, cuspidal=is_cuspidal(T), epsilon=eps)
+        return ElementClassification(kind="elliptic", order=_elliptic_order(T),
+                                     cuspidal=is_cuspidal(T))
     tc = r.to_complex(t)
     root = (tc * tc - 4.0) ** 0.5
     lam = (tc + root) / 2.0
     if abs(lam) < 1.0:
         lam = (tc - root) / 2.0
-    return ElementClassification(
-        kind="loxodromic", a=lam, norm=abs(lam) ** 2,
-        hyperbolic=(t[1] == 0))
+    return ElementClassification(kind="loxodromic", a=lam, norm=abs(lam) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +314,6 @@ class StabilizerData:
     R: GroupElement            # translation by 1
     S: GroupElement            # translation by tau
     E: GroupElement            # torsion generator diag(eps, eps^-1)
-    torsion_order: int         # order of E mod +-I, the cusp index
 
 
 def stabilizer_data(group: GroupDescriptor) -> StabilizerData:
@@ -336,13 +328,13 @@ def stabilizer_data(group: GroupDescriptor) -> StabilizerData:
     # exact structure checks
     if R * S != S * R:
         raise AssertionError("translation generators fail to commute")
-    order = _elliptic_order(E)
+    order = _elliptic_order(E)   # order of E mod +-I, the cusp index
     if order != group.index:
         raise AssertionError(f"torsion order {order} != index {group.index}")
     comm = E * R * E.inv() * R.inv()
     if comm.c != (0, 0) or r.mul(comm.a, comm.a) != (1, 0):
         raise AssertionError("E R E^-1 R^-1 left the translation subgroup")
-    return StabilizerData(R=R, S=S, E=E, torsion_order=order)
+    return StabilizerData(R=R, S=S, E=E)
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +509,12 @@ def _components(n: int, lead: np.ndarray, label: np.ndarray) -> list[int]:
 
 @dataclass(frozen=True)
 class CuspidalEllipticClass:
-    representative: GroupElement
-    epsilon: Pair                  # upper-left diagonal entry
-    w: Pair                        # translation part: rep = [[eps, eps w], [0, eps^-1]]
+    representative: GroupElement   # [[eps, eps w], [0, eps^-1]]
     order: int
     centralizer_order: int
     one_minus_eps_sq_norm: int     # |1 - eps^2|^2, an integer
-    p: tuple                       # finite fixed point as exact field element
-    c0: Pair                       # lower-left entry of a witness sending infinity to p
-    c_norm: int                    # ring norm of c0, so |c0| = sqrt(c_norm)
+    c_norm: int                    # |c0|^2, c0 the lower-left entry of a
+                                   # witness taking infinity to the fixed point
 
     @property
     def log_c(self) -> float:
@@ -551,38 +540,15 @@ def _candidate_w_values(group: GroupDescriptor) -> list[Pair]:
     return reps
 
 
-def _cusp_fixed_point(group: GroupDescriptor, eps: Pair, w: Pair):
-    """Finite fixed point eps^2 w / (1 - eps^2) as an exact field element."""
-    r = group.ring
-    num = r.mul(r.mul(eps, eps), w)
-    den = r.sub((1, 0), r.mul(eps, eps))
-    return r.field_div(num, den)
-
-
-def _witness_c0(group: GroupDescriptor, p) -> Pair:
-    """Lower-left entry of some group element sending infinity to p.
-
-    p is given as a field element (Fraction pair); clearing denominators
-    yields a primitive column (a0, c0), completed to determinant 1.
-    """
-    r = group.ring
+def _witness_c_norm(r, p) -> int:
+    """|c0|^2 for the lower-left entry c0 of a group element sending infinity
+    to p, a field element (Fraction pair): in lowest terms p = a0/c0, and
+    the primitive column (a0, c0) completes to determinant 1."""
     den = 1
     for coord in p:
         den = den * coord.denominator // math.gcd(den, coord.denominator)
     num = (int(p[0] * den), int(p[1] * den))
-    g = r.gcd(num, (den, 0))
-    a0 = r.exact_div(num, g)
-    c0 = r.exact_div((den, 0), g)
-    gg, s, t = r.xgcd(a0, c0)
-    if not r.is_unit(gg):
-        raise AssertionError("fixed point column is not primitive")
-    # a0 * (s/gg)... complete [[a0, -t'], [c0, s']] with a0 s' + c0 t' style;
-    # verify determinant directly instead of tracking unit bookkeeping
-    ginv = r.conj(gg)  # unit inverse
-    b = r.neg(r.mul(t, ginv))
-    d = r.mul(s, ginv)
-    cand = GroupElement(r, a0, b, c0, d)
-    return cand.c
+    return r.norm(r.exact_div((den, 0), r.gcd(num, (den, 0))))
 
 
 def _centralizer_order(conj: ConjugatorSet, fixers: np.ndarray) -> int:
@@ -630,20 +596,18 @@ def _cuspidal_elliptic_classes(group: GroupDescriptor, conj: ConjugatorSet
     out = []
     for i in sorted(set(_components(len(candidates), lead, label))):
         eps, w, rep = candidates[i]
-        order = _elliptic_order(rep)
         cls = classify(rep)
         if cls.kind != "elliptic" or not cls.cuspidal:
             raise AssertionError("stabilizer candidate is not cuspidal elliptic")
-        eps_sq = r.mul(eps, eps)
-        margin = r.sub((1, 0), eps_sq)
-        p = _cusp_fixed_point(group, eps, w)
-        c0 = _witness_c0(group, p)
+        margin = r.sub((1, 0), r.mul(eps, eps))
+        # the finite fixed point eps^2 w / (1 - eps^2)
+        fixed = r.field_div(r.mul(r.mul(eps, eps), w), margin)
         out.append(CuspidalEllipticClass(
-            representative=rep, epsilon=eps, w=w, order=order,
+            representative=rep, order=cls.order,
             centralizer_order=_centralizer_order(
                 conj, g[(lead == i) & (label == i)]),
             one_minus_eps_sq_norm=r.norm(margin),
-            p=p, c0=c0, c_norm=r.norm(c0)))
+            c_norm=_witness_c_norm(r, fixed)))
     out.sort(key=lambda c: c.representative.key())
     return out
 

@@ -6,8 +6,8 @@ completeness failure, 3 numerical failure.  Output formats: text (default),
 csv, json; CSV and JSON carry identical formatted payloads, so either can
 serve as a golden file.  The trace-formula, transform and zeta modules are
 imported by the subcommands that use them, so a command pays only for its
-own imports.  No command loads scipy: trace's quadratures and digamma
-values come from the numpy module selberg3.quadrature.
+own imports.  The package runs on numpy alone: every quadrature, digamma
+and log-gamma value comes from selberg3.quadrature.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .lattice_lfn import (HEX_LATTICE, SQUARE_LATTICE, Lattice,
                           kappa_lattice)
 from .representation import (CyclotomicValue, find_character, singular_spaces,
                              trivial_rep)
+from .rings import EISENSTEIN
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
@@ -322,7 +323,7 @@ def cmd_classify(config: RunConfig, args) -> int:
 _LATTICES = {
     "i": SQUARE_LATTICE,
     "omega": HEX_LATTICE,
-    "1+omega": Lattice(complex(0.5, math.sqrt(3.0) / 2.0)),
+    "1+omega": Lattice(EISENSTEIN.to_complex((1, 1))),
 }
 
 
@@ -381,30 +382,35 @@ def _divisor_rows(records) -> list:
 
 
 def cmd_zeta(config: RunConfig, args) -> int:
+    from .trace_formula import SpectralSideInputs
     from .zeta import (build_zeta_class_data, central_difference_check,
-                       log_derivative_series, meromorphy_report,
-                       topological_divisor, zeta_truncated)
+                       meromorphy_report, topological_divisor, zeta_truncated)
     s_list = args.s or [2.0, 2.5]
     for s in s_list:
         if not s > 1.0:
             raise UsageError(f"zeta evaluation point s = {s} must exceed 1")
+    if args.documented_order is not None and args.documented_order < 1:
+        raise UsageError("--documented-order must be at least 1")
     group = get_group(config.group)
     chi = load_representation(config)
+    sing = singular_spaces(chi, stabilizer_data(group))
+    trS0 = args.trs0 if args.trs0 is not None else float(sing.k_infinity % 2)
+    try:
+        SpectralSideInputs(trS0=trS0).validate_parity(sing.k_infinity)
+    except ValueError as e:
+        raise UsageError(f"--trs0: {e}")
     gdata = build_group_data(group, config.height, config.norm_bound)
-    sing = singular_spaces(chi, gdata.stabilizer)
     data = build_zeta_class_data(gdata.loxodromic, chi)
     all_ok = True
     rows = []
     for s in s_list:
         z = zeta_truncated(s, data)
-        ld = log_derivative_series(s, data, route="factors")
         check = central_difference_check(s, data)
         ok = check.relative_error <= LOG_DERIV_TOL
         all_ok = all_ok and ok
-        rows.append(row(s=float(s), zeta=z, log_derivative=ld,
+        rows.append(row(s=float(s), zeta=z, log_derivative=check.series,
                         central_diff_rel_err=check.relative_error,
                         check_ok=ok))
-    trS0 = args.trs0 if args.trs0 is not None else float(sing.k_infinity % 2)
     records = topological_divisor(group.index, sing.k_infinity,
                                   sing.l_infinity, trS0)
     documented = args.documented_order
@@ -556,7 +562,7 @@ def build_parser() -> _Parser:
                        help="zeta values, log-derivative check, divisor CSV")
     p.add_argument("--s", action="append", type=_finite,
                    help="evaluation point, repeatable (default 2.0 2.5)")
-    p.add_argument("--trs0", type=float,
+    p.add_argument("--trs0", type=_finite,
                    help="trace of the scattering matrix at s = 0 "
                         "(default: parity-minimal choice)")
     p.add_argument("--documented-order", type=int,

@@ -34,6 +34,8 @@ from typing import Union
 
 import numpy as np
 
+from .rings import EISENSTEIN
+
 Real = Union[int, float, Fraction]
 
 # cutoffs per decade in the kappa and L-value ladders
@@ -64,7 +66,7 @@ class Lattice:
 
 
 SQUARE_LATTICE = Lattice(1j)
-HEX_LATTICE = Lattice(complex(-0.5, math.sqrt(3.0) / 2.0))
+HEX_LATTICE = Lattice(EISENSTEIN.to_complex((0, 1)))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ from .arithmetic_group import (CuspidalEllipticClass, GroupData,
                                GroupDescriptor, NonCuspidalEllipticClass,
                                PrimitiveLoxodromicClass)
 from .lattice_lfn import Lattice, L_value_kronecker, kappa_lattice
-from .quadrature import digamma, integrate_halfline
+from .quadrature import QUAD_EPS, digamma, integrate_halfline
 from .representation import (CyclotomicValue, SingularData, UnitaryRep,
                              singular_spaces, snap_unit_angle)
+from .rings import EISENSTEIN
 from .transform import TestFunctionTriple
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "cuspidal_elliptic_term",
     "parabolic_term",
     "digamma_halfplane_value",
-    "digamma_poisson_integral",
     "cuspidal_identity_check",
     "exact_cyclotomic_trace",
     "geometric_side",
@@ -51,8 +51,6 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286061
 # cosh_integral snaps t in (0, pi) to 2 pi p/q, q <= 12, within 1e-12
 COSH_ANGLE_MAX_DEN = 12
-# one absolute/relative tolerance for every quadrature in this module
-QUAD_EPS = {"epsabs": 1e-13, "epsrel": 1e-12}
 
 
 @dataclass(frozen=True)
@@ -186,20 +184,6 @@ def loxodromic_term(g: Callable, classes: Sequence[PrimitiveLoxodromicClass],
 # ---------------------------------------------------------------------------
 # the exponential-kernel integral over cosh x - cos t
 
-def _euler_transform_alternating(terms: np.ndarray):
-    """Sum of (-1)^j terms[j] by repeated forward differencing, in the
-    dtype of terms (real or complex)."""
-    coeffs = np.asarray(terms)
-    total = 0.0
-    for n in range(len(coeffs)):
-        total += coeffs[0] / 2.0 ** (n + 1)
-        coeffs = coeffs[:-1] - coeffs[1:]
-        if len(coeffs) == 0 or (abs(coeffs[0]) / 2.0 ** (n + 2) < 1e-17
-                                and n > 8):
-            break
-    return total
-
-
 def cosh_integral(s, t: float):
     """Integral_0^inf e^(-s x) sinh x / (cosh x - cos t) dx for t in (0, pi].
 
@@ -211,8 +195,8 @@ def cosh_integral(s, t: float):
         (1/(q sin t)) Sum_{r=1}^{q-1} sin(2 pi p r/q)
                       [psi((r+s+1)/q) - psi((r+s-1)/q)].
 
-    At t = pi the limit Sum_k k (-1)^(k+1) (...) is accelerated by the
-    Euler transform.
+    At t = pi, tanh(x/2) = 1 - 2 Sum_k (-1)^(k+1) e^(-kx) closes it the
+    same way, to 1/s - [psi((s+2)/2) - psi((s+1)/2)].
     """
     s = complex(s)
     if not (0.0 < t <= math.pi + 1e-12):
@@ -220,50 +204,42 @@ def cosh_integral(s, t: float):
     if s.real <= 0.0:
         raise ValueError("need Re(s) > 0 for the series")
     if abs(t - math.pi) < 1e-12:
-        ks = np.arange(1.0, 121.0)
-        d = 2.0 * ks / ((ks + s - 1.0) * (ks + s + 1.0))
-        if abs(s.imag) < 1e-15:
-            val = _euler_transform_alternating(d.real)
-            return float(val)
-        # complex s: transform real and imaginary parts separately
-        return complex(_euler_transform_alternating(d.real),
-                       _euler_transform_alternating(d.imag))
-    angle = snap_unit_angle(cmath.exp(1j * t), tol=1e-12,
-                            max_den=COSH_ANGLE_MAX_DEN)
-    if angle is None or not 0 < angle < 0.5:
-        raise ValueError(f"t = {t!r} is not a torsion angle 2 pi p/q "
-                         f"with q <= {COSH_ANGLE_MAX_DEN}")
-    p, q = angle.numerator, angle.denominator
-    r = np.arange(1, q)
-    sines = np.sin(2.0 * math.pi * ((p * r) % q) / q)
-    psi_gap = digamma((r + s + 1.0) / q) - digamma((r + s - 1.0) / q)
-    val = np.dot(sines, psi_gap) / (q * math.sin(2.0 * math.pi * p / q))
+        val = 1.0 / s - (digamma((s + 2.0) / 2.0) - digamma((s + 1.0) / 2.0))
+    else:
+        angle = snap_unit_angle(cmath.exp(1j * t), tol=1e-12,
+                                max_den=COSH_ANGLE_MAX_DEN)
+        if angle is None or not 0 < angle < 0.5:
+            raise ValueError(f"t = {t!r} is not a torsion angle 2 pi p/q "
+                             f"with q <= {COSH_ANGLE_MAX_DEN}")
+        p, q = angle.numerator, angle.denominator
+        r = np.arange(1, q)
+        sines = np.sin(2.0 * math.pi * ((p * r) % q) / q)
+        psi_gap = digamma((r + s + 1.0) / q) - digamma((r + s - 1.0) / q)
+        val = np.dot(sines, psi_gap) / (q * math.sin(2.0 * math.pi * p / q))
     if abs(s.imag) < 1e-15:
         return float(val.real)
     return complex(val)
 
 
-def _sinh_over_cosh_shift(x: float, c: float) -> float:
-    """sinh x / (cosh x - c), written to avoid overflow for large x."""
-    e = math.exp(-x)
-    return (1.0 - e * e) / (1.0 + e * e - 2.0 * c * e)
+def _cosh_kernel_integral(g: Callable, cos_t: float) -> tuple:
+    """(Integral_0^inf g(x) sinh x / (cosh x - cos t) dx, error estimate)
+    by the half-line rule, for the real part of a g that acts on arrays."""
+    def integrand(x):
+        e = np.exp(-x)   # sinh x / (cosh x - cos t) without overflow
+        return (g(x) * (1.0 - e * e) / (1.0 + e * e - 2.0 * cos_t * e)).real
+
+    return integrate_halfline(integrand, **QUAD_EPS)
 
 
-def cosh_integral_quad(s, t: float) -> float:
-    """Direct quadrature of the same integral; the independent oracle."""
-    from scipy.integrate import quad
+def cosh_integral_quad(s, t: float):
+    """Direct quadrature of the same integral, one pass per part of
+    e^(-s x); the independent oracle."""
     s = complex(s)
-    c = math.cos(t)
-
-    def f(x):
-        return (cmath.exp(-s * x)).real * _sinh_over_cosh_shift(x, c)
-
-    val, err = quad(f, 0.0, np.inf, limit=300, **QUAD_EPS)
+    val, _ = _cosh_kernel_integral(lambda x: np.exp(-s * x).real, math.cos(t))
     if abs(s.imag) >= 1e-15:
-        def f_im(x):
-            return (cmath.exp(-s * x)).imag * _sinh_over_cosh_shift(x, c)
-        vi, _ = quad(f_im, 0.0, np.inf, limit=300, **QUAD_EPS)
-        return complex(val, vi)
+        im, _ = _cosh_kernel_integral(lambda x: np.exp(-s * x).imag,
+                                      math.cos(t))
+        return complex(val, im)
     return val
 
 
@@ -342,14 +318,7 @@ def cuspidal_elliptic_term(g: Callable, blocks: XiBlocks) -> tuple:
     weight_sum = 0.0 + 0.0j
     error = 0.0
     for w, t in blocks.ce_weights:
-        cos_t = math.cos(t)
-
-        def integrand(x):
-            e = np.exp(-x)   # sinh x / (cosh x - cos t) without overflow
-            return (g(x) * (1.0 - e * e)
-                    / (1.0 + e * e - 2.0 * cos_t * e)).real
-
-        integral, err = integrate_halfline(integrand, **QUAD_EPS)
+        integral, err = _cosh_kernel_integral(g, math.cos(t))
         constant += w * integral
         weight_sum += w
         error += abs(w) * err
@@ -362,21 +331,6 @@ def cuspidal_elliptic_term(g: Callable, blocks: XiBlocks) -> tuple:
 def digamma_halfplane_value(s) -> complex:
     """psi(1+s): the analytic value of the Poisson digamma integral."""
     return complex(digamma(1.0 + complex(s)))
-
-
-def digamma_poisson_integral(s: float) -> float:
-    """(1/2pi) Integral_R 2s/(s^2+w^2) psi(1+iw) dw by quadrature, Re s > 0.
-
-    Equals psi(1+s); the odd imaginary part of psi(1+iw) integrates to zero.
-    """
-    from scipy.integrate import quad
-    from scipy.special import digamma
-    if s <= 0:
-        raise ValueError("need s > 0")
-    val, _ = quad(lambda w: (2.0 * s / (s * s + w * w))
-                  * digamma(complex(1.0, w)).real,
-                  0.0, np.inf, limit=300, **QUAD_EPS)
-    return 2.0 * val / (2.0 * math.pi)
 
 
 def parabolic_term(h: Callable, g0: complex, blocks: XiBlocks) -> tuple:
@@ -411,8 +365,9 @@ def exact_cyclotomic_trace(chi: UnitaryRep, g) -> CyclotomicValue:
     if exact is not None:
         return exact
     z = chi.trace(g)
-    b = Fraction(z.imag / (math.sqrt(3.0) / 2.0)).limit_denominator(48)
-    a = Fraction(z.real + float(b) / 2.0).limit_denominator(48)
+    omega = EISENSTEIN.to_complex((0, 1))
+    b = Fraction(z.imag / omega.imag).limit_denominator(48)
+    a = Fraction(z.real - float(b) * omega.real).limit_denominator(48)
     cand = CyclotomicValue(a, b)
     if abs(cand.to_complex() - z) > 1e-9:
         raise ValueError(f"trace {z} is not recognizably in Q(omega)")

@@ -5,8 +5,10 @@ The transform of a point-pair kernel k is
     h(1 - s^2) = (pi/s) int_1^inf k((t + 1/t)/2) (t^s - t^{-s}) (t - 1/t) dt/t,
 
 and g is the Fourier transform g(x) = (1/2 pi) int h(1 + t^2) e^{-itx} dt.
-Everything here is plain quadrature; the only subtlety is the s = 0 limit
-of the Selberg integrand and the oscillatory weight for g.
+Everything here is plain quadrature on selberg3.quadrature: the half-line
+rule for the transform and g(0), the cosine rule for g.  The only
+subtleties are the s = 0 limit of the Selberg integrand and the
+oscillatory weight for g.
 """
 from __future__ import annotations
 
@@ -18,9 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import QuadratureError
-
-QUAD_TOL = 1e-10
+from .quadrature import (QUAD_EPS, QuadratureError, integrate, integrate_cos,
+                         integrate_halfline)
 
 
 @dataclass(frozen=True)
@@ -28,9 +29,10 @@ class TestFunctionTriple:
     """A compatible (k, h, g) family; members may be closed-form or derived.
 
     h is a function of the eigenvalue w = 1 - s^2; g is even on R; k acts
-    on the point-pair distance delta >= 1.  The geometric side integrates
-    h and g with quadrature.integrate_halfline, so there they must act
-    elementwise on numpy arrays as well as on scalars.
+    on the point-pair distance delta >= 1.  Every quadrature that reads h
+    or g (the geometric side, g0_consistency, g_from_h) calls them on numpy
+    arrays of abscissae, so they must act elementwise on arrays as well as
+    on scalars.
     """
 
     __test__ = False  # not a pytest test class despite the name
@@ -45,49 +47,40 @@ class TestFunctionTriple:
         A finite upper limit accommodates h members that are themselves
         quadratures and cannot be evaluated at enormous eigenvalues.
         """
-        from scipy.integrate import quad
-        val, err = quad(lambda t: complex(self.h(1.0 + t * t)).real, 0, upper,
-                        epsabs=QUAD_TOL, limit=300)
+        def f(t):
+            return np.real(self.h(1.0 + t * t))
+
+        val, err = (integrate_halfline(f, **QUAD_EPS) if upper == np.inf
+                    else integrate(f, 0.0, upper, **QUAD_EPS))
         if err > 1e-7:
             raise QuadratureError(f"g(0) cross-check quadrature error {err:.2e}")
         return abs(val / math.pi - self.g(0.0))
 
 
-def _quad_complex(f, a, b, **kw):
-    from scipy.integrate import quad
-    re, re_err = quad(lambda t: f(t).real, a, b, **kw)
-    im, im_err = quad(lambda t: f(t).imag, a, b, **kw)
-    return complex(re, im), max(re_err, im_err)
-
-
 def shc_h_from_k(k: Callable[[float], float], lam: complex) -> complex:
     """Transform value h(lam) at eigenvalue lam = 1 - s^2, Re s >= 0.
 
-    The factor (t^s - t^{-s})/s is evaluated as 2 sinh(s log t)/s, which
-    passes smoothly through the s = 0 limit 2 log t with no cancellation.
+    k must act elementwise on numpy arrays.  The factor (t^s - t^{-s})/s is
+    evaluated as 2 sinh(s log t)/s, which passes smoothly through the s = 0
+    limit 2 log t with no cancellation.  The half-line rule runs over
+    u = t - 1, once for a real s and once per part for a complex one.
     """
-    from scipy.integrate import quad
     s = cmath.sqrt(1.0 - lam)
 
-    def stretched(log_t: float) -> complex:
-        if s == 0:
-            return 2.0 * log_t
-        return 2.0 * cmath.sinh(s * log_t) / s
+    def integrand(u):
+        t = 1.0 + u
+        log_t = np.log1p(u)
+        stretched = 2.0 * log_t if s == 0 else 2.0 * np.sinh(s * log_t) / s
+        return k((t + 1.0 / t) / 2.0) * stretched * (t - 1.0 / t) / t
 
-    def integrand(t):
-        return (k((t + 1.0 / t) / 2.0) * stretched(math.log(t))
-                * (t - 1.0 / t) / t)
-
-    if s.imag == 0:
-        val, err = quad(lambda t: integrand(t).real, 1.0, np.inf,
-                        epsabs=QUAD_TOL, limit=200)
-        val = complex(val)
-    else:
-        val, err = _quad_complex(integrand, 1.0, np.inf,
-                                 epsabs=QUAD_TOL, limit=200)
+    val, err = integrate_halfline(lambda u: np.real(integrand(u)), **QUAD_EPS)
+    if s.imag != 0:
+        im, im_err = integrate_halfline(lambda u: np.imag(integrand(u)),
+                                        **QUAD_EPS)
+        val, err = complex(val, im), max(err, im_err)
     if err > 1e-7:
         raise QuadratureError(f"transform quadrature error {err:.2e} at lam={lam}")
-    return math.pi * val
+    return math.pi * complex(val)
 
 
 def _check_growth(h):
@@ -102,48 +95,21 @@ def _check_growth(h):
 def g_from_h(h: Callable[[complex], complex], x: float) -> float:
     """g(x) = (1/pi) int_0^inf h(1+t^2) cos(tx) dt for even real-valued h.
 
-    Oscillatory weight quadrature with a decade-splitting fallback; the
+    h must act elementwise on numpy arrays.  The cosine rule of
+    quadrature.integrate_cos for x != 0, the half-line rule at x = 0; the
     admissibility of h is checked only by sampling (advisory warning).
     """
-    from scipy.integrate import quad
     _check_growth(h)
     x = abs(float(x))
 
     def f(t):
-        return complex(h(1.0 + t * t)).real
+        return np.real(h(1.0 + t * t))
 
-    if x < 1e-12:
-        val, err = quad(f, 0, np.inf, epsabs=QUAD_TOL, limit=200)
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                val, err = quad(f, 0, np.inf, weight="cos", wvar=x, limlst=80)
-            except Warning:
-                val, err = _decade_split_cos(f, x)
+    val, err = (integrate_cos(f, x, **QUAD_EPS) if x
+                else integrate_halfline(f, **QUAD_EPS))
     if err > 1e-7:
         raise QuadratureError(f"oscillatory quadrature error {err:.2e} at x={x}")
     return val / math.pi
-
-
-def _decade_split_cos(f, x):
-    """Fallback: finite cosine-weight panels with a geometric tail estimate."""
-    from scipy.integrate import quad
-    total = 0.0
-    err = 0.0
-    a = 0.0
-    b = 10.0
-    last = math.inf
-    for _ in range(6):
-        val, e = quad(lambda t: f(t) * math.cos(x * t), a, b,
-                      epsabs=QUAD_TOL, limit=400)
-        total += val
-        err = max(err, e)
-        last = abs(val)
-        if last < QUAD_TOL:
-            break
-        a, b = b, 10.0 * b
-    return total, max(err, last)
 
 
 def resolvent_pair(s: float, B: float) -> TestFunctionTriple:
@@ -170,12 +136,13 @@ def resolvent_pair(s: float, B: float) -> TestFunctionTriple:
 
 
 def gaussian_kernel(a: float = 4.0) -> Callable[[float], float]:
-    """Rapid-decay point-pair kernel exp(-a (delta-1)^2) for transform tests."""
+    """Rapid-decay point-pair kernel exp(-a (delta-1)^2) for transform tests;
+    it acts elementwise on numpy arrays."""
     if a <= 0:
         raise ValueError("need a > 0")
 
-    def k(delta: float) -> float:
+    def k(delta):
         d = delta - 1.0
-        return math.exp(-a * d * d)
+        return np.exp(-a * d * d)
 
     return k

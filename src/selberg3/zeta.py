@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arithmetic_group import PrimitiveLoxodromicClass
+from .quadrature import loggamma
 from .representation import (UnitaryRep, simultaneous_diagonalization,
                              snap_unit_angle)
-from .trace_formula import (SpectralSideInputs, XiBlocks,
-                            _euler_transform_alternating, cosh_integral,
+from .trace_formula import (SpectralSideInputs, XiBlocks, cosh_integral,
                             digamma_halfplane_value, geometric_blocks)
 
 __all__ = [
@@ -401,6 +401,20 @@ def meromorphy_report(records: Sequence[DivisorRecord],
 # ---------------------------------------------------------------------------
 # functional-equation factor
 
+def _euler_transform_alternating(terms: np.ndarray):
+    """Sum of (-1)^j terms[j] by repeated forward differencing, in the
+    dtype of terms (real or complex)."""
+    coeffs = np.asarray(terms)
+    total = 0.0
+    for n in range(len(coeffs)):
+        total += coeffs[0] / 2.0 ** (n + 1)
+        coeffs = coeffs[:-1] - coeffs[1:]
+        if len(coeffs) == 0 or (abs(coeffs[0]) / 2.0 ** (n + 2) < 1e-17
+                                and n > 8):
+            break
+    return total
+
+
 def abel_product_log(s, terms: int = 80) -> complex:
     """Abel-regularized log of prod_k exp(-k (-1)^k ((k-1)^2-s^2)/((k+1)^2-s^2)).
 
@@ -432,7 +446,6 @@ def functional_factor_psi(s, index: int, k_infinity: int, l_infinity: int,
     product to the power (k_inf - l_inf)/2, same exponential.
     exp(C) = +-1 is not determined here; choose via exp_c_sign.
     """
-    from scipy.special import loggamma
     if index == 3:
         raise ValueError("no functional-equation factor for cusp index 3")
     if index not in (1, 2):

@@ -345,6 +345,20 @@ class TestZeta:
         assert err.startswith("usage error:")
         assert "exceed 1" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.5", "3"])
+    def test_bad_trs0_is_a_usage_error(self, capsys, value):
+        # non-finite, non-integral, or |trS0| > k_inf = 1 for picard
+        code, out, err = run(capsys, "zeta", *PICARD_SMALL, f"--trs0={value}")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "trs0" in err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_documented_order_must_be_positive(self, capsys, value):
+        code, out, err = run(capsys, "zeta", *PICARD_SMALL,
+                             f"--documented-order={value}")
+        assert (code, out) == (1, "")
+        assert "documented-order" in err
+
 
 # -- trace -------------------------------------------------------------------
 

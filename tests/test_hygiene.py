@@ -1,7 +1,8 @@
 """Source hygiene: every name imported in the package is used, every
 module-level private name is read somewhere in the package, every name a
 module exports in __all__ is bound in it, and every public function, class,
-method and property is used outside the tests or allowlisted."""
+method, property and dataclass field is used outside the tests or
+allowlisted."""
 import ast
 import importlib
 import pathlib
@@ -201,7 +202,6 @@ def test_detector_sees_unread_private_names():
 
 # public names that only tests call, each kept for a reason
 TEST_ONLY_ALLOWLIST = {
-    "digamma_poisson_integral": "quadrature oracle of psi(1+s) in the dual-route digamma test",
     "congruence_table_rep": "higher-dimensional representations from generator tables",
     "direct_sum": "sums of representations for the singular-space and divisor checks",
     "spectral_divisor": "spectral side of the divisor, fed externally supplied eigenvalues",
@@ -318,3 +318,63 @@ def test_detector_sees_methods_read_nowhere():
     assert public_methods_read_nowhere(sources, {"a.py"}) == [
         ("a.py", "Box.recursive"), ("a.py", "Box.shadowed"),
         ("a.py", "Box.size")]
+
+
+# public dataclass fields that only tests read, each kept for a reason
+TEST_ONLY_FIELDS = {
+    "SingularData.V_prime_infinity": "basis of the non-singular cusp space, "
+                                     "kept beside V_infinity for the open "
+                                     "scattering-matrix work",
+    "TestFunctionTriple.k": "point-pair kernel of a triple, which the "
+                            "transform checks derive h from",
+}
+
+
+def dataclass_fields_read_nowhere(sources: dict, defining: set) -> list:
+    """(path, "Class.field") of each public field of a @dataclass class in
+    a defining module that no source reads as an attribute.
+
+    A field is an annotated assignment in the class body.  Only attribute
+    loads count: building the record with field=value writes the field,
+    and a class body's own annotation does not read it.
+    """
+    reads = set()
+    definitions = []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                reads.add(node.attr)
+            elif (path in defining and isinstance(node, ast.ClassDef)
+                  and any("dataclass" in ast.unparse(d)
+                          for d in node.decorator_list)):
+                definitions.extend(
+                    (path, f"{node.name}.{stmt.target.id}")
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and not stmt.target.id.startswith("_"))
+    return sorted((path, name) for path, name in definitions
+                  if name.split(".")[1] not in reads)
+
+
+def test_dataclass_fields_are_read_outside_tests():
+    sources = {p.name if p.parent == SRC else f"{p.parent.name}/{p.name}":
+               p.read_text() for d in CALLERS for p in sorted(d.glob("*.py"))}
+    unread = dataclass_fields_read_nowhere(sources, {p.name for p in MODULES})
+    assert sorted(name for _, name in unread) == sorted(TEST_ONLY_FIELDS)
+
+
+def test_detector_sees_dataclass_fields_read_nowhere():
+    sources = {
+        "a.py": ("from dataclasses import dataclass\n"
+                 "@dataclass(frozen=True)\n"
+                 "class Record:\n"
+                 "    used: int\n    written: int = 0\n    _private: int = 0\n"
+                 "    LIMIT = 3\n"
+                 "class Plain:\n    unread: int = 0\n"
+                 "def build():\n    return Record(used=1, written=2)\n"),
+        "b.py": "import a\nvalue = a.build().used\n",
+    }
+    assert dataclass_fields_read_nowhere(sources, {"a.py"}) == [
+        ("a.py", "Record.written")]

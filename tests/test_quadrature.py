@@ -1,11 +1,12 @@
-"""The numpy digamma, trigamma and half-line rule against mpmath."""
+"""The numpy digamma, log-gamma and trigamma, and the quadrature rules,
+against mpmath and closed forms."""
 import math
 
 import numpy as np
 import pytest
 
-from selberg3.quadrature import digamma, integrate_halfline, trigamma
-from selberg3.trace_formula import QUAD_EPS
+from selberg3.quadrature import (QUAD_EPS, digamma, integrate, integrate_cos,
+                                 integrate_halfline, loggamma, trigamma)
 from selberg3.transform import QuadratureError
 
 # (s, B) resolvent pairs at which scipy's default tolerances once left
@@ -49,6 +50,21 @@ def test_digamma_scalar_and_shape():
     assert np.ndim(digamma(2.0)) == 0
     assert abs(digamma(1.0) + 0.57721566490153286) <= 2e-16
     assert digamma(np.ones((3, 4))).shape == (3, 4)
+
+
+def test_loggamma_against_mpmath(mp):
+    """Principal branch, on and off the cut, and at the arguments 1 -+ s of
+    the functional-equation factor's Gamma ratio."""
+    grid = [complex(x, y) for x in (-7.5, -1.5, -0.5, 1e-8, 1e-3, 0.5, 1.0,
+                                    1.4616, 2.0, 9.5, 10.0, 40.0, 300.0)
+            for y in (0.0, 1e-3, 0.5, -3.0, 40.0, -250.0, 1e3)]
+    grid += [1.0 + sign * s for s in (0.25, 0.5, 2.5, 1 + 2j, 0.3 - 4j)
+             for sign in (1.0, -1.0)]
+    got = loggamma(np.array(grid))
+    for z, value in zip(grid, got):
+        want = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+        assert abs(value - want) <= 1e-14 * max(1.0, abs(want)), z
+    assert np.ndim(loggamma(2.0)) == 0
 
 
 @pytest.mark.parametrize("x", [0.01, 0.25, 1 / 3, 2 / 3, 0.75, 1.0, 7.5,
@@ -149,9 +165,38 @@ def test_rounds_are_vectorized(s, big):
         assert sizes[0] == 8 * 15 and all(n % 30 == 0 for n in sizes[1:])
 
 
+def test_finite_interval():
+    """The finite rule alone, against closed forms."""
+    got, err = integrate(np.exp, -1.0, 2.0, **QUAD_EPS)
+    assert abs(got - (math.exp(2.0) - math.exp(-1.0))) <= 1e-14
+    assert err <= 1e-12 * got
+    got, _ = integrate(lambda t: np.sqrt(t), 0.0, 4.0, **QUAD_EPS)
+    assert abs(got - 16.0 / 3.0) <= 1e-12
+
+
+# f and its cosine transform Integral_0^inf f(t) cos(x t) dt
+COSINE_PAIRS = {
+    # entire, with a transform that vanishes to round-off at large x
+    "gaussian": (lambda t: np.exp(-t * t),
+                 lambda x: 0.5 * math.sqrt(math.pi) * math.exp(-x * x / 4.0)),
+    # a t^-2 tail: at small x the cosine turns only where f/t^2 is still
+    # large, and the tail runs thousands of half-periods
+    "lorentzian": (lambda t: 1.0 / (1.0 + t * t),
+                   lambda x: 0.5 * math.pi * math.exp(-x)),
+}
+
+
+@pytest.mark.parametrize("x", [1e-9, 1e-4, 0.3, 3.0, 30.0, 300.0])
+@pytest.mark.parametrize("name", sorted(COSINE_PAIRS))
+def test_cosine_rule_against_closed_forms(name, x):
+    f, transform = COSINE_PAIRS[name]
+    got, err = integrate_cos(f, x, **QUAD_EPS)
+    assert abs(got - transform(x)) <= max(err, 1e-14) <= 1e-11
+
+
 def test_divergent_integrand_raises():
     # Integral_0^inf dt/(1+t) diverges logarithmically
-    with pytest.raises(QuadratureError, match="half-line quadrature error"):
+    with pytest.raises(QuadratureError, match="quadrature error .* after"):
         integrate_halfline(lambda t: 1.0 / (1.0 + t), **QUAD_EPS)
 
 

@@ -1,6 +1,7 @@
 """Transform pair identities against closed forms."""
 import math
 
+import numpy as np
 import pytest
 
 from selberg3.transform import (
@@ -38,9 +39,11 @@ class TestResolventPair:
 
 class TestFourier:
     def test_matches_exponential_closed_form(self):
-        pair = resolvent_pair(2.0, 3.0)
-        for x in (0.0, 0.5, 1.0, 2.0, 5.0):
-            assert abs(g_from_h(pair.h, x) - pair.g(x)) < 1e-6
+        # x = 1e-9 and 1e-6 once returned about 0 without a warning
+        for s, big in ((2.0, 3.0), (1.05, 1.4)):
+            pair = resolvent_pair(s, big)
+            for x in (0.0, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0):
+                assert abs(g_from_h(pair.h, x) - pair.g(x)) < 1e-10, (s, x)
 
     def test_even_in_x(self):
         pair = resolvent_pair(2.0, 3.0)
@@ -69,6 +72,16 @@ class TestSelbergTransform:
         k = gaussian_kernel(4.0)
         assert abs(shc_h_from_k(k, 1.0) - shc_h_from_k(k, 1.0 - 1e-10)) < 1e-8
 
+    def test_complex_lambda_is_analytic(self):
+        # h is analytic in lam, so h(lam + i eps) = h(lam) + i eps h'(lam)
+        # + O(eps^2): the imaginary part matches the real-axis slope
+        k, lam, eps = gaussian_kernel(4.0), -0.7, 1e-3
+        slope = (shc_h_from_k(k, lam + eps)
+                 - shc_h_from_k(k, lam - eps)).real / (2.0 * eps)
+        z = shc_h_from_k(k, lam + 1j * eps)
+        assert abs(z.imag - eps * slope) <= 1e-10
+        assert abs(z.real - shc_h_from_k(k, lam).real) <= eps * eps
+
     def test_real_lambda_gives_real_value(self):
         k = gaussian_kernel(4.0)
         assert shc_h_from_k(k, 1.0 - 4.0).imag == 0.0
@@ -79,8 +92,9 @@ class TestSelbergTransform:
         a = 4.0
         k = gaussian_kernel(a)
         closed = math.pi * math.sqrt(math.pi / a)
-        trip = TestFunctionTriple(h=lambda w: shc_h_from_k(k, w).real,
-                                  g=lambda x: closed, k=k)
+        # h is itself a quadrature per eigenvalue: apply it elementwise
+        h = np.vectorize(lambda w: shc_h_from_k(k, w).real)
+        trip = TestFunctionTriple(h=h, g=lambda x: closed, k=k)
         assert trip.g0_consistency(upper=40.0) < 1e-8
 
     def test_kernel_validation(self):

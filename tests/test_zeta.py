@@ -299,7 +299,6 @@ class TestCrossModule:
         assert self._picard_pair_error(
             picard_data, 1.4324260309580783, 3.1682903188596496, -1.0) <= 1e-9
 
-    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     def test_completed_pair_at_round_off(self, picard_data):
         """At this (s, B) (spectral_eval seed 7) the identity and parabolic
         quadratures at scipy's default tolerances left a pair error of
