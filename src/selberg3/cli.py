@@ -453,7 +453,7 @@ def cmd_trace(config: RunConfig, args) -> int:
     loga_rows = [row(A=rep.A, coefficient=rep.logA_coefficient,
                      expected=rep.expected_logA_coefficient,
                      cancellation_error=cancel,
-                     cancel_ok=cancel <= 1e-9)]
+                     cancel_ok=bool(cancel <= 1e-9))]
     err_rows = [row(source=k, estimate=float(v))
                 for k, v in sorted(rep.errors.items())]
     emit(Report("trace", rows, {"logA_check": loga_rows,

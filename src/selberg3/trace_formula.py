@@ -33,6 +33,7 @@ __all__ = [
     "GeometricSideReport",
     "identity_term",
     "nce_term",
+    "length_spectrum",
     "LoxodromicTerm",
     "loxodromic_term",
     "cosh_integral",
@@ -42,7 +43,6 @@ __all__ = [
     "geometric_blocks",
     "cuspidal_elliptic_term",
     "parabolic_term",
-    "digamma_halfplane_value",
     "cuspidal_identity_check",
     "exact_cyclotomic_trace",
     "geometric_side",
@@ -128,6 +128,38 @@ def nce_term(g0: complex, classes: Sequence[NonCuspidalEllipticClass],
 # ---------------------------------------------------------------------------
 # loxodromic term
 
+def length_spectrum(classes: Sequence[PrimitiveLoxodromicClass],
+                    norm_caps) -> tuple:
+    """(family, n, v, log N(T), log N0 / (m |a(T) - a(T)^(-1)|^2)) as flat
+    arrays over every T = T0^n E^v (n >= 1, v = 1..m) with N(T) = N0^n at
+    most its family's cap (norm_caps: one cap, or one per family), in
+    (family, n, v) order: the one rule for the terms a loxodromic sum keeps.
+    """
+    n0 = np.array([c.N0 for c in classes], dtype=float)
+    m = np.array([c.m for c in classes], dtype=int)
+    caps = np.broadcast_to(norm_caps, n0.shape)[:, None, None]
+    # n runs one power past log cap / log N0; the comparison decides
+    top = int(np.max(np.log(caps) / np.log(n0), initial=0.0)) + 1
+    family, n, v = np.nonzero(
+        (n0[:, None, None] ** np.arange(1, top + 1)[:, None] <= caps)
+        & (np.arange(1, np.max(m, initial=1) + 1) <= m[:, None, None]))
+    n, v = n + 1, v + 1
+    a_t = (np.array([c.zeta0 for c in classes])[family] ** v
+           * np.array([c.a0 for c in classes])[family] ** n)
+    return (family, n, v, np.log(n0[family] ** n),
+            np.log(n0[family]) / (m[family] * np.abs(a_t - 1 / a_t) ** 2))
+
+
+def _matrix_powers(mats: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """mats[i]^exponents[i] over a stack of matrices, by batched products
+    and squarings, one of each per binary digit of the largest exponent."""
+    out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape).astype(complex)
+    while exponents.any():
+        out = np.where((exponents % 2 == 1)[:, None, None], out @ mats, out)
+        mats, exponents = mats @ mats, exponents // 2
+    return out
+
+
 @dataclass(frozen=True)
 class LoxodromicTerm:
     value: complex
@@ -137,48 +169,35 @@ class LoxodromicTerm:
 
 def loxodromic_term(g: Callable, classes: Sequence[PrimitiveLoxodromicClass],
                     chi: UnitaryRep, norm_bound: float) -> LoxodromicTerm:
-    """Sum over loxodromic classes T = T0^(n+1) E^v of
+    """Sum over loxodromic classes T = T0^n E^v of
 
         tr chi(T) g(log N(T)) log N(T0) / (m |a(T) - a(T)^(-1)|^2),
 
-    truncated at N(T) <= norm_bound.  The tail estimate extends the envelope
-    |tr| <= dim, |a - 1/a|^2 >= N(1 - 1/N)^2 over the next sixty powers.
+    truncated at N(T) <= norm_bound, with tr chi(T) from matrix powers of
+    chi(T0) and chi(E_T).  The tail estimate extends the envelope
+    |tr| <= dim, |a - 1/a|^2 >= N(1 - 1/N)^2 over each family's next sixty
+    powers, up to the first below 1e-18.  g is called twice, on arrays.
     """
     dim = chi.dim
-    eye = np.eye(dim, dtype=complex)
-    total = 0.0 + 0.0j
-    tail = 0.0
-    used = 0
-    for cls in classes:
-        log_n0 = math.log(cls.N0)
-        m = cls.m
-        u_mat = chi(cls.T0)
-        w_mat = chi(cls.E_T) if cls.E_T is not None else eye
-        w_pows = [eye]
-        for _ in range(m):
-            w_pows.append(w_pows[-1] @ w_mat)
-        u_pow = eye
-        n = 0
-        while cls.N0 ** (n + 1) <= norm_bound:
-            u_pow = u_pow @ u_mat
-            a_pow = cls.a0 ** (n + 1)
-            norm_t = cls.N0 ** (n + 1)
-            g_val = g(math.log(norm_t))
-            for v in range(1, m + 1):
-                a_t = (cls.zeta0 ** v) * a_pow
-                denom = abs(a_t - 1.0 / a_t) ** 2
-                tr = complex(np.trace(u_pow @ w_pows[v]))
-                total += tr * g_val * log_n0 / (m * denom)
-                used += 1
-            n += 1
-        for extra in range(n, n + 60):
-            norm_t = cls.N0 ** (extra + 1)
-            env = (dim * abs(g(math.log(norm_t))) * log_n0
-                   / (norm_t * (1.0 - 1.0 / norm_t) ** 2))
-            tail += env
-            if env < 1e-18:
-                break
-    return LoxodromicTerm(value=total, tail_estimate=tail, terms_used=used)
+    family, n, v, lengths, weights = length_spectrum(classes, norm_bound)
+    eye = np.eye(dim)
+    mats = np.array([(chi(c.T0), eye if c.E_T is None else chi(c.E_T))
+                     for c in classes], dtype=complex).reshape(-1, 2, dim, dim)
+    traces = np.trace(_matrix_powers(mats[family, 0], n)
+                      @ _matrix_powers(mats[family, 1], v), axis1=1, axis2=2)
+    terms = traces * weights * g(lengths)
+    # sequential: numpy's pairwise order would move the report's last digit
+    value = np.cumsum(terms)[-1] if terms.size else 0j
+    kept = np.bincount(family[v == 1], minlength=len(classes))  # powers kept
+    n0 = np.array([c.N0 for c in classes], dtype=float)[:, None]
+    with np.errstate(over="ignore"):   # N0^k = inf gives env = 0
+        norm = n0 ** (kept[:, None] + np.arange(1, 61))
+    env = (dim * np.abs(g(np.log(norm))) * np.log(n0)
+           / (norm * (1.0 - 1.0 / norm) ** 2))
+    small = env < 1e-18
+    tail = np.sum(env[np.cumsum(small, axis=1) - small == 0])
+    return LoxodromicTerm(value=complex(value), tail_estimate=float(tail),
+                          terms_used=len(lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +346,6 @@ def cuspidal_elliptic_term(g: Callable, blocks: XiBlocks) -> tuple:
 
 # ---------------------------------------------------------------------------
 # parabolic term
-
-def digamma_halfplane_value(s) -> complex:
-    """psi(1+s): the analytic value of the Poisson digamma integral."""
-    return complex(digamma(1.0 + complex(s)))
-
 
 def parabolic_term(h: Callable, g0: complex, blocks: XiBlocks) -> tuple:
     """(constant, log A coefficient, error estimate) of the cusp-at-infinity

@@ -31,8 +31,8 @@ class TestFunctionTriple:
     h is a function of the eigenvalue w = 1 - s^2; g is even on R; k acts
     on the point-pair distance delta >= 1.  Every quadrature that reads h
     or g (the geometric side, g0_consistency, g_from_h) calls them on numpy
-    arrays of abscissae, so they must act elementwise on arrays as well as
-    on scalars.
+    arrays of abscissae, and the loxodromic term calls g once on all its
+    lengths, so they must act elementwise on arrays as well as on scalars.
     """
 
     __test__ = False  # not a pytest test class despite the name
@@ -103,7 +103,9 @@ def g_from_h(h: Callable[[complex], complex], x: float) -> float:
     x = abs(float(x))
 
     def f(t):
-        return np.real(h(1.0 + t * t))
+        # x < 1e-150 reaches t * t = inf: h's limit, or non-finite and caught
+        with np.errstate(over="ignore"):
+            return np.real(h(1.0 + t * t))
 
     val, err = (integrate_cos(f, x, **QUAD_EPS) if x
                 else integrate_halfline(f, **QUAD_EPS))
@@ -123,14 +125,13 @@ def resolvent_pair(s: float, B: float) -> TestFunctionTriple:
         raise ValueError("need 1 < s < B")
 
     def h(w: complex) -> complex:
-        return 1.0 / (s * s + w - 1.0) - 1.0 / (B * B + w - 1.0)
+        # one quotient (the difference of the two resolvents cancels to an
+        # absolute 1e-16), by two divisions (a product would overflow)
+        return (B * B - s * s) / (s * s + w - 1.0) / (B * B + w - 1.0)
 
     def g(x):
-        # math.exp for a scalar (one call per loxodromic class power),
-        # numpy's for the node arrays of the half-line rule
-        ax = abs(x)
-        exp = np.exp if isinstance(ax, np.ndarray) else math.exp
-        return exp(-s * ax) / (2.0 * s) - exp(-B * ax) / (2.0 * B)
+        ax = np.abs(x)
+        return np.exp(-s * ax) / (2.0 * s) - np.exp(-B * ax) / (2.0 * B)
 
     return TestFunctionTriple(h=h, g=g, k=None)
 

@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arithmetic_group import PrimitiveLoxodromicClass
-from .quadrature import loggamma
+from .quadrature import digamma, loggamma
 from .representation import (UnitaryRep, simultaneous_diagonalization,
                              snap_unit_angle)
 from .trace_formula import (SpectralSideInputs, XiBlocks, cosh_integral,
-                            digamma_halfplane_value, geometric_blocks)
+                            geometric_blocks, length_spectrum)
 
 __all__ = [
     "ZetaClassData",
@@ -177,19 +177,14 @@ def zeta_tail_bound(s, data: Sequence[ZetaClassData], kl_cutoff: int) -> float:
 
     Each omitted factor has |x| = N0^-(k+l) N0^-(Re s+1) and at most
     (total+1) selected pairs share k + l = total; |log(1-x)| <= 2|x| on
-    |x| <= 1/2.
+    |x| <= 1/2.  With q = 1/N0 and K = kl_cutoff, the sum over total > K
+    of (total+1) q^total is q^(K+1) (K+2 - (K+1) q) / (1-q)^2.
     """
-    s_real = complex(s).real
-    bound = 0.0
-    for zcd in data:
-        n0 = zcd.cls.N0
-        dim = len(zcd.t_eigen)
-        for total in range(kl_cutoff + 1, kl_cutoff + 200):
-            contrib = dim * (total + 1) * n0 ** (-(total + s_real + 1.0))
-            bound += 2.0 * contrib
-            if contrib < 1e-20:
-                break
-    return bound
+    k = kl_cutoff
+    q = np.array([1.0 / z.cls.N0 for z in data])
+    dim = np.array([len(z.t_eigen) for z in data])
+    return float(np.sum(2.0 * dim * q ** (complex(s).real + k + 2.0)
+                        * (k + 2 - (k + 1) * q) / (1.0 - q) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -219,32 +214,21 @@ def log_derivative_series(s, data: Sequence[ZetaClassData],
         return total
     if route != "classes":
         raise ValueError(f"unknown route {route!r}")
-    total = 0.0 + 0.0j
-    for zcd in data:
-        cls = zcd.cls
-        m, n0, a0, zeta0 = cls.m, cls.N0, cls.a0, cls.zeta0
-        log_n0 = math.log(n0)
-        n = 1
-        while True:
-            norm = n0 ** n
-            if power_norm_bound is not None:
-                if norm > power_norm_bound:
-                    break
-            else:
-                dim = len(zcd.t_eigen)
-                envelope = (dim * log_n0 * norm ** (-s.real)
-                            / (norm * (1.0 - 1.0 / norm) ** 2))
-                if envelope < FACTOR_TOL:
-                    break
-            a_pow = a0 ** n
-            for v in range(1, m + 1):
-                a_t = (zeta0 ** v) * a_pow
-                tr = sum(t ** n * tp ** v
-                         for t, tp in zip(zcd.t_eigen, zcd.t_prime_eigen))
-                total += (tr * log_n0 * norm ** (-s)
-                          / (m * abs(a_t - 1.0 / a_t) ** 2))
-            n += 1
-    return total
+    t = np.array([z.t_eigen for z in data], dtype=complex, ndmin=2)
+    t_prime = np.array([z.t_prime_eigen for z in data], dtype=complex,
+                       ndmin=2)
+    caps = power_norm_bound
+    if caps is None:
+        # with |tr| <= dim and |a - 1/a|^2 >= N (1 - 1/N0)^2, keep each N at
+        # which dim log N0 N^(-Re s - 1) / (1 - 1/N0)^2 reaches FACTOR_TOL
+        n0 = np.array([z.cls.N0 for z in data])
+        caps = (t.shape[1] * np.log(n0) / (FACTOR_TOL * (1.0 - 1.0 / n0) ** 2)
+                ) ** (1.0 / (s.real + 1.0))
+    family, n, v, lengths, weights = length_spectrum([z.cls for z in data],
+                                                     caps)
+    traces = np.sum(t[family] ** n[:, None] * t_prime[family] ** v[:, None],
+                    axis=1)
+    return complex(np.sum(traces * weights * np.exp(-s * lengths)))
 
 
 @dataclass(frozen=True)
@@ -483,7 +467,7 @@ def xi_log_derivative(s, data: Sequence[ZetaClassData], blocks: XiBlocks,
                                    power_norm_bound=power_norm_bound)
     ratio = blocks.l_infinity / blocks.index
     value = (z_part
-             - ratio * digamma_halfplane_value(s)
+             - ratio * digamma(1.0 + s)
              - (trS0 - ratio) / (2.0 * s)
              + blocks.nce_constant + blocks.log_c_sum + blocks.cusp_constant
              - blocks.vol * blocks.dim_v / (2.0 * math.pi) * s * s)

@@ -11,15 +11,15 @@ from selberg3 import lattice_lfn, trace_formula
 from selberg3.arithmetic_group import (EISENSTEIN_GROUP, PICARD,
                                        NonCuspidalEllipticClass)
 from selberg3.lattice_lfn import kappa_lattice
-from selberg3.quadrature import QUAD_EPS
-from selberg3.representation import (CyclotomicValue, find_character,
-                                     singular_spaces, trivial_rep)
+from selberg3.quadrature import QUAD_EPS, digamma
+from selberg3.representation import (CyclotomicValue, direct_sum,
+                                     find_character, singular_spaces,
+                                     trivial_rep)
 from selberg3.trace_formula import (EULER_GAMMA, SpectralSideInputs,
                                     XiBlocks, cosh_integral,
                                     cosh_integral_quad,
                                     cuspidal_elliptic_term,
                                     cuspidal_identity_check,
-                                    digamma_halfplane_value,
                                     exact_cyclotomic_trace, geometric_blocks,
                                     geometric_side, identity_term,
                                     loxodromic_term, nce_term,
@@ -110,6 +110,15 @@ class TestIdentityTerm:
         assert abs(got - want) < 1e-12
         assert 0.0 < err < 1e-12
 
+    @pytest.mark.parametrize("group", [PICARD, EISENSTEIN_GROUP],
+                             ids=["picard", "eisenstein"])
+    def test_closed_form_within_estimate(self, group):
+        # as a difference of two resolvents, h cancelled to a noise that
+        # left Picard's value 5.9e-15 off with an estimate of 4.7e-16
+        s, big = 1.4324260309580783, 3.1682903188596496
+        got, err = identity_term(resolvent_pair(s, big).h, group.volume, 1)
+        assert abs(got - group.volume * (big - s) / (4.0 * math.pi)) <= err
+
     def test_scales_with_dim(self, triple):
         one, _ = identity_term(triple.h, PICARD.volume, 1)
         three, _ = identity_term(triple.h, PICARD.volume, 3)
@@ -140,7 +149,7 @@ class TestDigammaForms:
     @pytest.mark.parametrize("s", [0.3, 0.7, 1.5, 2.0])
     def test_quadrature_equals_shifted_digamma(self, s):
         assert abs(digamma_poisson_integral(s)
-                   - digamma_halfplane_value(s).real) < 1e-9
+                   - digamma(1.0 + s).real) < 1e-9
 
 
 # -- non-cuspidal elliptic term ---------------------------------------------
@@ -176,7 +185,55 @@ class TestNceTerm:
 
 # -- loxodromic term --------------------------------------------------------
 
+def _loxodromic_loop(g, classes, chi, norm_bound):
+    """(value, tail, terms) term by term, one class, power and rotation at
+    a time: the reference for the flat length-spectrum sum."""
+    total, tail, used = 0j, 0.0, 0
+    for cls in classes:
+        u = chi(cls.T0)
+        w = np.eye(chi.dim) if cls.E_T is None else chi(cls.E_T)
+        log_n0, n = math.log(cls.N0), 1
+        while cls.N0 ** n <= norm_bound:
+            for v in range(1, cls.m + 1):
+                a = cls.zeta0 ** v * cls.a0 ** n
+                tr = np.trace(np.linalg.matrix_power(u, n)
+                              @ np.linalg.matrix_power(w, v))
+                total += (tr * g(n * log_n0) * log_n0
+                          / (cls.m * abs(a - 1 / a) ** 2))
+                used += 1
+            n += 1
+        for k in range(n, n + 60):
+            norm = cls.N0 ** k
+            env = (chi.dim * abs(g(math.log(norm))) * log_n0
+                   / (norm * (1 - 1 / norm) ** 2))
+            tail += env
+            if env < 1e-18:
+                break
+    return total, tail, used
+
+
 class TestLoxodromicTerm:
+    @pytest.mark.parametrize("group_key,char_spec", [
+        ("picard", None), ("picard", "sign"), ("picard", "trivial+sign"),
+        ("eisenstein", None), ("eisenstein", "cube")])
+    @pytest.mark.parametrize("norm_bound", [3.0, 7.0, 14.0])
+    def test_matches_term_by_term_loop(self, group_key, char_spec,
+                                       norm_bound, picard_data,
+                                       eisenstein_data, triple):
+        gd = picard_data if group_key == "picard" else eisenstein_data
+        trivial = trivial_rep(gd.group.ring)
+        sign = find_character(PICARD, (1, 1), -1, -1, 1)
+        chi = {None: trivial, "sign": sign,
+               "trivial+sign": direct_sum([trivial, sign]),
+               "cube": find_character(EISENSTEIN_GROUP, (1, 2), OMEGA, OMEGA,
+                                      1)}[char_spec]
+        out = loxodromic_term(triple.g, gd.loxodromic, chi, norm_bound)
+        value, tail, used = _loxodromic_loop(triple.g, gd.loxodromic, chi,
+                                             norm_bound)
+        assert out.terms_used == used
+        assert abs(out.value - value) <= 1e-15
+        assert out.tail_estimate == pytest.approx(tail, rel=1e-14)
+
     def test_truncation_within_tail_estimate(self, picard_data, triple):
         chi = trivial_rep(PICARD.ring)
         lo = loxodromic_term(triple.g, picard_data.loxodromic, chi, 7.0)
@@ -197,6 +254,22 @@ class TestLoxodromicTerm:
         a = loxodromic_term(triple.g, picard_data.loxodromic, chi0, 14.0)
         b = loxodromic_term(triple.g, picard_data.loxodromic, chi1, 14.0)
         assert abs(a.value - b.value) > 1e-3
+
+    @pytest.mark.parametrize("group_key", ["picard", "eisenstein"])
+    def test_two_calls_of_g(self, group_key, picard_data, eisenstein_data,
+                            triple):
+        # one call on every length, one on the tail grid; never one per term
+        gd = picard_data if group_key == "picard" else eisenstein_data
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return triple.g(x)
+
+        out = loxodromic_term(counted, gd.loxodromic,
+                              trivial_rep(gd.group.ring), 14.0)
+        assert len(calls) <= 2
+        assert calls[0] == (out.terms_used,)
 
 
 # -- cuspidal elliptic term -------------------------------------------------
@@ -254,8 +327,8 @@ class TestParabolicTerm:
         pair = resolvent_pair(s, big)
         g0 = pair.g(0.0)
         got, _, err = parabolic_term(pair.h, g0, self.BLOCKS)
-        closed = (digamma_halfplane_value(s) / (2.0 * s)
-                  - digamma_halfplane_value(big) / (2.0 * big))
+        closed = (digamma(1.0 + s) / (2.0 * s)
+                  - digamma(1.0 + big) / (2.0 * big))
         want = 0.5 * (pair.h(1.0) / 4.0 - closed) + g0 * 0.4
         assert abs(got - want) <= 1e-13
         assert 0.0 < err <= 1e-12

@@ -45,6 +45,12 @@ class TestFourier:
             for x in (0.0, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0):
                 assert abs(g_from_h(pair.h, x) - pair.g(x)) < 1e-10, (s, x)
 
+    @pytest.mark.parametrize("x", [1e-200, 1e-300])
+    def test_tiny_x(self, x):
+        # the cosine rule reaches t beyond 1e154 here: t * t overflowed
+        pair = resolvent_pair(2.0, 3.0)
+        assert abs(g_from_h(pair.h, x) - pair.g(x)) <= 8e-15
+
     def test_even_in_x(self):
         pair = resolvent_pair(2.0, 3.0)
         assert g_from_h(pair.h, 1.3) == g_from_h(pair.h, -1.3)

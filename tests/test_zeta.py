@@ -7,8 +7,9 @@ import pytest
 
 from selberg3.arithmetic_group import EISENSTEIN_GROUP, PICARD
 from selberg3.cli import _divisor_rows, _render_csv_rows
-from selberg3.representation import (find_character, singular_spaces,
-                                     trivial_rep)
+from selberg3.quadrature import digamma
+from selberg3.representation import (direct_sum, find_character,
+                                     singular_spaces, trivial_rep)
 from selberg3.trace_formula import (SpectralSideInputs, geometric_side,
                                     loxodromic_term)
 from selberg3.transform import resolvent_pair
@@ -177,6 +178,10 @@ class TestEulerProduct:
         hi = log_zeta_truncated(s, eisenstein_zeta, kl_cutoff=12)
         bound = zeta_tail_bound(s, eisenstein_zeta, 2)
         assert abs(hi - lo) <= bound
+        terms = sum(2.0 * len(z.t_eigen) * (total + 1)
+                    * z.cls.N0 ** -(total + s + 1.0)
+                    for z in eisenstein_zeta for total in range(3, 400))
+        assert bound == pytest.approx(terms, rel=1e-13)
         assert zeta_tail_bound(s, eisenstein_zeta, 8) < bound
 
     def test_empty_data(self):
@@ -239,19 +244,28 @@ class TestLogDerivative:
 # -- agreement with the geometric side --------------------------------------
 
 class TestCrossModule:
-    def test_loxodromic_term_matches_zeta_series(self, picard_data,
-                                                 eisenstein_data, triple):
+    @pytest.mark.parametrize("group_name,char_name", [
+        ("picard", None), ("picard", "sign"), ("picard", "trivial+sign"),
+        ("eisenstein", None), ("eisenstein", "cube"),
+    ])
+    def test_loxodromic_term_matches_zeta_series(self, group_name,
+                                                 char_name, request, triple):
+        """Matrix-power traces (the g-sum) against eigenvalue traces (the
+        class series), on characters and on a 2-dimensional sum."""
+        gd = request.getfixturevalue(f"{group_name}_data")
+        if char_name == "trivial+sign":
+            chi = direct_sum([_char("picard", None), _char("picard", "sign")])
+        else:
+            chi = _char(group_name, char_name)
         s, big = 2.0, 3.0
-        for gd in (picard_data, eisenstein_data):
-            chi = trivial_rep(gd.group.ring)
-            lox = loxodromic_term(triple.g, gd.loxodromic, chi, 14.0)
-            data = build_zeta_class_data(gd.loxodromic, chi)
-            zs = log_derivative_series(s, data, route="classes",
-                                       power_norm_bound=14.0)
-            zb = log_derivative_series(big, data, route="classes",
-                                       power_norm_bound=14.0)
-            paired = zs / (2.0 * s) - zb / (2.0 * big)
-            assert abs(lox.value - paired) <= 1e-13
+        lox = loxodromic_term(triple.g, gd.loxodromic, chi, 14.0)
+        data = build_zeta_class_data(gd.loxodromic, chi)
+        zs = log_derivative_series(s, data, route="classes",
+                                   power_norm_bound=14.0)
+        zb = log_derivative_series(big, data, route="classes",
+                                   power_norm_bound=14.0)
+        paired = zs / (2.0 * s) - zb / (2.0 * big)
+        assert abs(lox.value - paired) <= 1e-13
 
     @pytest.mark.parametrize("group_name,char_name", [
         ("picard", None), ("picard", "sign"),
@@ -542,12 +556,11 @@ class TestXiBlocks:
             assert blocks.e_constant == total
 
     def test_reduces_to_named_blocks_without_classes(self):
-        from selberg3.trace_formula import digamma_halfplane_value
         blocks = XiBlocks(index=2, k_infinity=0, l_infinity=2, vol=0.3,
                           dim_v=1, nce_constant=0j, log_c_sum=0j,
                           cusp_constant=0j, ce_weights=())
         for s in (2.0, 2.4 + 0.3j):
             got = xi_log_derivative(s, [], blocks, trS0=1.0)
-            want = (-digamma_halfplane_value(s)
+            want = (-digamma(1.0 + s)
                     - 0.3 / (2.0 * math.pi) * complex(s) ** 2)
             assert abs(got - want) <= 1e-13
