@@ -203,7 +203,7 @@ class Report:
 def fmt_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
@@ -453,7 +453,7 @@ def cmd_trace(config: RunConfig, args) -> int:
     loga_rows = [row(A=rep.A, coefficient=rep.logA_coefficient,
                      expected=rep.expected_logA_coefficient,
                      cancellation_error=cancel,
-                     cancel_ok=bool(cancel <= 1e-9))]
+                     cancel_ok=cancel <= 1e-9)]
     err_rows = [row(source=k, estimate=float(v))
                 for k, v in sorted(rep.errors.items())]
     emit(Report("trace", rows, {"logA_check": loga_rows,

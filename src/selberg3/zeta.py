@@ -116,37 +116,44 @@ def build_zeta_class_data(classes: Sequence[PrimitiveLoxodromicClass],
     return out
 
 
-def _iter_factors(zcd: ZetaClassData, kl_cutoff: int):
-    """Yield (t_j, k, l) for every selected factor with k + l <= cutoff."""
-    m = zcd.m
-    for t_j, r in zip(zcd.t_eigen, zcd.residues):
-        for total in range(kl_cutoff + 1):
-            for l in range(total + 1):
-                k = total - l
-                if (l - k - r) % m == 0:
-                    yield t_j, k, l
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b with one rounding per real product and sum, as Python's complex
+    multiply (numpy's is not conjugate-symmetric)."""
+    return ((a.real * b.real - a.imag * b.imag)
+            + 1j * (a.real * b.imag + a.imag * b.real))
 
 
-def _auto_cutoff(n0: float, s_real: float) -> int:
-    # factor modulus is N0^-(k+l) * N0^-(Re s + 1); keep while >= FACTOR_TOL
-    return max(0, int(math.log(1.0 / FACTOR_TOL) / math.log(n0)
-                      - s_real - 1.0))
+def _euler_factors(s: complex, data: Sequence[ZetaClassData],
+                   kl_cutoff: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """x = t_j a0^(-2k) conj(a0)^(-2l) N0^(-s-1) and log N0 for every
+    selected (class, j, k, l) factor: (l - k - r_j) = 0 mod m and k + l at
+    most kl_cutoff, or else at most the class's FACTOR_TOL cutoff at Re s.
 
-
-def _factor_terms(zcd: ZetaClassData, s: complex,
-                  kl_cutoff: Optional[int]):
-    """Yield x = t_j a0^(-2k) conj(a0)^(-2l) N0^(-s-1) for every selected
-    factor, at kl_cutoff or else the automatic cutoff at Re s."""
-    a0 = zcd.cls.a0
-    n0 = zcd.cls.N0
-    cutoff = (kl_cutoff if kl_cutoff is not None
-              else _auto_cutoff(n0, s.real))
-    base = n0 ** (-s - 1.0)
-    # each power once per exponent, not once per factor
-    powers = [a0 ** (-2 * k) for k in range(cutoff + 1)]
-    conj_powers = [a0.conjugate() ** (-2 * l) for l in range(cutoff + 1)]
-    for t_j, k, l in _iter_factors(zcd, cutoff):
-        yield t_j * powers[k] * conj_powers[l] * base
+    The a0 powers come from Python's ** and every product from _cmul, so a
+    real character at real s gives exact conjugate pairs x(k, l), x(l, k).
+    """
+    if not data:
+        return np.zeros(0, complex), np.zeros(0)
+    log_n0 = np.array([math.log(z.cls.N0) for z in data])
+    if kl_cutoff is None:
+        # factor modulus is N0^-(k+l) N0^-(Re s + 1); keep while >= FACTOR_TOL
+        cutoff = np.maximum(0, (math.log(1.0 / FACTOR_TOL) / log_n0
+                                - s.real - 1.0).astype(int))
+    else:
+        cutoff = np.full(len(data), kl_cutoff)
+    kl = np.arange(int(cutoff.max()) + 1)
+    m = np.array([z.m for z in data])[:, None, None, None]
+    r = np.array([z.residues for z in data])[:, :, None, None]
+    # grid axes (class, slot, k, l)
+    c, j, k, l = np.nonzero((kl[:, None] + kl <= cutoff[:, None, None, None])
+                            & ((kl - kl[:, None] - r) % m == 0))
+    powers = np.array([[z.cls.a0 ** (-2 * n) for n in range(len(kl))]
+                       for z in data])
+    base = np.array([z.cls.N0 ** (-s - 1.0) for z in data])
+    t = np.array([z.t_eigen for z in data], dtype=complex)
+    x = _cmul(_cmul(_cmul(t[c, j], powers[c, k]), powers[c, l].conj()),
+              base[c])
+    return x, log_n0[c]
 
 
 def zeta_truncated(s, data: Sequence[ZetaClassData],
@@ -161,15 +168,14 @@ def log_zeta_truncated(s, data: Sequence[ZetaClassData],
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("Euler product needs Re(s) > 1")
-    re_parts, im_parts = [], []
-    for zcd in data:
-        for x in _factor_terms(zcd, s, kl_cutoff):
-            # log(1 - x) = log|1 - x| + i arg(1 - x), each part to full
-            # relative accuracy however small |x| is
-            re_parts.append(0.5 * math.log1p(
-                x.real * x.real + x.imag * x.imag - 2.0 * x.real))
-            im_parts.append(math.atan2(-x.imag, 1.0 - x.real))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    x, _ = _euler_factors(s, data, kl_cutoff)
+    # log(1 - x) = log|1 - x| + i arg(1 - x), each part to full relative
+    # accuracy however small |x| is; math's log1p and atan2, because numpy's
+    # vectorized loops round differently on different CPUs
+    q = x.real * x.real + x.imag * x.imag - 2.0 * x.real
+    return complex(0.5 * math.fsum(map(math.log1p, q.tolist())),
+                   math.fsum(map(math.atan2, (-x.imag).tolist(),
+                                 (1.0 - x.real).tolist())))
 
 
 def zeta_tail_bound(s, data: Sequence[ZetaClassData], kl_cutoff: int) -> float:
@@ -206,12 +212,10 @@ def log_derivative_series(s, data: Sequence[ZetaClassData],
     if s.real <= 1.0:
         raise ValueError("series needs Re(s) > 1")
     if route == "factors":
-        total = 0.0 + 0.0j
-        for zcd in data:
-            log_n0 = math.log(zcd.cls.N0)
-            for x in _factor_terms(zcd, s, None):
-                total += x * log_n0 / (1.0 - x)
-        return total
+        x, log_n0 = _euler_factors(s, data, None)
+        terms = x * log_n0 / (1.0 - x)
+        return complex(math.fsum(terms.real.tolist()),
+                       math.fsum(terms.imag.tolist()))
     if route != "classes":
         raise ValueError(f"unknown route {route!r}")
     t = np.array([z.t_eigen for z in data], dtype=complex, ndmin=2)
@@ -247,11 +251,9 @@ def central_difference_check(s: float, data: Sequence[ZetaClassData],
     shrinks to (s - 1)/4, so every point stays in Re s > 1."""
     step = min(step, (s - 1.0) / 4.0)
 
-    def log_z(x):
-        return log_zeta_truncated(x, data)
-
-    diff = (8.0 * (log_z(s + step) - log_z(s - step))
-            - (log_z(s + 2.0 * step) - log_z(s - 2.0 * step))) / (12.0 * step)
+    up, down, up2, down2 = (log_zeta_truncated(s + h * step, data)
+                            for h in (1.0, -1.0, 2.0, -2.0))
+    diff = (8.0 * (up - down) - (up2 - down2)) / (12.0 * step)
     series = log_derivative_series(s, data, route="factors")
     rel = abs(diff - series) / max(abs(series), 1e-300)
     return CentralDifferenceCheck(s=complex(s), series=series,
@@ -267,7 +269,6 @@ class DivisorRecord:
     location: complex
     residue: Fraction
     source: str          # eigenvalue | scattering_pole | topological
-    notes: str = ""
 
 
 def topological_divisor(index: int, k_infinity: int, l_infinity: int,
@@ -288,27 +289,23 @@ def topological_divisor(index: int, k_infinity: int, l_infinity: int,
     records = [DivisorRecord(
         location=0.0 + 0.0j,
         residue=Fraction(int(round(trS0)) - k_infinity, 2),
-        source="topological", notes="s = 0; integral by trS0 parity")]
+        source="topological")]
     for n in range(1, depth + 1):
         if index == 1:
             res = Fraction(k_infinity)
-            note = ""
         elif index == 2:
             if n % 2 == 1:
-                res, note = Fraction(k_infinity), "n odd"
+                res = Fraction(k_infinity)
             else:
-                res, note = Fraction(l_infinity - k_infinity), "n even"
+                res = Fraction(l_infinity - k_infinity)
+        elif n % 3 == 0:
+            res = Fraction(2 * l_infinity, 3) - k_infinity
         else:
-            if n % 3 == 0:
-                res = Fraction(2 * l_infinity, 3) - k_infinity
-                note = "n = 0 mod 3"
-            else:
-                res = Fraction(l_infinity, 6) + Fraction(k_infinity, 2)
-                note = "n != 0 mod 3"
+            res = Fraction(l_infinity, 6) + Fraction(k_infinity, 2)
         if res.denominator not in (1, 2, 3, 6):
             raise ValueError(f"unexpected residue denominator {res}")
         records.append(DivisorRecord(location=complex(-n, 0.0), residue=res,
-                                     source="topological", notes=note))
+                                     source="topological"))
     return records
 
 
@@ -327,7 +324,7 @@ def spectral_divisor(inputs: SpectralSideInputs) -> list[DivisorRecord]:
         if abs(s_j) < 1e-15:
             records.append(DivisorRecord(
                 location=0.0 + 0.0j, residue=Fraction(2 * mult),
-                source="eigenvalue", notes="lambda = 1; residue doubled"))
+                source="eigenvalue"))
         else:
             for loc in (s_j, -s_j):
                 records.append(DivisorRecord(

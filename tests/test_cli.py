@@ -4,10 +4,11 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from selberg3 import cli, trace_formula
-from selberg3.cli import _divisor_rows, _render_csv_rows, main
+from selberg3.cli import _divisor_rows, _render_csv_rows, main, row
 from selberg3.trace_formula import SpectralSideInputs
 from selberg3.transform import QuadratureError
 from selberg3.zeta import spectral_divisor
@@ -455,3 +456,9 @@ class TestOutput:
         assert len(sections["loxodromic"]) >= 1
         assert re.fullmatch(r"\d+/\d+",
                             sections["non_cuspidal_elliptic"][0]["sin_sq"])
+
+    def test_numpy_bool_cell(self):
+        """A comparison of numpy floats is an np.bool_, which must print as
+        the reports' lower-case true/false like a Python bool."""
+        assert row(ok=np.float64(1.0) <= 2.0) == {"ok": "true"}
+        assert row(ok=np.float64(3.0) <= 2.0) == {"ok": "false"}

@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ import pytest
 from selberg3.arithmetic_group import EISENSTEIN_GROUP, PICARD
 from selberg3.cli import _divisor_rows, _render_csv_rows
 from selberg3.quadrature import digamma
-from selberg3.representation import (direct_sum, find_character,
+from selberg3.representation import (UnitaryRep, direct_sum, find_character,
                                      singular_spaces, trivial_rep)
 from selberg3.trace_formula import (SpectralSideInputs, geometric_side,
                                     loxodromic_term)
 from selberg3.transform import resolvent_pair
-from selberg3.zeta import (DivisorRecord, XiBlocks, _iter_factors,
+from selberg3.zeta import (FACTOR_TOL, DivisorRecord, XiBlocks,
+                           ZetaClassData, _euler_factors,
                            _selection_residue, abel_product_log,
                            build_zeta_class_data, central_difference_check,
                            functional_factor_psi, geometric_blocks,
@@ -44,6 +47,55 @@ def _char(group_name, char_name):
     if char_name == "sign":
         return find_character(PICARD, (1, 1), -1, -1, 1)
     return find_character(EISENSTEIN_GROUP, (1, 2), OMEGA, OMEGA, 1)
+
+
+def _loop_cutoff(n0, s_real):
+    return max(0, int(math.log(1.0 / FACTOR_TOL) / math.log(n0)
+                      - s_real - 1.0))
+
+
+def _loop_factors(zcd, s, kl_cutoff):
+    """Reference selection: x for every slot j, total k + l up to the
+    cutoff and l with (l - k - r_j) = 0 mod m, one factor at a time in
+    Python complex arithmetic."""
+    a0, n0 = zcd.cls.a0, zcd.cls.N0
+    cutoff = kl_cutoff if kl_cutoff is not None else _loop_cutoff(n0, s.real)
+    base = n0 ** (-s - 1.0)
+    for t_j, r in zip(zcd.t_eigen, zcd.residues):
+        for total in range(cutoff + 1):
+            for l in range(total + 1):
+                k = total - l
+                if (l - k - r) % zcd.m == 0:
+                    yield (t_j * a0 ** (-2 * k) * a0.conjugate() ** (-2 * l)
+                           * base)
+
+
+CHARACTERS = [("picard", None), ("picard", "sign"), ("picard", "trivial+sign"),
+              ("eisenstein", None), ("eisenstein", "cube"),
+              ("eisenstein", "trivial+cube")]
+
+
+def _assert_matches_loop(data, s, cutoff):
+    x, log_n0 = _euler_factors(complex(s), data, cutoff)
+    got = sorted(zip(x.tolist(), log_n0.tolist()),
+                 key=lambda p: (p[0].real, p[0].imag, p[1]))
+    want = sorted(((v, math.log(z.cls.N0)) for z in data
+                   for v in _loop_factors(z, complex(s), cutoff)),
+                  key=lambda p: (p[0].real, p[0].imag, p[1]))
+    assert len(got) == len(want)
+    for (a, la), (b, lb) in zip(got, want):
+        assert abs(a - b) <= 1e-15 * abs(b)
+        assert la == lb
+
+
+def _char_data(request, group_name, char_name):
+    gd = request.getfixturevalue(f"{group_name}_data")
+    if char_name is not None and "+" in char_name:
+        chi = direct_sum([_char(group_name, None),
+                          _char(group_name, char_name.split("+")[1])])
+    else:
+        chi = _char(group_name, char_name)
+    return build_zeta_class_data(gd.loxodromic, chi)
 
 
 # -- class data and the exact c = 1 selection -------------------------------
@@ -147,12 +199,59 @@ class TestEulerProduct:
     def test_factor_modulus_strictly_below_one(self, s, picard_zeta,
                                                eisenstein_zeta):
         for data in (picard_zeta, eisenstein_zeta):
-            for zcd in data:
-                a0, n0 = zcd.cls.a0, zcd.cls.N0
-                for t_j, k, l in _iter_factors(zcd, 6):
-                    x = (t_j * a0 ** (-2 * k) * a0.conjugate() ** (-2 * l)
-                         * n0 ** (-s - 1.0))
-                    assert abs(x) < 1.0
+            x, _ = _euler_factors(complex(s), data, 6)
+            assert len(x) > 0
+            assert np.all(np.abs(x) < 1.0)
+
+    @pytest.mark.parametrize("group_name,char_name", CHARACTERS)
+    def test_factors_match_per_factor_loop(self, group_name, char_name,
+                                           request):
+        """The record selects the loop's factors, no more and no fewer,
+        with the loop's values, at the automatic and explicit cutoffs."""
+        data = _char_data(request, group_name, char_name)
+        for s in (1.05, 2.0, 2.3 + 0.5j):
+            for cutoff in (None, 0, 5, 40):
+                _assert_matches_loop(data, s, cutoff)
+
+    def test_selection_orientation(self, picard_zeta):
+        """Every residue above has r = -r mod m, so swapping k and l would
+        select the same factors; residue 1 on the m = 3 class does not."""
+        data = [dataclasses.replace(z, residues=(1,)) for z in picard_zeta
+                if z.m == 3]
+        assert data
+        for cutoff in (None, 5):
+            _assert_matches_loop(data, 2.0, cutoff)
+
+    def test_auto_cutoff_matches_log_rule(self, picard_zeta, eisenstein_zeta):
+        """On a one-slot class with m = 1 the factor count is
+        (K + 1)(K + 2)/2, which fixes the cutoff K the record used."""
+        for zcd in picard_zeta + eisenstein_zeta:
+            one = ZetaClassData(cls=SimpleNamespace(N0=zcd.cls.N0,
+                                                    a0=zcd.cls.a0, m=1),
+                                t_eigen=(1.0 + 0.0j,),
+                                t_prime_eigen=(1.0 + 0.0j,), residues=(0,))
+            for s in np.linspace(1.001, 4.999, 41):
+                x, _ = _euler_factors(complex(s), [one], None)
+                cutoff = _loop_cutoff(zcd.cls.N0, s)
+                assert len(x) == (cutoff + 1) * (cutoff + 2) // 2
+
+    @pytest.mark.parametrize("group_name", ["picard", "eisenstein"])
+    def test_real_character_values_are_real(self, group_name, request):
+        """A character with values +-1 at real s: the factors pair off as
+        exact conjugates, so both imaginary parts are exactly zero."""
+        gd = request.getfixturevalue(f"{group_name}_data")
+        chars = [_char(group_name, None)]
+        if group_name == "picard":
+            # the congruence sign character evaluates exp(i pi), whose
+            # imaginary part is 1.2e-16; its exact values are +-1
+            sign = _char("picard", "sign")
+            chars.append(UnitaryRep(1, "congruence", lambda M: sign(M).real))
+        for chi in chars:
+            data = build_zeta_class_data(gd.loxodromic, chi)
+            for s in (1.05, 2.0, 2.5, 3.7):
+                assert zeta_truncated(s, data).imag == 0.0
+                assert log_derivative_series(s, data,
+                                             route="factors").imag == 0.0
 
     def test_half_plane_required(self, picard_zeta):
         for s in (1.0, 0.5, 1.0 + 5.0j):
@@ -212,6 +311,23 @@ class TestLogDerivative:
         a = log_derivative_series(2.0, data, route="classes")
         b = log_derivative_series(2.0, data, route="factors")
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("group_name", ["picard", "eisenstein"])
+    def test_factors_route_correctly_rounded(self, group_name, request):
+        """The factors route is the rounded exact sum of the loop's terms
+        x log N0/(1 - x); a sequential sum was 2.7e-15 (Picard) and 1.7e-15
+        (Eisenstein) off at s = 2.5."""
+        mpmath = pytest.importorskip("mpmath")
+        data = _char_data(request, group_name, None)
+        s = 2.5
+        terms = [x * math.log(z.cls.N0) / (1.0 - x) for z in data
+                 for x in _loop_factors(z, complex(s), None)]
+        got = log_derivative_series(s, data, route="factors")
+        with mpmath.workprec(2200):  # any sum of doubles, exactly
+            exact_re = float(mpmath.fsum(mpmath.mpf(t.real) for t in terms))
+            exact_im = float(mpmath.fsum(mpmath.mpf(t.imag) for t in terms))
+        assert abs(got.real - exact_re) <= 2e-16
+        assert abs(got.imag - exact_im) <= 2e-16
 
     def test_modulus_decreasing_in_s(self, picard_zeta):
         vals = [abs(log_derivative_series(s, picard_zeta, route="factors"))
@@ -355,7 +471,6 @@ class TestTopologicalDivisor:
     def test_negative_trS0_at_zero(self):
         records = topological_divisor(2, 1, 1, -1.0, depth=1)
         assert records[0].residue == Fraction(-1)
-        assert "parity" in records[0].notes
 
     def test_depth(self):
         assert len(topological_divisor(1, 1, 1, 1.0, depth=50)) == 51
@@ -380,7 +495,6 @@ class TestSpectralDivisor:
         assert len(recs) == 1
         assert recs[0].location == 0
         assert recs[0].residue == Fraction(4)
-        assert "doubled" in recs[0].notes
 
     def test_paired_locations(self):
         recs = spectral_divisor(SpectralSideInputs(
