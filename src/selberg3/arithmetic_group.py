@@ -13,14 +13,15 @@ and eps a power of a fixed root of unity; the torsion-free part is the
 translation lattice Z + Z*tau with tau = i resp. omega.  Cuspidality of an
 elliptic element is decided exactly: both boundary fixed points lie in the
 field iff tr^2 - 4 is a square there.  This criterion identifies the cusp
-set with the projective line over the field, which is valid for these two
-class-number-one rings only; other rings are rejected.
+set with the projective line over the field, which is valid for rings of
+class number one only; get_group offers the two above.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,19 +43,34 @@ class CompletenessError(RuntimeError):
     """Raised when an enumeration bound cannot certify class completeness."""
 
 
+def _kronecker(d: int, n: int) -> int:
+    """Kronecker symbol (d/n) for n >= 1: chi_D(n) when d = D."""
+    sign = 1
+    while n % 2 == 0:
+        n //= 2
+        sign *= 0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1
+    a = d % n  # the Jacobi symbol (a/n), n odd, by reciprocity
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            sign *= -1 if n % 8 in (3, 5) else 1
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
 @functools.cache
 def _unit_volume(ring: Ring) -> float:
     # Humbert's covolume |D|^(3/2) zeta_K(2) / (4 pi^2), with the quadratic
-    # L-value expressed through trigamma values so no decimal literal is
-    # needed: L(2, chi_D) = (psi1(1/|D|) - psi1((|D|-1)/|D|)) / D^2 for
-    # D = -4 and D = -3, whose characters are nonzero only at 1 and -1
-    # mod |D|.  (|D|-1)/|D| is one correctly rounded division, which
-    # 1 - 1/|D| is not.  Evaluated on first read and cached, so every read
-    # returns the same float; only the trace formula reads it, so the
-    # group layer imports the quadrature module here.
+    # L-value through trigamma values, so no decimal literal is needed:
+    # L(2, chi_D) = D^-2 sum over a = 1..|D| with chi_D(a) != 0, ascending,
+    # of chi_D(a) psi1(a/|D|).  Cached, so every read returns the same
+    # float; only the trace formula reads it, hence the local import.
     from .quadrature import trigamma
     d = -ring.field_disc
-    lval = (trigamma(1 / d) - trigamma((d - 1) / d)) / d ** 2
+    lval = sum(chi * trigamma(a / d) for a in range(1, d + 1)
+               if (chi := _kronecker(-d, a))) / d ** 2
     return float(d ** 1.5 * (math.pi ** 2 / 6.0) * lval / (4.0 * math.pi ** 2))
 
 
@@ -579,9 +595,7 @@ def _cuspidal_elliptic_classes(group: GroupDescriptor, conj: ConjugatorSet
                                ) -> list[CuspidalEllipticClass]:
     r = group.ring
     # eps^1 .. eps^(index-1): the nontrivial diagonal stabilizer elements
-    eps_powers = [group.epsilon_pair]
-    for _ in range(group.index - 2):
-        eps_powers.append(r.mul(eps_powers[-1], group.epsilon_pair))
+    eps_powers = itertools.accumulate([group.epsilon_pair] * (group.index - 1), r.mul)
 
     candidates = []
     for eps in eps_powers:

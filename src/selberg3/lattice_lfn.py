@@ -12,12 +12,8 @@ function g_{a1,a2} via the Kronecker limit formula.  The two L-paths share
 no code and serve as each other's oracle.
 
 kappa and the direct L-value read Z at a ladder of 17 cutoffs spanning
-the last decade below x_max.  One sweep over the lattice rows of the
-largest cutoff serves the whole ladder (ladder_sums).  The character is
-evaluated per axis, psi(m tau + n) = exp(2 pi i v m) exp(2 pi i u n), from
-one table of column phases and one of row phases, and the rows are
-processed with numpy in blocks of bounded size.  Each Z(x) it returns is
-bit-identical to a sweep of its own that sums the same per-axis product.
+the last decade below x_max.  One sweep over the points of the largest
+cutoff serves the whole ladder, adding each point once (ladder_sums).
 
 The constant kappa of the cusp lattice is the same quantity that enters
 the parabolic contribution of the trace formula (written eta there);
@@ -98,19 +94,6 @@ class LatticeCharacter:
 TRIVIAL_CHARACTER = LatticeCharacter(0, 0)
 
 
-def _row_bounds(c, b, x, n):
-    """Integer m-ranges [lo, hi] with |m tau + n|^2 <= x, lo > hi where a
-    row is empty.  x (cutoffs) and n (row indices) are scalars or arrays
-    and broadcast against each other.  c and b are the norm-form
-    coefficients of the lattice (Lattice.norm_form)."""
-    # c m^2 + b n m + (n^2 - x) <= 0
-    disc = (b * n) ** 2 - 4.0 * c * (n * n - x)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    lo = np.ceil((-b * n - sq) / (2.0 * c) - 1e-12).astype(np.int64)
-    hi = np.floor((-b * n + sq) / (2.0 * c) + 1e-12).astype(np.int64)
-    return lo, np.where(disc < 0, lo - 1, hi)
-
-
 def _norms(c, b, exact: bool, m, n):
     """|m tau + n|^2 as floats, elementwise over arrays m and n; computed
     in int64 when the norm form has integer coefficients."""
@@ -119,11 +102,17 @@ def _norms(c, b, exact: bool, m, n):
     return c * m.astype(float) ** 2 + b * m.astype(float) * n + (n * n).astype(float)
 
 
-def _kept_bounds(c, b, exact: bool, x, n):
-    """_row_bounds trimmed to the points with |m tau + n|^2 <= x: the
-    rounding slack of the roots can admit a point past the cutoff at
-    either end."""
-    lo, hi = _row_bounds(c, b, x, n)
+def _kept_bounds(c, b, exact: bool, x: float, n):
+    """Integer m-ranges [lo, hi] of the points with |m tau + n|^2 <= x in
+    the rows n (an array), lo = hi + 1 where a row is empty.  c and b are
+    the norm-form coefficients (Lattice.norm_form)."""
+    # roots of c m^2 + b n m + (n^2 - x), widened by a rounding slack and
+    # then trimmed, since the slack can admit a point past x at either end
+    disc = (b * n) ** 2 - 4.0 * c * (n * n - x)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    lo = np.ceil((-b * n - sq) / (2.0 * c) - 1e-12).astype(np.int64)
+    hi = np.where(disc < 0, lo - 1,
+                  np.floor((-b * n + sq) / (2.0 * c) + 1e-12).astype(np.int64))
     while (over := (lo <= hi) & (_norms(c, b, exact, lo, n) > x)).any():
         lo = lo + over
     while (over := (lo <= hi) & (_norms(c, b, exact, hi, n) > x)).any():
@@ -137,77 +126,66 @@ def _n_max(lat: Lattice, x: float) -> int:
     return int(math.floor(math.sqrt(x) * abs(lat.tau) / lat.area + 1))
 
 
-# lattice points per block of rows: bounds the sweep's working memory
-_BLOCK_POINTS = 1 << 13
+# lattice points per block: a complex array of one block (16 bytes a
+# point) stays below glibc's 128 KiB mmap threshold
+_BLOCK_POINTS = 1 << 12
 
 
 def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
     """Z(x), the sum of psi(mu)/|mu|^2 over lattice points with
     0 < |mu|^2 <= x, at every cutoff x in xs, in the order given, from one
-    sweep over the rows of the largest cutoff.
-
-    The cutoff is exact whenever the norm form has integer coefficients
-    (tau = i, omega, 1 + omega, multiples of i, ...).
+    sweep over the points of the largest cutoff.  The cutoff is exact
+    whenever the norm form has integer coefficients (tau = i, omega,
+    1 + omega, multiples of i, ...).
 
     Points are indexed as m*tau + n (row n, column m), so psi factors as
-    exp(2 pi i v m) exp(2 pi i u n): one table of column phases and one of
-    row phases make about 2 (rows + columns) complex exps per sweep, and
-    each term is the product of two table entries divided by |mu|^2.  The
-    rows are taken in blocks of about _BLOCK_POINTS points; per block the
-    row ranges, the norms, the terms and every (row, cutoff) run bound are
-    numpy arrays, and the origin is left out of the n = 0 row.
-
-    Within a row, the points a cutoff keeps are one run of the largest
-    cutoff's points: the bounds only widen as x grows, and q is a convex
-    quadratic in m, so for integers m1 < m2 < m3,
-    q(m2) <= max(q(m1), q(m3)) - c, a margin far above the rounding of q.
-    Each nonempty run is summed by one np.add.reduce of its contiguous
-    slice, and the rows are added in ascending n, so every total is
-    bit-identical to ladder_sums([x]) (a skipped empty run would add +0j,
-    which changes no total).  For the trivial character both phases are
-    exactly 1, so each term is 1/q.
+    exp(2 pi i v m) exp(2 pi i u n): each term is the product of a column
+    and a row phase from two tables, divided by |mu|^2.  The kept points
+    are laid out as runs of consecutive m, one per row (row 0 split around
+    the origin), and taken in blocks of _BLOCK_POINTS consecutive points.
+    Each point is evaluated once and tagged with the rung of the smallest
+    cutoff that keeps it, by a searchsorted of its norm over the sorted
+    cutoffs; np.bincount adds a block's real and imaginary parts into the
+    rung bins, and Z at a cutoff is the running sum of the bins up to its
+    rung.  So each cutoff keeps exactly the points of its own sweep, equal
+    cutoffs give equal sums, a cutoff below the shortest vector gives
+    exactly 0j, and each Z(x) agrees with a sweep of that cutoff alone up
+    to the round-off of the order of addition.
     """
     xs = np.array(xs, dtype=float)
     if xs.min() <= 0:
         raise ValueError("cutoff must be positive")
     c, b, exact = lat.norm_form()
-    n_top = _n_max(lat, xs.max())
+    rungs = np.sort(xs)  # repeats are harmless; np.unique would import numpy.ma
+    n_top = _n_max(lat, rungs[-1])
     ns = np.arange(-n_top, n_top + 1)
-    lo, hi = _kept_bounds(c, b, exact, xs.max(), ns)
-    u, v = float(psi.u), float(psi.v)
-    row_phase = np.exp(2j * np.pi * (u * ns))
-    nonempty = lo <= hi
-    ns, lo, hi = ns[nonempty], lo[nonempty], hi[nonempty]
+    lo, hi = _kept_bounds(c, b, exact, rungs[-1], ns)
+    row_phase = np.exp(2j * np.pi * (float(psi.u) * ns))
     m_min = int(lo.min())
-    col_phase = np.exp(2j * np.pi * (v * np.arange(m_min, int(hi.max()) + 1)))
-    widths = hi - lo + 1
-    sizes = widths - (ns == 0)  # the origin is left out of the n = 0 row
-    starts = np.cumsum(sizes) - sizes
-    cuts = [0, *(np.flatnonzero(np.diff(starts // _BLOCK_POINTS)) + 1).tolist(), len(ns)]
-    totals = [0.0 + 0.0j] * len(xs)
-    add = np.add.reduce
-    for block in map(slice, cuts[:-1], cuts[1:]):
-        n, blo, width = ns[block], lo[block], widths[block]
-        zero = n == 0
-        m = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - blo, width)
-        nn = np.repeat(n, width)
-        if zero.any():
-            keep = (m != 0) | (nn != 0)
-            m, nn = m[keep], nn[keep]
-        terms = col_phase[m - m_min]
-        terms *= row_phase[nn + n_top]
-        terms /= _norms(c, b, exact, m, nn)
-        # [a, e) is the slice of terms that cutoff j keeps in row i, with
-        # cutoffs along axis 0 and the block's rows along axis 1
-        rlo, rhi = _kept_bounds(c, b, exact, xs[:, None], n[None, :])
-        first = starts[block] - starts[block.start]
-        a = first + (rlo - blo) - (zero & (rlo > 0))
-        e = first + (rhi + 1 - blo) - (zero & (rhi >= 0))
-        live = a < e
-        for j, s, t in zip(np.nonzero(live)[0].tolist(), a[live].tolist(),
-                           e[live].tolist()):
-            totals[j] += complex(add(terms[s:t]))
-    return totals
+    col_phase = np.exp(2j * np.pi * (float(psi.v) * np.arange(m_min, int(hi.max()) + 1)))
+    # runs of kept points, lo..hi of each row; row 0 stops at -1, a last run is 1..hi
+    run_n = np.append(ns, 0)
+    width = np.append(hi - lo + 1, hi[n_top])
+    width[n_top] = -lo[n_top]
+    ends = np.cumsum(width)
+    offset = np.append(lo, 1) - ends + width  # m = point index + offset
+    bins = np.zeros((2, len(rungs)))
+    total = int(ends[-1])
+    for start in range(0, total, _BLOCK_POINTS):
+        stop = min(start + _BLOCK_POINTS, total)
+        # the runs that reach into [start, stop), and their points there
+        r = slice(np.searchsorted(ends, start, "right"), np.searchsorted(ends, stop) + 1)
+        count = np.minimum(ends[r], stop) - np.maximum(ends[r] - width[r], start)
+        m = np.arange(start, stop) + np.repeat(offset[r], count)
+        n = np.repeat(run_n[r], count)
+        q = _norms(c, b, exact, m, n)
+        phase = col_phase[m - m_min]
+        phase *= row_phase[n + n_top]
+        rung = np.searchsorted(rungs, q)
+        bins[0] += np.bincount(rung, phase.real / q, len(rungs))
+        bins[1] += np.bincount(rung, phase.imag / q, len(rungs))
+    re, im = np.cumsum(bins, axis=1)[:, np.searchsorted(rungs, xs)].tolist()
+    return list(map(complex, re, im))
 
 
 def _ladder(x_max: float) -> list:

@@ -95,6 +95,13 @@ class CyclotomicValue:
         return cls(Fraction(x), Fraction(y))
 
 
+def _unit_value(angle: Fraction) -> complex:
+    """exp(2 pi i angle), exactly +-1 or +-i when 4 angle is an integer."""
+    if 4 % angle.denominator:
+        return cmath.exp(2j * math.pi * float(angle))
+    return 1j ** int(4 * angle % 4)
+
+
 def snap_unit_angle(z: complex, tol: float = SNAP_TOL,
                     max_den: int = 1000) -> Optional[Fraction]:
     """Nearest rational angle a with exp(2 pi i a) = z within tol, or None."""
@@ -412,7 +419,7 @@ def find_character(group: GroupDescriptor, modulus: Pair,
         return table[quotient.reduce_element(M)]
 
     def evaluator(M: GroupElement) -> np.ndarray:
-        return np.array([[cmath.exp(2j * math.pi * float(exact_angle(M)))]])
+        return np.array([[_unit_value(exact_angle(M))]])
 
     return UnitaryRep(1, "congruence", evaluator, exact_angle=exact_angle,
                       label=f"congruence-character mod {tuple(modulus)}")

@@ -18,6 +18,7 @@ from selberg3.arithmetic_group import (
     _INT64_SAFE,
     _axis_families,
     _bounded_axes,
+    _kronecker,
     axis_key,
     build_group_data,
     classify,
@@ -34,7 +35,7 @@ from selberg3.arithmetic_group import (
     trace_class_key,
 )
 from selberg3 import arithmetic_group
-from selberg3.rings import EISENSTEIN, GAUSSIAN
+from selberg3.rings import EISENSTEIN, GAUSSIAN, Ring
 
 
 def gi(rows):
@@ -222,6 +223,30 @@ class TestCovolume:
             eisenstein = mpmath.mpf(3) ** 1.5 * l_minus3 / 24
             for group, want in ((PICARD, picard), (EISENSTEIN_GROUP, eisenstein)):
                 assert abs(group.volume - want) <= 1e-15 * want
+
+    # chi_D(a) for a = 1 .. |D|, from the quadratic residues mod |D|
+    @pytest.mark.parametrize("ring, chi, want", [
+        (Ring("sqrt-2", -2, 0), (1, 0, 1, 0, -1, 0, -1, 0), 1.00384),
+        (Ring("d-7", -2, 1), (1, 1, -1, 1, -1, -1, 0), 0.88891),
+        (Ring("d-11", -3, 1), (1, -1, 1, 1, 1, -1, -1, -1, 1, -1, 0), 1.38261),
+    ], ids=lambda p: p.name if isinstance(p, Ring) else None)
+    def test_other_discriminants_against_mpmath(self, ring, chi, want):
+        mpmath = pytest.importorskip("mpmath")
+        d = -ring.field_disc
+        assert tuple(_kronecker(-d, a) for a in range(1, d + 1)) == chi
+        with mpmath.workdps(40):
+            # L(2, chi_D) from Hurwitz zeta values
+            lval = sum(c * mpmath.zeta(2, mpmath.mpf(a) / d)
+                       for a, c in enumerate(chi, 1)) / d ** 2
+            exact = (mpmath.mpf(d) ** 1.5 * mpmath.zeta(2) * lval
+                     / (4 * mpmath.pi ** 2))
+        volume = GroupDescriptor(ring.name, ring, (1, 0)).volume
+        assert abs(volume - exact) <= 1e-15 * exact
+        assert round(volume, 5) == want
+
+    def test_picard_and_eisenstein_floats_kept(self):
+        assert PICARD.volume == 0.30532186472573963
+        assert EISENSTEIN_GROUP.volume == 0.16915693440160898
 
     def test_repeated_reads_return_the_same_float(self):
         for group in (PICARD, EISENSTEIN_GROUP):
@@ -606,6 +631,18 @@ class TestConjugationKernel:
 # -- the build path ------------------------------------------------------------
 
 class TestBuildGroupData:
+    @pytest.mark.parametrize("ring, loxodromic", [
+        (Ring("sqrt-2", -2, 0), 32), (Ring("d-7", -2, 1), 19),
+        (Ring("d-11", -3, 1), 32)], ids=lambda p: getattr(p, "name", None))
+    def test_index_one_groups_build(self, ring, loxodromic):
+        """Units +-1 only: no diagonal stabilizer element besides +-I, so
+        no cuspidal elliptic class."""
+        group = GroupDescriptor(ring.name, ring, (1, 0))
+        assert group.index == 1
+        gd = build_group_data(group, 6, 14.0)
+        assert gd.cuspidal_elliptic == []
+        assert len(gd.loxodromic) == loxodromic
+
     def test_one_axis_pass_and_one_conjugator_set(self, monkeypatch):
         calls = {"collect_axes": 0, "axis_key": 0, "ConjugatorSet": 0}
         collect_axes_fn = arithmetic_group.collect_axes

@@ -210,6 +210,11 @@ class TestFindCharacter:
         assert abs(chi.trace(STAB_P.E) - 1) < 1e-12
         assert chi.kind == "congruence"
 
+    def test_quarter_turn_values_exact(self, sign_character, picard_elements):
+        values = {complex(sign_character.trace(m)) for m in picard_elements}
+        assert values == {1 + 0j, -1 + 0j}
+        assert all(math.copysign(1.0, v.imag) == 1.0 for v in values)
+
     def test_cube_character_exact_angles(self, cube_character):
         chi = cube_character
         third = CyclotomicValue.from_angle(Fraction(1, 3))

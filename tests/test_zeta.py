@@ -10,7 +10,7 @@ import pytest
 from selberg3.arithmetic_group import EISENSTEIN_GROUP, PICARD
 from selberg3.cli import _divisor_rows, _render_csv_rows
 from selberg3.quadrature import digamma
-from selberg3.representation import (UnitaryRep, direct_sum, find_character,
+from selberg3.representation import (direct_sum, find_character,
                                      singular_spaces, trivial_rep)
 from selberg3.trace_formula import (SpectralSideInputs, geometric_side,
                                     loxodromic_term)
@@ -242,10 +242,7 @@ class TestEulerProduct:
         gd = request.getfixturevalue(f"{group_name}_data")
         chars = [_char(group_name, None)]
         if group_name == "picard":
-            # the congruence sign character evaluates exp(i pi), whose
-            # imaginary part is 1.2e-16; its exact values are +-1
-            sign = _char("picard", "sign")
-            chars.append(UnitaryRep(1, "congruence", lambda M: sign(M).real))
+            chars.append(_char("picard", "sign"))
         for chi in chars:
             data = build_zeta_class_data(gd.loxodromic, chi)
             for s in (1.05, 2.0, 2.5, 3.7):
