@@ -511,7 +511,9 @@ def _components(n: int, lead: np.ndarray, label: np.ndarray) -> list[int]:
         return i
 
     # each link once: a lead meets itself through its whole centralizer
-    links = np.unique(lead * n + label)
+    # (keys are >= 0; np.unique would import numpy.ma)
+    links = np.sort(lead * n + label)
+    links = links[np.diff(links, prepend=-1) != 0]
     for i, j in zip((links // n).tolist(), (links % n).tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:

@@ -9,6 +9,10 @@ generators.  One-dimensional characters try every finite-order angle on
 the images of R, S and J, which generate the quotient, and carry exact
 phase angles; higher dimensions are supplied as generator-image tables.
 
+The image being finite, the joint eigen-angles of commuting images, the
+cusp dimensions k_infinity, l_infinity and the lattice characters are
+exact trace averages over it, with no numerical diagonalization.
+
 Character values of order dividing 6 are also carried exactly as elements
 a + b*omega of Q(omega), which is what downstream rational identities
 consume.
@@ -36,7 +40,6 @@ from .rings import EISENSTEIN, Pair, Ring
 
 UNITARY_TOL = 1e-12
 DIAG_TOL = 1e-10
-SNAP_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +99,18 @@ class CyclotomicValue:
 
 
 def _unit_value(angle: Fraction) -> complex:
-    """exp(2 pi i angle), exactly +-1 or +-i when 4 angle is an integer."""
-    if 4 % angle.denominator:
-        return cmath.exp(2j * math.pi * float(angle))
-    return 1j ** int(4 * angle % 4)
+    """exp(2 pi i angle), exactly +-1 or +-i when 4 angle is an integer;
+    the angle is taken in (-1/2, 1/2], so -angle gives the exact conjugate."""
+    q = angle.denominator
+    p = angle.numerator % q
+    if 2 * p > q:
+        p -= q
+    if 4 % q:
+        return cmath.exp(2j * math.pi * (p / q))
+    return 1j ** (4 * p // q)
 
 
-def snap_unit_angle(z: complex, tol: float = SNAP_TOL,
+def snap_unit_angle(z: complex, tol: float = 1e-8,
                     max_den: int = 1000) -> Optional[Fraction]:
     """Nearest rational angle a with exp(2 pi i a) = z within tol, or None."""
     if abs(abs(z) - 1.0) > tol:
@@ -467,7 +475,61 @@ def congruence_table_rep(group: GroupDescriptor, modulus: Pair,
 
 
 # ---------------------------------------------------------------------------
-# singular subspaces and lattice restriction
+# joint eigen-angles, singular subspaces and lattice restriction
+
+# an image with no finite order up to this has none; the element orders
+# of the quotients in the tests reach 10
+_MAX_ORDER = 120
+
+
+def _cyclic_powers(stack: np.ndarray):
+    """(orders, powers) of a (K, d, d) stack of finite-order matrices:
+    orders[k] is the least n >= 1 with stack[k]^n = I, and powers[i, k] is
+    stack[k]^i for i below the largest order."""
+    eye = np.eye(stack.shape[-1], dtype=complex)
+    powers = [np.broadcast_to(eye, stack.shape)]
+    orders = np.zeros(len(stack), dtype=int)
+    while not orders.all():
+        if len(powers) > _MAX_ORDER:
+            raise ValueError(
+                f"no finite order up to {_MAX_ORDER}: an eigenvalue is "
+                "non-unimodular or not a root of unity")
+        powers.append(powers[-1] @ stack)
+        at_one = np.abs(powers[-1] - eye).max(axis=(1, 2)) <= DIAG_TOL
+        orders[at_one & (orders == 0)] = len(powers) - 1
+    return orders, np.array(powers[:-1])
+
+
+def _joint_angles(a: np.ndarray, b: np.ndarray) -> list:
+    """Joint eigen-angles of commuting finite-order unitaries, batched.
+
+    a and b are (K, d, d) stacks, a[k] commuting with b[k].  With n and m
+    the orders of a[k] and b[k], the multiplicity of the angle pair
+    (x/n, y/m) is the integer DFT of the traces
+    (1/nm) sum_{i<n, j<m} tr(a[k]^i b[k]^j) exp(-2 pi i (xi/n + yj/m)),
+    one batch per distinct (n, m).  Returns, for each k, its d pairs of
+    Fractions, ascending and repeated by multiplicity; raises ValueError
+    when a multiplicity is not a non-negative integer (the pair does not
+    commute) or an image has no finite order.
+    """
+    (order_a, pow_a), (order_b, pow_b) = map(_cyclic_powers, (a, b))
+    out = [[] for _ in range(len(a))]
+    for n, m in set(zip(order_a.tolist(), order_b.tolist())):
+        ks = np.flatnonzero((order_a == n) & (order_b == m))
+        dft_n, dft_m = (np.exp(-2j * math.pi * np.arange(e) / e)[
+            np.outer(np.arange(e), np.arange(e)) % e] for e in (n, m))
+        mult = dft_n @ np.einsum("ikpq,jkqp->kij", pow_a[:n, ks],
+                                 pow_b[:m, ks]) @ dft_m / (n * m)
+        counts = np.rint(mult.real)
+        if np.abs(mult - counts).max() > DIAG_TOL or counts.min() < 0:
+            raise ValueError("joint eigen-angle multiplicities are not "
+                             "non-negative integers; the images do not "
+                             "commute")
+        for k, x, y in zip(*(v.tolist() for v in np.nonzero(counts))):
+            out[ks[k]] += ([(Fraction(x, n), Fraction(y, m))]
+                           * int(counts[k, x, y]))
+    return out
+
 
 @dataclass(frozen=True, eq=False)
 class SingularData:
@@ -480,112 +542,54 @@ class SingularData:
     lattice_characters: tuple      # the first l_infinity are trivial
 
 
-def _nullspace(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the right nullspace via SVD."""
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(mat)
-    rank = int(np.sum(s > DIAG_TOL))
-    return vh[rank:].conj().T
-
-
-def simultaneous_diagonalization(mats: Sequence[np.ndarray]):
-    """Common unitary eigenbasis of commuting normal matrices.
-
-    Random Hermitian combinations split degenerate clusters; failure after
-    several attempts signals numerically non-normal or non-commuting input.
-    Returns (U, [diag arrays]).
-    """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    n = mats[0].shape[0]
-    for a in mats:
-        for b in mats:
-            if np.max(np.abs(a @ b - b @ a)) > DIAG_TOL * 10:
-                raise ValueError("matrices do not commute within tolerance")
-    rng = np.random.default_rng(20240917)
-    for _ in range(8):
-        w = rng.standard_normal(2 * len(mats))
-        h = np.zeros((n, n), dtype=complex)
-        for j, m in enumerate(mats):
-            h += w[2 * j] * (m + m.conj().T) + w[2 * j + 1] * (m - m.conj().T) / 1j
-        _, u = np.linalg.eigh(h)
-        diags = []
-        ok = True
-        for m in mats:
-            t = u.conj().T @ m @ u
-            off = t - np.diag(np.diag(t))
-            if np.max(np.abs(off)) > DIAG_TOL:
-                ok = False
-                break
-            diags.append(np.diag(t).copy())
-        if ok:
-            return u, diags
-    raise RuntimeError("simultaneous diagonalization failed; input not normal?")
-
-
-def _snap_or_float(z: complex):
-    ang = snap_unit_angle(z)
-    if ang is not None:
-        return ang
-    return cmath.phase(z) / (2.0 * math.pi) % 1.0
+def _range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal basis of the range of a projector of known rank:
+    Gram-Schmidt on its columns, the longest remaining column first."""
+    cols = proj.copy()
+    basis = np.empty((proj.shape[0], rank), dtype=complex)
+    for r in range(rank):
+        q = cols[:, np.argmax(np.linalg.norm(cols, axis=0))]
+        basis[:, r] = q / np.linalg.norm(q)
+        cols -= np.outer(basis[:, r], basis[:, r].conj() @ cols)
+    return basis
 
 
 def restrict_to_lattice(chi: UnitaryRep, stab: StabilizerData):
     """The n lattice characters of chi restricted to the cusp translations.
 
-    chi(R) and chi(S) commute; in a joint eigenbasis the l-th eigenvector
-    carries psi_l(m + n tau) = lam_R^m lam_S^n.  Characters whose pair is
-    trivial are listed first, matching the split used by the parabolic
-    contribution.
+    The l-th joint eigen-angle pair (u, v) of chi(R) and chi(S) gives
+    psi_l(m + n tau) = exp(2 pi i (m u + n v)).  The pairs ascend, so the
+    trivial characters come first, the split the parabolic term uses.
     """
-    a_r, a_s = chi(stab.R), chi(stab.S)
-    _, (d_r, d_s) = simultaneous_diagonalization([a_r, a_s])
-    chars = [LatticeCharacter(_snap_or_float(lr), _snap_or_float(ls))
-             for lr, ls in zip(d_r, d_s)]
-    trivial = [c for c in chars if c.is_trivial]
-    rest = sorted((c for c in chars if not c.is_trivial),
-                  key=lambda c: (float(c.u), float(c.v)))
-    return trivial + rest
+    (angles,) = _joint_angles(chi(stab.R)[None], chi(stab.S)[None])
+    return [LatticeCharacter(u, v) for u, v in angles]
 
 
 def singular_spaces(chi: UnitaryRep, stab: StabilizerData) -> SingularData:
     """V'_infinity (translations-fixed) and V_infinity (stabilizer-fixed).
 
-    Checks that chi(E) preserves V'_infinity (it must, since the torsion
-    generator normalizes the translations) and that its restriction there
-    is unitary with unimodular eigenvalues.
+    The averages P' = mean chi(R)^i chi(S)^j over the finite image of the
+    translations and P = P' mean chi(E)^k project onto V'_infinity and
+    V_infinity, so l_infinity = tr P', k_infinity = tr P, and the bases
+    come from their columns.  Checks that chi(R), chi(S) and chi(E) are
+    unitary and that chi(E) preserves V'_infinity (it must, since the
+    torsion generator normalizes the translations).
     """
     n = chi.dim
-    a_r, a_s, a_e = chi(stab.R), chi(stab.S), chi(stab.E)
-    for name, m in (("R", a_r), ("S", a_s), ("E", a_e)):
+    images = np.array([chi(stab.R), chi(stab.S), chi(stab.E)])
+    for name, m in zip("RSE", images):
         if np.max(np.abs(m @ m.conj().T - np.eye(n))) > UNITARY_TOL * 10:
             raise ValueError(f"chi({name}) is not unitary")
-
-    eye = np.eye(n, dtype=complex)
-    p = _nullspace(np.vstack([a_r - eye, a_s - eye]))
-    l_inf = p.shape[1]
-
-    if l_inf:
-        resid = (eye - p @ p.conj().T) @ (a_e @ p)
-        if np.max(np.abs(resid)) > DIAG_TOL:
-            raise ValueError("chi(E) does not preserve V'_infinity; invalid chi")
-        b = p.conj().T @ a_e @ p
-        evals = np.linalg.eigvals(b)
-        if np.max(np.abs(np.abs(evals) - 1.0)) > DIAG_TOL:
-            raise ValueError("restricted torsion action has non-unimodular spectrum")
-        v_inf = p @ _nullspace(b - np.eye(l_inf))
-    else:
-        v_inf = np.zeros((n, 0), dtype=complex)
-    k_inf = v_inf.shape[1]
-
-    chars = tuple(restrict_to_lattice(chi, stab))
-    n_trivial = sum(1 for c in chars if c.is_trivial)
-    if n_trivial != l_inf:
-        raise RuntimeError(
-            f"lattice restriction found {n_trivial} trivial characters, "
-            f"but dim V'_infinity = {l_inf}")
-    if not 0 <= k_inf <= l_inf <= n:
-        raise AssertionError("singular dimensions out of order")
-    return SingularData(V_infinity=v_inf, V_prime_infinity=p,
+    orders, powers = _cyclic_powers(images)
+    mean_r, mean_s, mean_e = (powers[:o, k].mean(axis=0)
+                              for k, o in enumerate(orders.tolist()))
+    p_prime = mean_r @ mean_s
+    moved = images[2] @ p_prime
+    if np.max(np.abs(moved - p_prime @ moved)) > DIAG_TOL:
+        raise ValueError("chi(E) does not preserve V'_infinity; invalid chi")
+    p = p_prime @ mean_e
+    l_inf, k_inf = (round(np.trace(x).real) for x in (p_prime, p))
+    return SingularData(V_infinity=_range_basis(p, k_inf),
+                        V_prime_infinity=_range_basis(p_prime, l_inf),
                         k_infinity=k_inf, l_infinity=l_inf,
-                        lattice_characters=chars)
+                        lattice_characters=tuple(restrict_to_lattice(chi, stab)))

@@ -4,7 +4,8 @@ Euler product for Re(s) > 1 with the exact root-of-unity factor selection,
 its log-derivative in both pre- and post-collapse form, divisor bookkeeping
 (spectral + topological), the meromorphy order, the functional-equation
 factor, and the completed log-derivative whose pair combination is purely
-spectral.
+spectral.  The eigenvalues of chi it runs over are exact roots of unity,
+their angles trace averages over the finite image of chi.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 
 from .arithmetic_group import PrimitiveLoxodromicClass
 from .quadrature import digamma, loggamma
-from .representation import (UnitaryRep, simultaneous_diagonalization,
-                             snap_unit_angle)
+from .representation import UnitaryRep, _joint_angles, _unit_value
 from .trace_formula import (SpectralSideInputs, XiBlocks, cosh_integral,
                             geometric_blocks, length_spectrum)
 
@@ -45,7 +45,6 @@ __all__ = [
     "xi_log_derivative",
 ]
 
-UNIMODULAR_TOL = 1e-9
 # Euler-product factors and log-derivative terms below this modulus are dropped
 FACTOR_TOL = 1e-16
 
@@ -55,11 +54,12 @@ FACTOR_TOL = 1e-16
 
 @dataclass(frozen=True)
 class ZetaClassData:
-    """Eigenvalues of chi on one primitive loxodromic family.
+    """Joint eigenvalues of chi(T0) and chi(E_T) on one primitive
+    loxodromic family.
 
-    chi(T0) and chi(E_T) commute and are simultaneously diagonalized;
-    t_eigen[j] and t_prime_eigen[j] belong to the same eigenvector.
-    residue[j] is the unique (l - k) mod m with
+    (t_eigen[j], t_prime_eigen[j]) is one joint eigenvalue, listed with
+    multiplicity: exact roots of unity whose angles are trace averages over
+    the finite image of chi.  residue[j] is the unique (l - k) mod m with
     c = t'_j zeta0^(2(l-k)) = 1; the zeta factors for slot j run over
     exactly those (l, k) pairs.
     """
@@ -85,34 +85,24 @@ def _selection_residue(alpha: Fraction, theta: Fraction, m: int) -> int:
 
 def build_zeta_class_data(classes: Sequence[PrimitiveLoxodromicClass],
                           chi: UnitaryRep) -> list[ZetaClassData]:
+    """Class data from the exact joint eigen-angles (a, b) of chi(T0) and
+    chi(E_T) (the identity when a class has no torsion), all classes in
+    one batch: t = exp(2 pi i a), t' = exp(2 pi i b), and each residue
+    from b and the exact zeta0 angle."""
+    if not classes:
+        return []
+    t0 = np.array([chi(cls.T0) for cls in classes])
+    eye = np.eye(t0.shape[-1])
+    e_t = np.array([eye if cls.E_T is None else chi(cls.E_T)
+                    for cls in classes])
     out = []
-    for cls in classes:
-        if cls.E_T is None:
-            t_eig = [complex(z) for z in np.linalg.eigvals(chi(cls.T0))]
-            t_prime = [1.0 + 0.0j] * len(t_eig)
-            residues = [0] * len(t_eig)
-        else:
-            _, diags = simultaneous_diagonalization(
-                [chi(cls.T0), chi(cls.E_T)])
-            t_eig = [complex(z) for z in diags[0]]
-            t_prime = [complex(z) for z in diags[1]]
-            if cls.zeta0_angle is None:
-                raise ValueError("torsion class lacks an exact zeta0 angle")
-            residues = []
-            for tp in t_prime:
-                alpha = snap_unit_angle(tp, tol=UNIMODULAR_TOL, max_den=48)
-                if alpha is None:
-                    raise ValueError(
-                        f"chi(E_T) eigenvalue {tp} is not a recognizable "
-                        "root of unity")
-                residues.append(
-                    _selection_residue(alpha, cls.zeta0_angle, cls.m))
-        for z in t_eig:
-            if abs(abs(z) - 1.0) > UNIMODULAR_TOL:
-                raise ValueError(f"non-unimodular eigenvalue {z} of chi(T0)")
-        out.append(ZetaClassData(cls=cls, t_eigen=tuple(t_eig),
-                                 t_prime_eigen=tuple(t_prime),
-                                 residues=tuple(residues)))
+    for cls, angles in zip(classes, _joint_angles(t0, e_t)):
+        theta = cls.zeta0_angle or Fraction(0)  # None exactly when m = 1
+        out.append(ZetaClassData(
+            cls=cls, t_eigen=tuple(_unit_value(a) for a, _ in angles),
+            t_prime_eigen=tuple(_unit_value(b) for _, b in angles),
+            residues=tuple(_selection_residue(b, theta, cls.m)
+                           for _, b in angles)))
     return out
 
 
@@ -129,8 +119,10 @@ def _euler_factors(s: complex, data: Sequence[ZetaClassData],
     selected (class, j, k, l) factor: (l - k - r_j) = 0 mod m and k + l at
     most kl_cutoff, or else at most the class's FACTOR_TOL cutoff at Re s.
 
-    The a0 powers come from Python's ** and every product from _cmul, so a
-    real character at real s gives exact conjugate pairs x(k, l), x(l, k).
+    The a0 powers come from Python's ** and every product from _cmul.  t_j
+    multiplies a0^(-2k) conj(a0)^(-2l), the exact conjugate of its (l, k)
+    partner, so a real chi (exact conjugate t_j pairs) at real s gives
+    exact conjugate factors.
     """
     if not data:
         return np.zeros(0, complex), np.zeros(0)
@@ -151,7 +143,7 @@ def _euler_factors(s: complex, data: Sequence[ZetaClassData],
                        for z in data])
     base = np.array([z.cls.N0 ** (-s - 1.0) for z in data])
     t = np.array([z.t_eigen for z in data], dtype=complex)
-    x = _cmul(_cmul(_cmul(t[c, j], powers[c, k]), powers[c, l].conj()),
+    x = _cmul(_cmul(t[c, j], _cmul(powers[c, k], powers[c, l].conj())),
               base[c])
     return x, log_n0[c]
 

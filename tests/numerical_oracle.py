@@ -1,0 +1,79 @@
+"""Numerical route to the data the package reads from traces: joint
+eigenvalues by simultaneous diagonalization and singular subspaces by SVD
+nullspaces.  The tests compare the exact trace averages against it."""
+import cmath
+import math
+from typing import Sequence
+
+import numpy as np
+
+from selberg3.representation import snap_unit_angle
+
+TOL = 1e-10
+
+
+def simultaneous_diagonalization(mats: Sequence[np.ndarray]):
+    """Common unitary eigenbasis of commuting normal matrices.
+
+    Random Hermitian combinations split degenerate clusters; failure after
+    several attempts signals numerically non-normal or non-commuting input.
+    Returns (U, [diag arrays]).
+    """
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    n = mats[0].shape[0]
+    for a in mats:
+        for b in mats:
+            if np.max(np.abs(a @ b - b @ a)) > TOL * 10:
+                raise ValueError("matrices do not commute within tolerance")
+    rng = np.random.default_rng(20240917)
+    for _ in range(8):
+        w = rng.standard_normal(2 * len(mats))
+        h = np.zeros((n, n), dtype=complex)
+        for j, m in enumerate(mats):
+            h += w[2 * j] * (m + m.conj().T) + w[2 * j + 1] * (m - m.conj().T) / 1j
+        _, u = np.linalg.eigh(h)
+        diags = []
+        ok = True
+        for m in mats:
+            t = u.conj().T @ m @ u
+            off = t - np.diag(np.diag(t))
+            if np.max(np.abs(off)) > TOL:
+                ok = False
+                break
+            diags.append(np.diag(t).copy())
+        if ok:
+            return u, diags
+    raise RuntimeError("simultaneous diagonalization failed; input not normal?")
+
+
+def nullspace(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the right nullspace via SVD."""
+    if mat.shape[0] == 0:
+        return np.eye(mat.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(mat)
+    rank = int(np.sum(s > TOL))
+    return vh[rank:].conj().T
+
+
+def snap_or_float(z: complex):
+    """The rational angle of a root of unity, else its float angle."""
+    ang = snap_unit_angle(z)
+    if ang is not None:
+        return ang
+    return cmath.phase(z) / (2.0 * math.pi) % 1.0
+
+
+def singular_spaces_svd(a_r, a_s, a_e):
+    """(V_infinity, V'_infinity, lattice angle pairs) by SVD nullspaces and
+    simultaneous diagonalization of chi(R), chi(S) and chi(E)."""
+    n = a_r.shape[0]
+    eye = np.eye(n, dtype=complex)
+    p = nullspace(np.vstack([a_r - eye, a_s - eye]))
+    if p.shape[1]:
+        v = p @ nullspace(p.conj().T @ a_e @ p - np.eye(p.shape[1]))
+    else:
+        v = np.zeros((n, 0), dtype=complex)
+    _, (d_r, d_s) = simultaneous_diagonalization([a_r, a_s])
+    pairs = sorted((snap_or_float(x), snap_or_float(y))
+                   for x, y in zip(d_r, d_s))
+    return v, p, pairs

@@ -6,32 +6,20 @@ import numpy as np
 import pytest
 
 from selberg3.arithmetic_group import (EISENSTEIN_GROUP, PICARD,
-                                       enumerate_elements, from_ints, identity,
+                                       enumerate_elements, identity,
                                        stabilizer_data)
 from selberg3.eisenstein import (EisensteinSample, _bottom_row_key,
                                  coset_representatives, eigen_check,
                                  eisenstein_series, raw_orbit_normalized_sum,
                                  series_term)
 from selberg3.geometry import Point3, laplacian_fd
-from selberg3.representation import (congruence_table_rep, find_character,
-                                     singular_spaces, trivial_rep)
+from selberg3.representation import (find_character, singular_spaces,
+                                     trivial_rep)
 
 P0 = Point3(0.3 + 0.2j, 1.1)
 TRIV_G = trivial_rep(PICARD.ring)
 TRIV_E = trivial_rep(EISENSTEIN_GROUP.ring)
 ONE = np.array([1.0])
-
-
-@pytest.fixture(scope="module")
-def s3_rep():
-    th = 2 * math.pi / 3
-    refl_a = np.array([[1, 0], [0, -1]], dtype=complex)
-    refl_b = np.array([[math.cos(th), math.sin(th)],
-                       [math.sin(th), -math.cos(th)]], dtype=complex)
-    sigma = from_ints(PICARD.ring, (((0, 0), (-1, 0)), ((1, 0), (0, 0))))
-    stab = stabilizer_data(PICARD)
-    return congruence_table_rep(PICARD, (1, 1),
-                                [(stab.R, refl_a), (sigma, refl_b)])
 
 
 class TestCosetRepresentatives:
@@ -130,12 +118,12 @@ class TestSeries:
         assert smp.value.shape == (1,)
         assert math.isfinite(abs(smp.value[0]))
 
-    def test_vector_valued_singular(self, s3_rep):
-        sing = singular_spaces(s3_rep, stabilizer_data(PICARD))
+    def test_vector_valued_singular(self, s3_table_rep):
+        sing = singular_spaces(s3_table_rep, stabilizer_data(PICARD))
         assert sing.k_infinity == 1
         v = sing.V_infinity[:, 0]
-        a = eisenstein_series(P0, 2.0, s3_rep, v, PICARD, 6)
-        b = eisenstein_series(P0, 2.0, s3_rep, v, PICARD, 12)
+        a = eisenstein_series(P0, 2.0, s3_table_rep, v, PICARD, 6)
+        b = eisenstein_series(P0, 2.0, s3_table_rep, v, PICARD, 12)
         assert np.abs(a.value - b.value).max() <= a.tail_estimate
         # dominant term is r^{1+s} v
         lead = (P0.r ** 3) * v
@@ -146,10 +134,10 @@ class TestSeries:
         with pytest.raises(ValueError, match="singular"):
             eisenstein_series(P0, 2.0, sign, ONE, PICARD, 4)
 
-    def test_rejects_nonsingular_component(self, s3_rep):
+    def test_rejects_nonsingular_component(self, s3_table_rep):
         # generic vector has a component outside the fixed line
         with pytest.raises(ValueError, match="singular"):
-            eisenstein_series(P0, 2.0, s3_rep, np.array([1.0, 1.0]), PICARD, 4)
+            eisenstein_series(P0, 2.0, s3_table_rep, np.array([1.0, 1.0]), PICARD, 4)
 
     def test_rejects_small_re_s(self):
         with pytest.raises(ValueError, match="Re"):
@@ -194,9 +182,9 @@ class TestEigenCheck:
         res = eigen_check(P0, 2.0, TRIV_E, ONE, EISENSTEIN_GROUP, 8, 1e-3)
         assert res <= 1e-3
 
-    def test_vector_valued(self, s3_rep):
-        v = singular_spaces(s3_rep, stabilizer_data(PICARD)).V_infinity[:, 0]
-        res = eigen_check(P0, 2.0, s3_rep, v, PICARD, 6, 1e-3)
+    def test_vector_valued(self, s3_table_rep):
+        v = singular_spaces(s3_table_rep, stabilizer_data(PICARD)).V_infinity[:, 0]
+        res = eigen_check(P0, 2.0, s3_table_rep, v, PICARD, 6, 1e-3)
         assert res <= 1e-3
 
     def test_stencil_leaves_space(self):

@@ -1,5 +1,5 @@
-"""Import weight: no command loads scipy, and nothing in the package needs
-it."""
+"""Import weight: no command loads scipy, numpy.random or numpy.ma, and
+nothing in the package needs scipy."""
 import os
 import pathlib
 import subprocess
@@ -7,9 +7,10 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-# Imports every module, runs each command but trace and prints the scipy
-# modules then loaded; then runs trace, whose quadratures and digamma values
-# are numpy code, and prints whether any scipy module is loaded.
+# Imports every module, runs each command but trace, printing after each the
+# numpy.random and numpy.ma modules then loaded, and prints the scipy modules
+# loaded; then runs trace, whose quadratures and digamma values are numpy
+# code, and prints the same for it and whether any scipy module is loaded.
 SCRIPT = """
 import contextlib, io, sys
 import selberg3.cli
@@ -21,6 +22,8 @@ def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, "--height", "4"])
     assert code == 0, (argv, code)
+    print(argv[0], sorted(m for m in ("numpy.random", "numpy.ma")
+                          if m in sys.modules))
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -42,7 +45,9 @@ def test_no_command_loads_scipy():
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "False"]
+    assert proc.stdout.splitlines() == [
+        "enumerate []", "classify []", "lsum []", "identity []", "zeta []",
+        "eisenstein-check []", "[]", "trace []", "False"]
 
 
 # With scipy blocked, imports every selberg3 module, runs every command and

@@ -22,13 +22,16 @@ from selberg3.representation import (
     direct_sum,
     find_character,
     quotient_characters,
+    _joint_angles,
+    _unit_value,
     restrict_to_lattice,
-    simultaneous_diagonalization,
     singular_spaces,
     snap_unit_angle,
     trivial_rep,
 )
 from selberg3.rings import EISENSTEIN, GAUSSIAN
+
+from numerical_oracle import simultaneous_diagonalization, singular_spaces_svd
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -67,15 +70,6 @@ def sign_character():
 @pytest.fixture(scope="module")
 def cube_character():
     return find_character(EISENSTEIN_GROUP, (1, 2), OMEGA, OMEGA, 1)
-
-
-@pytest.fixture(scope="module")
-def s3_table_rep():
-    th = 2 * math.pi / 3
-    refl_a = np.array([[1, 0], [0, -1]], dtype=complex)
-    refl_b = np.array([[math.cos(th), math.sin(th)],
-                       [math.sin(th), -math.cos(th)]], dtype=complex)
-    return congruence_table_rep(PICARD, (1, 1), [(STAB_P.R, refl_a), (SIGMA, refl_b)])
 
 
 def translation(ring, m, n):
@@ -130,6 +124,23 @@ class TestSnap:
 
     def test_rejects_generic_phase(self):
         assert snap_unit_angle(cmath.exp(2j * 1.0)) is None
+
+
+class TestUnitValue:
+    def test_conjugate_symmetric(self):
+        """The values at a and -a are exact conjugates for every a/q with
+        q <= 12 (once exp(2 pi i 2/3) was not the conjugate of the value
+        at 1/3 in its last bits)."""
+        for q in range(1, 13):
+            for a in range(q):
+                z = _unit_value(Fraction(a, q))
+                assert abs(z - cmath.exp(2j * math.pi * a / q)) < 1e-15
+                assert _unit_value(Fraction(-a, q)) == z.conjugate()
+                assert _unit_value(Fraction(q - a, q)) == z.conjugate()
+
+    def test_quarter_turns_exact(self):
+        assert [_unit_value(Fraction(k, 4)) for k in range(4)] == [
+            1, 1j, -1, -1j]
 
 
 class TestResidueRing:
@@ -299,7 +310,100 @@ class TestSimultaneousDiagonalization:
             simultaneous_diagonalization([a, b])
 
 
+# (group, representation) pairs of the oracle comparisons
+ORACLE_REPS = [("picard", "trivial(3)"), ("picard", "sign"), ("picard", "s3"),
+               ("picard", "trivial+sign"), ("eisenstein", "trivial(3)"),
+               ("eisenstein", "cube"), ("eisenstein", "trivial+cube")]
+
+
+def oracle_rep(group_name, rep_name, request):
+    ring = GAUSSIAN if group_name == "picard" else EISENSTEIN
+    named = {"sign": "sign_character", "cube": "cube_character",
+             "s3": "s3_table_rep"}
+    if rep_name == "trivial(3)":
+        return trivial_rep(ring, 3)
+    if rep_name.startswith("trivial+"):
+        return direct_sum([trivial_rep(ring, 1),
+                           oracle_rep(group_name, rep_name[8:], request)])
+    return request.getfixturevalue(named[rep_name])
+
+
+def assert_same_pairs(exact, numeric, tol=1e-9):
+    """The two lists of eigenvalue pairs agree as multisets within tol."""
+    left = list(exact)
+    numeric = list(numeric)
+    assert len(left) == len(numeric)
+    for x, y in numeric:
+        hits = [i for i, (u, v) in enumerate(left)
+                if abs(u - x) <= tol and abs(v - y) <= tol]
+        assert hits, (x, y, left)
+        left.pop(hits[0])
+
+
+class TestJointAngles:
+    @pytest.mark.parametrize("group_name,rep_name", ORACLE_REPS,
+                             ids=[f"{g}-{r}" for g, r in ORACLE_REPS])
+    def test_matches_numerical_diagonalization(self, group_name, rep_name,
+                                               request):
+        """On every loxodromic class at h6/N14, the trace DFT gives the
+        joint eigenvalues of chi(T0) and chi(E_T) that simultaneous
+        diagonalization finds."""
+        classes = request.getfixturevalue(f"{group_name}_data").loxodromic
+        chi = oracle_rep(group_name, rep_name, request)
+        t0 = np.array([chi(c.T0) for c in classes])
+        e_t = np.array([np.eye(chi.dim) if c.E_T is None else chi(c.E_T)
+                        for c in classes])
+        angles = _joint_angles(t0, e_t)
+        assert len(angles) == len(classes)
+        for a, b, pairs in zip(t0, e_t, angles):
+            _, (d_a, d_b) = simultaneous_diagonalization([a, b])
+            assert_same_pairs([(_unit_value(u), _unit_value(v))
+                               for u, v in pairs], zip(d_a, d_b))
+
+    def test_mixed_orders_in_one_batch(self):
+        omega = cmath.exp(2j * math.pi / 3)
+        a = np.array([np.diag([1, -1]), np.diag([omega, omega.conjugate()])])
+        b = np.array([np.diag([-1, 1]), np.eye(2)])
+        assert _joint_angles(a, b) == [
+            [(0, HALF), (HALF, 0)], [(THIRD, 0), (2 * THIRD, 0)]]
+
+    def test_non_commuting_pair_rejected(self):
+        a = np.array([[[0, 1], [1, 0]]], dtype=complex)
+        b = np.array([[[1, 0], [0, -1]]], dtype=complex)
+        with pytest.raises(ValueError, match="commute"):
+            _joint_angles(a, b)
+
+    def test_infinite_order_rejected(self):
+        # once the lattice restriction returned a float angle here
+        def evaluator(M):
+            return np.array([[cmath.exp(0.3j) if M == STAB_P.R else 1.0]])
+
+        chi = UnitaryRep(1, "congruence", evaluator)
+        with pytest.raises(ValueError, match="finite order"):
+            restrict_to_lattice(chi, STAB_P)
+        with pytest.raises(ValueError, match="finite order"):
+            singular_spaces(chi, STAB_P)
+
+
 class TestSingularSpaces:
+    @pytest.mark.parametrize("group_name,rep_name", ORACLE_REPS,
+                             ids=[f"{g}-{r}" for g, r in ORACLE_REPS])
+    def test_matches_svd_route(self, group_name, rep_name, request):
+        """(k_inf, l_inf), the lattice characters and both subspaces agree
+        with SVD nullspaces and simultaneous diagonalization."""
+        stab = STAB_P if group_name == "picard" else STAB_E
+        chi = oracle_rep(group_name, rep_name, request)
+        sd = singular_spaces(chi, stab)
+        v, p, pairs = singular_spaces_svd(chi(stab.R), chi(stab.S),
+                                          chi(stab.E))
+        assert (sd.k_infinity, sd.l_infinity) == (v.shape[1], p.shape[1])
+        assert [(c.u, c.v) for c in sd.lattice_characters] == pairs
+        for got, want in ((sd.V_infinity, v), (sd.V_prime_infinity, p)):
+            assert np.max(np.abs(got.conj().T @ got - np.eye(got.shape[1])),
+                          initial=0.0) < 1e-12
+            assert np.max(np.abs(got @ got.conj().T - want @ want.conj().T),
+                          initial=0.0) < 1e-9
+
     def test_trivial_dim3(self):
         sd = singular_spaces(trivial_rep(GAUSSIAN, 3), STAB_P)
         assert (sd.k_infinity, sd.l_infinity) == (3, 3)

@@ -57,7 +57,7 @@ def _loop_cutoff(n0, s_real):
 def _loop_factors(zcd, s, kl_cutoff):
     """Reference selection: x for every slot j, total k + l up to the
     cutoff and l with (l - k - r_j) = 0 mod m, one factor at a time in
-    Python complex arithmetic."""
+    Python complex arithmetic, t_j multiplying the a0 powers' product."""
     a0, n0 = zcd.cls.a0, zcd.cls.N0
     cutoff = kl_cutoff if kl_cutoff is not None else _loop_cutoff(n0, s.real)
     base = n0 ** (-s - 1.0)
@@ -66,7 +66,7 @@ def _loop_factors(zcd, s, kl_cutoff):
             for l in range(total + 1):
                 k = total - l
                 if (l - k - r) % zcd.m == 0:
-                    yield (t_j * a0 ** (-2 * k) * a0.conjugate() ** (-2 * l)
+                    yield (t_j * (a0 ** (-2 * k) * a0.conjugate() ** (-2 * l))
                            * base)
 
 
@@ -237,12 +237,15 @@ class TestEulerProduct:
 
     @pytest.mark.parametrize("group_name", ["picard", "eisenstein"])
     def test_real_character_values_are_real(self, group_name, request):
-        """A character with values +-1 at real s: the factors pair off as
-        exact conjugates, so both imaginary parts are exactly zero."""
+        """A real representation at real s (values +-1, or the real S3
+        table, whose eigenvalues are the conjugate pair omega, omega^2 on
+        some classes): the factors pair off as exact conjugates, so both
+        imaginary parts are exactly zero."""
         gd = request.getfixturevalue(f"{group_name}_data")
         chars = [_char(group_name, None)]
         if group_name == "picard":
-            chars.append(_char("picard", "sign"))
+            chars += [_char("picard", "sign"),
+                      request.getfixturevalue("s3_table_rep")]
         for chi in chars:
             data = build_zeta_class_data(gd.loxodromic, chi)
             for s in (1.05, 2.0, 2.5, 3.7):
