@@ -12,8 +12,8 @@ function g_{a1,a2} via the Kronecker limit formula.  The two L-paths share
 no code and serve as each other's oracle.
 
 kappa and the direct L-value read Z at a ladder of 17 cutoffs spanning
-the last decade below x_max.  One sweep over the points of the largest
-cutoff serves the whole ladder, adding each point once (ladder_sums).
+the last decade below x_max.  One real sweep over half the points of the
+largest cutoff, one of each pair +-mu, serves the whole ladder (ladder_sums).
 
 The constant kappa of the cusp lattice is the same quantity that enters
 the parabolic contribution of the trace formula (written eta there);
@@ -81,8 +81,7 @@ class LatticeCharacter:
 
     @property
     def is_trivial(self) -> bool:
-        ru, rv = self.reduced()
-        return abs(float(ru)) < 1e-12 and abs(float(rv)) < 1e-12
+        return all(min(r, 1.0 - r) < 1e-12 for r in map(float, self.reduced()))
 
     def __call__(self, m: int, n: int) -> complex:
         return cmath.exp(2j * math.pi * (m * float(self.u) + n * float(self.v)))
@@ -126,8 +125,8 @@ def _n_max(lat: Lattice, x: float) -> int:
     return int(math.floor(math.sqrt(x) * abs(lat.tau) / lat.area + 1))
 
 
-# lattice points per block: a complex array of one block (16 bytes a
-# point) stays below glibc's 128 KiB mmap threshold
+# lattice points per block: each float array of one block (8 bytes a
+# point) stays far below glibc's 128 KiB mmap threshold
 _BLOCK_POINTS = 1 << 12
 
 
@@ -138,38 +137,38 @@ def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
     whenever the norm form has integer coefficients (tau = i, omega,
     1 + omega, multiples of i, ...).
 
-    Points are indexed as m*tau + n (row n, column m), so psi factors as
-    exp(2 pi i v m) exp(2 pi i u n): each term is the product of a column
-    and a row phase from two tables, divided by |mu|^2.  The kept points
-    are laid out as runs of consecutive m, one per row (row 0 split around
-    the origin), and taken in blocks of _BLOCK_POINTS consecutive points.
+    Points are indexed as m*tau + n (row n, column m).  The terms at +-mu
+    are conjugate, so Z is twice the sum of Re psi(mu)/|mu|^2 over the
+    half-lattice of the rows n > 0 and m >= 1 in row 0, in real arithmetic
+    (8 bytes a point), with Re psi = cos(2 pi v m) cos(2 pi u n)
+    - sin(2 pi v m) sin(2 pi u n) from per-axis tables.  The kept points
+    are runs of consecutive m, one per row from the top row down (small
+    terms first, for less round-off), taken in blocks of _BLOCK_POINTS.
     Each point is evaluated once and tagged with the rung of the smallest
-    cutoff that keeps it, by a searchsorted of its norm over the sorted
-    cutoffs; np.bincount adds a block's real and imaginary parts into the
-    rung bins, and Z at a cutoff is the running sum of the bins up to its
-    rung.  So each cutoff keeps exactly the points of its own sweep, equal
-    cutoffs give equal sums, a cutoff below the shortest vector gives
-    exactly 0j, and each Z(x) agrees with a sweep of that cutoff alone up
-    to the round-off of the order of addition.
+    cutoff that keeps it (searchsorted of its norm over the sorted
+    cutoffs); np.bincount adds a block's terms into the rung bins, and Z
+    at a cutoff is twice their running sum up to its rung.  So each
+    cutoff keeps exactly the points of its own sweep, equal cutoffs give
+    equal sums, a cutoff below the shortest vector gives 0j, every
+    imaginary part is 0.0, and each Z(x) agrees with a full-lattice sweep
+    of that cutoff alone up to the round-off of the summation order.
     """
     xs = np.array(xs, dtype=float)
     if xs.min() <= 0:
         raise ValueError("cutoff must be positive")
     c, b, exact = lat.norm_form()
     rungs = np.sort(xs)  # repeats are harmless; np.unique would import numpy.ma
-    n_top = _n_max(lat, rungs[-1])
-    ns = np.arange(-n_top, n_top + 1)
+    ns = np.arange(_n_max(lat, rungs[-1]), -1, -1)
     lo, hi = _kept_bounds(c, b, exact, rungs[-1], ns)
-    row_phase = np.exp(2j * np.pi * (float(psi.u) * ns))
+    lo[-1] = 1  # row 0 of the half-lattice starts past the origin
     m_min = int(lo.min())
-    col_phase = np.exp(2j * np.pi * (float(psi.v) * np.arange(m_min, int(hi.max()) + 1)))
-    # runs of kept points, lo..hi of each row; row 0 stops at -1, a last run is 1..hi
-    run_n = np.append(ns, 0)
-    width = np.append(hi - lo + 1, hi[n_top])
-    width[n_top] = -lo[n_top]
+    col = 2.0 * np.pi * (float(psi.v) * np.arange(m_min, int(hi.max()) + 1))
+    row = 2.0 * np.pi * (float(psi.u) * ns)
+    col_cos, col_sin, row_cos, row_sin = np.cos(col), np.sin(col), np.cos(row), np.sin(row)
+    width = hi - lo + 1  # runs of kept points, lo..hi of each row
     ends = np.cumsum(width)
-    offset = np.append(lo, 1) - ends + width  # m = point index + offset
-    bins = np.zeros((2, len(rungs)))
+    offset = lo - ends + width  # m = point index + offset
+    bins = np.zeros(len(rungs))
     total = int(ends[-1])
     for start in range(0, total, _BLOCK_POINTS):
         stop = min(start + _BLOCK_POINTS, total)
@@ -177,15 +176,14 @@ def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
         r = slice(np.searchsorted(ends, start, "right"), np.searchsorted(ends, stop) + 1)
         count = np.minimum(ends[r], stop) - np.maximum(ends[r] - width[r], start)
         m = np.arange(start, stop) + np.repeat(offset[r], count)
-        n = np.repeat(run_n[r], count)
+        n = np.repeat(ns[r], count)
         q = _norms(c, b, exact, m, n)
-        phase = col_phase[m - m_min]
-        phase *= row_phase[n + n_top]
-        rung = np.searchsorted(rungs, q)
-        bins[0] += np.bincount(rung, phase.real / q, len(rungs))
-        bins[1] += np.bincount(rung, phase.imag / q, len(rungs))
-    re, im = np.cumsum(bins, axis=1)[:, np.searchsorted(rungs, xs)].tolist()
-    return list(map(complex, re, im))
+        j = m - m_min
+        term = col_cos[j] * np.repeat(row_cos[r], count)
+        term -= col_sin[j] * np.repeat(row_sin[r], count)
+        term /= q
+        bins += np.bincount(np.searchsorted(rungs, q), term, len(rungs))
+    return list(map(complex, 2.0 * np.cumsum(bins)[np.searchsorted(rungs, xs)]))
 
 
 def _ladder(x_max: float) -> list:
@@ -326,8 +324,9 @@ def L_value_kronecker(lat: Lattice, psi: LatticeCharacter) -> float:
     """Closed-form L(Lambda, psi) = (-2 pi / Im tau) log |g_{-v,u}(tau)|.
 
     Independent of L_value_direct (q-product vs raw summation); the dual
-    path is this module's core cross-check.  The closed form is real; the
-    imaginary part of the direct sum is the caller's vanishing check.
+    path is this module's core cross-check.  Both are real, the direct sum
+    by its half-lattice fold; the tests' full-lattice reference sweep
+    checks that the imaginary part it drops vanishes.
     """
     if psi.is_trivial:
         raise ValueError("Kronecker limit formula needs a nontrivial character")

@@ -512,8 +512,14 @@ def _joint_angles(a: np.ndarray, b: np.ndarray) -> list:
     when a multiplicity is not a non-negative integer (the pair does not
     commute) or an image has no finite order.
     """
-    (order_a, pow_a), (order_b, pow_b) = map(_cyclic_powers, (a, b))
-    out = [[] for _ in range(len(a))]
+    return _joint_angles_of(_cyclic_powers(a), _cyclic_powers(b))
+
+
+def _joint_angles_of(cyclic_a, cyclic_b) -> list:
+    """_joint_angles from the _cyclic_powers of a and of b; the powers may
+    run past the orders."""
+    (order_a, pow_a), (order_b, pow_b) = cyclic_a, cyclic_b
+    out = [[] for _ in range(len(order_a))]
     for n, m in set(zip(order_a.tolist(), order_b.tolist())):
         ks = np.flatnonzero((order_a == n) & (order_b == m))
         dft_n, dft_m = (np.exp(-2j * math.pi * np.arange(e) / e)[
@@ -554,17 +560,6 @@ def _range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
     return basis
 
 
-def restrict_to_lattice(chi: UnitaryRep, stab: StabilizerData):
-    """The n lattice characters of chi restricted to the cusp translations.
-
-    The l-th joint eigen-angle pair (u, v) of chi(R) and chi(S) gives
-    psi_l(m + n tau) = exp(2 pi i (m u + n v)).  The pairs ascend, so the
-    trivial characters come first, the split the parabolic term uses.
-    """
-    (angles,) = _joint_angles(chi(stab.R)[None], chi(stab.S)[None])
-    return [LatticeCharacter(u, v) for u, v in angles]
-
-
 def singular_spaces(chi: UnitaryRep, stab: StabilizerData) -> SingularData:
     """V'_infinity (translations-fixed) and V_infinity (stabilizer-fixed).
 
@@ -573,7 +568,10 @@ def singular_spaces(chi: UnitaryRep, stab: StabilizerData) -> SingularData:
     V_infinity, so l_infinity = tr P', k_infinity = tr P, and the bases
     come from their columns.  Checks that chi(R), chi(S) and chi(E) are
     unitary and that chi(E) preserves V'_infinity (it must, since the
-    torsion generator normalizes the translations).
+    torsion generator normalizes the translations).  The same powers of
+    chi(R) and chi(S) give the lattice characters psi(m + n tau) =
+    exp(2 pi i (m u + n v)), one per joint eigen-angle pair (u, v); the
+    pairs ascend, so the trivial ones come first, as the parabolic term reads.
     """
     n = chi.dim
     images = np.array([chi(stab.R), chi(stab.S), chi(stab.E)])
@@ -589,7 +587,10 @@ def singular_spaces(chi: UnitaryRep, stab: StabilizerData) -> SingularData:
         raise ValueError("chi(E) does not preserve V'_infinity; invalid chi")
     p = p_prime @ mean_e
     l_inf, k_inf = (round(np.trace(x).real) for x in (p_prime, p))
+    (angles,) = _joint_angles_of((orders[:1], powers[:, :1]),
+                                 (orders[1:2], powers[:, 1:2]))
     return SingularData(V_infinity=_range_basis(p, k_inf),
                         V_prime_infinity=_range_basis(p_prime, l_inf),
                         k_infinity=k_inf, l_infinity=l_inf,
-                        lattice_characters=tuple(restrict_to_lattice(chi, stab)))
+                        lattice_characters=tuple(LatticeCharacter(u, v)
+                                                 for u, v in angles))

@@ -223,8 +223,21 @@ class TestLadderSums:
         ref = reference_ladder_sums(lat, uv, x_max)
         got = ladder_sums(xs, lat, psi)
         assert_round_off(got, ref)
+        assert all(z.imag == 0.0 for z in got)
         assert ladder_sums(xs[::-1], lat, psi) == got[::-1]
         assert_round_off([partial_sum_Z(x, lat, psi) for x in xs[::4]], ref[::4])
+
+    def test_reference_is_symmetric_under_negation(self, lat, uv, x_max):
+        """What the half-lattice fold relies on: the reference keeps -mu
+        with mu at every cutoff, so its terms pair off into conjugates and
+        its imaginary part is round-off."""
+        for x in reference_ladder(x_max)[::8]:
+            pts = np.concatenate([np.stack([np.full_like(m, n), m])
+                                  for n, m, _ in reference_rows(x, lat)], axis=1)
+            kept, flipped = (p[:, np.lexsort(p[::-1])] for p in (pts, -pts))
+            assert np.array_equal(kept, flipped)
+        for z in reference_ladder_sums(lat, uv, x_max):
+            assert abs(z.imag) <= 1e-13 * max(1.0, abs(z))
 
     def test_fit_and_L_value_within_round_off(self, lat, uv, x_max):
         psi = LatticeCharacter(*uv)
@@ -345,6 +358,17 @@ class TestCharacters:
         assert TRIVIAL_CHARACTER.is_trivial
         assert LatticeCharacter(1, -2).is_trivial
         assert not LatticeCharacter(Fraction(1, 2), 0).is_trivial
+
+    @pytest.mark.parametrize("uv", [(1e-13, 0), (-1e-13, 0), (0, 1e-13), (0, -1e-13),
+                                    (1 - 1e-13, 0), (0, -1 + 1e-13)], ids=str)
+    def test_trivial_on_both_sides_of_an_integer(self, uv):
+        # -1e-13 once reduced to 0.9999999999999 and summed a divergent Z
+        psi = LatticeCharacter(*uv)
+        assert psi.is_trivial
+        with pytest.raises(ValueError, match="diverges"):
+            L_value_direct(SQUARE_LATTICE, psi, x_max=1e4)
+        with pytest.raises(ValueError, match="nontrivial"):
+            L_value_kronecker(SQUARE_LATTICE, psi)
 
     def test_conjugate_inverts_values(self):
         psi = LatticeCharacter(Fraction(1, 3), Fraction(5, 7))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from selberg3 import representation
 from selberg3.arithmetic_group import (
     EISENSTEIN_GROUP,
     PICARD,
@@ -13,6 +14,7 @@ from selberg3.arithmetic_group import (
     from_ints,
     stabilizer_data,
 )
+from selberg3.lattice_lfn import LatticeCharacter
 from selberg3.representation import (
     CongruenceQuotient,
     CyclotomicValue,
@@ -24,7 +26,6 @@ from selberg3.representation import (
     quotient_characters,
     _joint_angles,
     _unit_value,
-    restrict_to_lattice,
     singular_spaces,
     snap_unit_angle,
     trivial_rep,
@@ -70,6 +71,14 @@ def sign_character():
 @pytest.fixture(scope="module")
 def cube_character():
     return find_character(EISENSTEIN_GROUP, (1, 2), OMEGA, OMEGA, 1)
+
+
+def restrict_to_lattice(chi, stab):
+    """The lattice characters of chi alone, by the joint angles of chi(R)
+    and chi(S) with their own cyclic powers; chi need not be defined
+    beyond the translations."""
+    (angles,) = _joint_angles(chi(stab.R)[None], chi(stab.S)[None])
+    return [LatticeCharacter(u, v) for u, v in angles]
 
 
 def translation(ring, m, n):
@@ -403,6 +412,37 @@ class TestSingularSpaces:
                           initial=0.0) < 1e-12
             assert np.max(np.abs(got @ got.conj().T - want @ want.conj().T),
                           initial=0.0) < 1e-9
+
+    @pytest.mark.parametrize("group_name,rep_name,k_l,pairs", [
+        ("picard", "trivial(3)", (3, 3), [(0, 0)] * 3),
+        ("picard", "sign", (0, 0), [(HALF, HALF)]),
+        ("eisenstein", "cube", (0, 0), [(THIRD, THIRD)]),
+        ("picard", "s3", (1, 1), [(0, 0), (HALF, HALF)]),
+    ], ids=["trivial(3)", "sign", "cube", "s3"])
+    def test_bit_identical_values(self, group_name, rep_name, k_l, pairs,
+                                  request, monkeypatch):
+        """The bases are the leading unit columns bit for bit (+0.0 off
+        the diagonal), as the route that found the cyclic powers of
+        chi(R) and chi(S) again for the lattice characters gave them, and
+        one singular_spaces call finds the cyclic powers once."""
+        calls = []
+        cyclic_powers = representation._cyclic_powers
+
+        def counted(stack):
+            calls.append(len(stack))
+            return cyclic_powers(stack)
+
+        monkeypatch.setattr(representation, "_cyclic_powers", counted)
+        stab = STAB_P if group_name == "picard" else STAB_E
+        chi = oracle_rep(group_name, rep_name, request)
+        sd = singular_spaces(chi, stab)
+        assert calls == [3]  # the stack (chi(R), chi(S), chi(E))
+        assert (sd.k_infinity, sd.l_infinity) == k_l
+        for got, cols in ((sd.V_infinity, k_l[0]), (sd.V_prime_infinity, k_l[1])):
+            want = np.eye(chi.dim, cols, dtype=complex)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert [(c.u, c.v) for c in sd.lattice_characters] == pairs
+        assert list(sd.lattice_characters) == restrict_to_lattice(chi, stab)
 
     def test_trivial_dim3(self):
         sd = singular_spaces(trivial_rep(GAUSSIAN, 3), STAB_P)
