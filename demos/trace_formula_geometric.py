@@ -12,14 +12,34 @@ not move when A changes.
 Run:  python3 demos/trace_formula_geometric.py
 """
 
-from selberg3.arithmetic_group import EISENSTEIN_GROUP, PICARD, build_group_data
-from selberg3.representation import find_character, singular_spaces, trivial_rep
+import math
+
+import numpy as np
+
+from selberg3.arithmetic_group import (EISENSTEIN_GROUP, PICARD,
+                                       build_group_data, from_ints)
+from selberg3.representation import (congruence_table_rep, direct_sum,
+                                     find_character, singular_spaces,
+                                     trivial_rep)
 from selberg3.trace_formula import cuspidal_identity_check, geometric_side
 from selberg3.transform import resolvent_pair
+
 
 def rule(title):
     print()
     print(f"--- {title} ---")
+
+
+def s3_rep(stab):
+    """The 2-dimensional representation of PSL(2, Z[i]/(1+i)) = S3, by
+    reflections on R and on J = [[0, -1], [1, 0]]."""
+    th = 2 * math.pi / 3
+    refl_r = np.diag([1.0, -1.0])
+    refl_j = np.array([[math.cos(th), math.sin(th)],
+                       [math.sin(th), -math.cos(th)]])
+    j = from_ints(PICARD.ring, (((0, 0), (-1, 0)), ((1, 0), (0, 0))))
+    return congruence_table_rep(PICARD, (1, 1),
+                                [(stab.R, refl_r), (j, refl_j)])
 
 
 def main():
@@ -29,16 +49,19 @@ def main():
     print(f"Picard group, trivial character: k_infinity = {sing.k_infinity}, "
           f"l_infinity = {sing.l_infinity}, cusp index = {gd.group.index}")
 
-    rule("Exact cuspidal identity (rational arithmetic, no floats)")
+    rule("Exact cuspidal identity (traces from eigen-angles, in Q(omega))")
+    sign = find_character(PICARD, (1, 1), -1, -1, 1)
     for group, gdata, char_label, char in (
             (PICARD, gd, "trivial", chi),
-            (PICARD, gd, "sign", find_character(PICARD, (1, 1), -1, -1, 1)),
+            (PICARD, gd, "sign", sign),
+            (PICARD, gd, "S3 (2-dim)", s3_rep(gd.stabilizer)),
+            (PICARD, gd, "trivial+sign", direct_sum([chi, sign])),
     ):
         s = singular_spaces(char, gdata.stabilizer)
         residual = cuspidal_identity_check(
             gdata.cuspidal_elliptic, char, s.k_infinity, s.l_infinity,
             gdata.group.index)
-        print(f"{group.name}/{char_label:7s}: "
+        print(f"{group.name}/{char_label:12s}: "
               f"2 Sum tr chi(g_i)/(|C_i| |1-eps_i^2|^2) + l/idx - k = "
               f"{residual.a} + ({residual.b}) omega"
               f"  (exact zero: {residual.is_zero})")

@@ -467,11 +467,11 @@ def cmd_eisenstein_check(config: RunConfig, args) -> int:
     group = get_group(config.group)
     chi = load_representation(config)
     sing = singular_spaces(chi, stabilizer_data(group))
-    if sing.l_infinity == 0:
+    if sing.k_infinity == 0:
         raise CompletenessError(
             "character has no singular vector at the cusp; the Eisenstein "
             "series vanishes identically")
-    v = np.ones(chi.dim, dtype=complex)
+    v = sing.V_infinity[:, 0]
     residual = eigen_check(args.point, args.s, chi, v, group, config.height,
                            fd_step=args.fd_step)
     ok = residual <= args.residual_tol

@@ -6,16 +6,17 @@ makes exact evaluation possible on any enumerated matrix: no word problem,
 just reduction mod q and a finite lookup.  Every such representation is
 one table over the quotient, closed by breadth first search from values on
 generators.  One-dimensional characters try every finite-order angle on
-the images of R, S and J, which generate the quotient, and carry exact
-phase angles; higher dimensions are supplied as generator-image tables.
+the images of R, S and J, which generate the quotient; higher dimensions
+are supplied as generator-image tables.  A representation is only its
+dimension and its evaluator.
 
 The image being finite, the joint eigen-angles of commuting images, the
 cusp dimensions k_infinity, l_infinity and the lattice characters are
 exact trace averages over it, with no numerical diagonalization.
 
-Character values of order dividing 6 are also carried exactly as elements
-a + b*omega of Q(omega), which is what downstream rational identities
-consume.
+A sum of sixth roots of unity is an exact element a + b*omega of Q(omega)
+(CyclotomicValue); the cuspidal identity sums the eigen-angles of order-2
+and order-3 images into one.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .arithmetic_group import (
     stabilizer_data,
 )
 from .lattice_lfn import LatticeCharacter
-from .rings import EISENSTEIN, Pair, Ring
+from .rings import Pair, Ring
 
 UNITARY_TOL = 1e-12
 DIAG_TOL = 1e-10
@@ -61,27 +62,12 @@ class CyclotomicValue:
     def __add__(self, other: "CyclotomicValue") -> "CyclotomicValue":
         return CyclotomicValue(self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        return CyclotomicValue(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        if isinstance(other, CyclotomicValue):
-            # Q(omega) is the fraction field of Z[omega]
-            return CyclotomicValue(*EISENSTEIN.mul((self.a, self.b),
-                                                   (other.a, other.b)))
-        return CyclotomicValue(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return CyclotomicValue(-self.a, -self.b)
+    def __mul__(self, scalar) -> "CyclotomicValue":
+        return CyclotomicValue(self.a * scalar, self.b * scalar)
 
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def to_complex(self) -> complex:
-        return EISENSTEIN.to_complex((self.a, self.b))
 
     @classmethod
     def from_rational(cls, a) -> "CyclotomicValue":
@@ -126,24 +112,20 @@ def snap_unit_angle(z: complex, tol: float = 1e-8,
 # representations
 
 class UnitaryRep:
-    """dim, evaluator M -> unitary matrix, and optional exact phase data.
+    """dim, an evaluator M -> dim x dim unitary matrix, and a label.
 
-    kind is "trivial", "congruence", or "sum".  For 1-dim
-    representations with snapped finite-order values, exact_angle maps an
-    element to the Fraction a with chi(M) = exp(2 pi i a).
+    Exact data (cusp dimensions, lattice characters, the traces of
+    finite-order images) come from the eigen-angles of its images.
     """
 
-    def __init__(self, dim: int, kind: str,
-                 evaluator: Callable[[GroupElement], np.ndarray], *,
-                 exact_angle: Optional[Callable[[GroupElement], Fraction]] = None,
+    def __init__(self, dim: int,
+                 evaluator: Callable[[GroupElement], np.ndarray],
                  label: str = ""):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
-        self.kind = kind
         self._evaluator = evaluator
-        self._exact_angle = exact_angle
-        self.label = label or kind
+        self.label = label
 
     def __call__(self, M: GroupElement) -> np.ndarray:
         out = np.asarray(self._evaluator(M), dtype=complex)
@@ -154,16 +136,8 @@ class UnitaryRep:
     def trace(self, M: GroupElement) -> complex:
         return complex(np.trace(self(M)))
 
-    def exact_trace(self, M: GroupElement) -> Optional[CyclotomicValue]:
-        """Trace as an exact Q(omega) element when available."""
-        if self.kind == "trivial":
-            return CyclotomicValue.from_rational(self.dim)
-        if self._exact_angle is not None:
-            return CyclotomicValue.from_angle(self._exact_angle(M))
-        return None
-
     def __repr__(self):
-        return f"UnitaryRep(dim={self.dim}, kind={self.kind!r}, label={self.label!r})"
+        return f"UnitaryRep(dim={self.dim}, label={self.label!r})"
 
 
 def trivial_rep(ring: Ring, dim: int = 1) -> UnitaryRep:
@@ -174,9 +148,7 @@ def trivial_rep(ring: Ring, dim: int = 1) -> UnitaryRep:
             raise ValueError("element from the wrong ring")
         return eye
 
-    return UnitaryRep(dim, "trivial", evaluator,
-                      exact_angle=(lambda M: Fraction(0)) if dim == 1 else None,
-                      label=f"trivial({dim})")
+    return UnitaryRep(dim, evaluator, label=f"trivial({dim})")
 
 
 def direct_sum(reps: Sequence[UnitaryRep]) -> UnitaryRep:
@@ -193,8 +165,7 @@ def direct_sum(reps: Sequence[UnitaryRep]) -> UnitaryRep:
             at += r.dim
         return out
 
-    return UnitaryRep(dim, "sum", evaluator,
-                      label="+".join(r.label for r in reps))
+    return UnitaryRep(dim, evaluator, label="+".join(r.label for r in reps))
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +394,10 @@ def find_character(group: GroupDescriptor, modulus: Pair,
         raise ValueError("generator values do not determine the character")
     table = matches[0]
 
-    def exact_angle(M: GroupElement) -> Fraction:
-        return table[quotient.reduce_element(M)]
-
     def evaluator(M: GroupElement) -> np.ndarray:
-        return np.array([[_unit_value(exact_angle(M))]])
+        return np.array([[_unit_value(table[quotient.reduce_element(M)])]])
 
-    return UnitaryRep(1, "congruence", evaluator, exact_angle=exact_angle,
+    return UnitaryRep(1, evaluator,
                       label=f"congruence-character mod {tuple(modulus)}")
 
 
@@ -470,7 +438,7 @@ def congruence_table_rep(group: GroupDescriptor, modulus: Pair,
     def evaluator(M: GroupElement) -> np.ndarray:
         return table[quotient.reduce_element(M)]
 
-    return UnitaryRep(dim, "congruence", evaluator,
+    return UnitaryRep(dim, evaluator,
                       label=label or f"congruence-table mod {tuple(modulus)}")
 
 

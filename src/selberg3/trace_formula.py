@@ -23,8 +23,7 @@ from .arithmetic_group import (CuspidalEllipticClass, GroupData,
 from .lattice_lfn import Lattice, L_value_kronecker, kappa_lattice
 from .quadrature import QUAD_EPS, digamma, integrate_halfline
 from .representation import (CyclotomicValue, SingularData, UnitaryRep,
-                             singular_spaces, snap_unit_angle)
-from .rings import EISENSTEIN
+                             _joint_angles, singular_spaces, snap_unit_angle)
 from .transform import TestFunctionTriple
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "cuspidal_elliptic_term",
     "parabolic_term",
     "cuspidal_identity_check",
-    "exact_cyclotomic_trace",
     "geometric_side",
 ]
 
@@ -373,36 +371,35 @@ def parabolic_term(h: Callable, g0: complex, blocks: XiBlocks) -> tuple:
 # ---------------------------------------------------------------------------
 # the exact cuspidal-elliptic identity
 
-def exact_cyclotomic_trace(chi: UnitaryRep, g) -> CyclotomicValue:
-    """tr chi(g) as an exact element a + b omega, snapping if needed."""
-    exact = chi.exact_trace(g)
-    if exact is not None:
-        return exact
-    z = chi.trace(g)
-    omega = EISENSTEIN.to_complex((0, 1))
-    b = Fraction(z.imag / omega.imag).limit_denominator(48)
-    a = Fraction(z.real - float(b) * omega.real).limit_denominator(48)
-    cand = CyclotomicValue(a, b)
-    if abs(cand.to_complex() - z) > 1e-9:
-        raise ValueError(f"trace {z} is not recognizably in Q(omega)")
-    return cand
-
-
 def cuspidal_identity_check(classes: Sequence[CuspidalEllipticClass],
                             chi: UnitaryRep, k_infinity: int,
                             l_infinity: int, index: int) -> CyclotomicValue:
     """Exact residual of  2 Sum_i tr chi(g_i)/(|C||1-eps^2|^2) + l/idx - k.
 
-    Zero for consistent class data; computed in Q(omega), no floats.
-    A nonzero value is returned, not raised: it is a finding about the data.
+    Each cuspidal elliptic g_i has order 2 (Picard) or 3 (Eisenstein), so
+    the eigenvalues of chi(g_i) are sixth roots of unity and its trace lies
+    in Q(omega): it is summed exactly from the eigen-angles of the stacked
+    images (one _joint_angles call, the identity as second operand), no
+    floats.  Raises ValueError naming an angle of order not dividing 6, or
+    when an image has no finite order.  A nonzero residual is returned,
+    not raised: it is a finding about the data.
     """
-    total = CyclotomicValue.from_rational(0)
-    for cls in classes:
-        tr = exact_cyclotomic_trace(chi, cls.representative)
-        total = total + tr * Fraction(
-            2, cls.centralizer_order * cls.one_minus_eps_sq_norm)
-    total = total + CyclotomicValue.from_rational(Fraction(l_infinity, index))
-    return total - CyclotomicValue.from_rational(k_infinity)
+    total = CyclotomicValue.from_rational(Fraction(l_infinity, index)
+                                          - k_infinity)
+    images = np.array([chi(cls.representative) for cls in classes],
+                      dtype=complex).reshape(-1, chi.dim, chi.dim)
+    angles = _joint_angles(images, np.broadcast_to(np.eye(chi.dim),
+                                                   images.shape))
+    for cls, pairs in zip(classes, angles):
+        weight = Fraction(2, cls.centralizer_order * cls.one_minus_eps_sq_norm)
+        for angle, _ in pairs:
+            root = CyclotomicValue.from_angle(angle)
+            if root is None:
+                raise ValueError(f"eigen-angle {angle} of a cuspidal "
+                                 "elliptic image has order not dividing 6; "
+                                 "its trace is not in Q(omega)")
+            total = total + root * weight
+    return total
 
 
 # ---------------------------------------------------------------------------

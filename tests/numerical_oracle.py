@@ -1,13 +1,16 @@
 """Numerical route to the data the package reads from traces: joint
-eigenvalues by simultaneous diagonalization and singular subspaces by SVD
-nullspaces.  The tests compare the exact trace averages against it."""
+eigenvalues by simultaneous diagonalization, singular subspaces by SVD
+nullspaces and Q(omega) traces by snapping floats.  The tests compare the
+exact trace averages and eigen-angles against it."""
 import cmath
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from selberg3.representation import snap_unit_angle
+from selberg3.representation import CyclotomicValue, snap_unit_angle
+from selberg3.rings import EISENSTEIN
 
 TOL = 1e-10
 
@@ -77,3 +80,15 @@ def singular_spaces_svd(a_r, a_s, a_e):
     pairs = sorted((snap_or_float(x), snap_or_float(y))
                    for x, y in zip(d_r, d_s))
     return v, p, pairs
+
+
+def snapped_cyclotomic_trace(chi, g) -> CyclotomicValue:
+    """tr chi(g) snapped from its float value to a + b omega with
+    denominators up to 48; raises when no such element is within 1e-9."""
+    z = chi.trace(g)
+    omega = EISENSTEIN.to_complex((0, 1))
+    b = Fraction(z.imag / omega.imag).limit_denominator(48)
+    a = Fraction(z.real - float(b) * omega.real).limit_denominator(48)
+    if abs(EISENSTEIN.to_complex((a, b)) - z) > 1e-9:
+        raise ValueError(f"trace {z} is not recognizably in Q(omega)")
+    return CyclotomicValue(a, b)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from selberg3 import cli, trace_formula
+from selberg3.arithmetic_group import PICARD
 from selberg3.cli import _divisor_rows, _render_csv_rows, main, row
+from selberg3.representation import direct_sum, find_character, trivial_rep
 from selberg3.trace_formula import SpectralSideInputs
 from selberg3.transform import QuadratureError
 from selberg3.zeta import spectral_divisor
@@ -426,6 +428,20 @@ class TestEisensteinCheck:
     def test_half_plane_required(self, capsys):
         code, _, _ = run(capsys, "eisenstein-check", "--s", "0.5")
         assert code == 1
+
+    @pytest.mark.parametrize("rep_name", ["s3", "sign+trivial"])
+    def test_series_built_on_a_singular_vector(self, capsys, monkeypatch,
+                                               rep_name, s3_table_rep):
+        """The ones vector is not in V_infinity for these representations;
+        the check must take its vector from V_infinity."""
+        chi = {"s3": s3_table_rep,
+               "sign+trivial": direct_sum([
+                   find_character(PICARD, (1, 1), -1, -1, 1),
+                   trivial_rep(PICARD.ring)])}[rep_name]
+        monkeypatch.setattr(cli, "load_representation", lambda config: chi)
+        code, out, err = run(capsys, "eisenstein-check", "--format", "csv")
+        assert code == 0, err
+        assert rows_of(out)[0]["check_ok"] == "true"
 
 
 # -- output plumbing ---------------------------------------------------------

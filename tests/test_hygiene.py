@@ -202,8 +202,6 @@ def test_detector_sees_unread_private_names():
 
 # public names that only tests call, each kept for a reason
 TEST_ONLY_ALLOWLIST = {
-    "congruence_table_rep": "higher-dimensional representations from generator tables",
-    "direct_sum": "sums of representations for the singular-space and divisor checks",
     "spectral_divisor": "spectral side of the divisor, fed externally supplied eigenvalues",
     "functional_factor_psi": "product factor of the functional equation",
 }

@@ -98,14 +98,11 @@ def residuals(rep, elements):
 
 
 class TestCyclotomicValue:
-    def test_omega_squared(self):
-        w = CyclotomicValue.from_angle(Fraction(1, 3))
-        assert w * w == CyclotomicValue(Fraction(-1), Fraction(-1))
-
     def test_sixth_root_table(self):
         for k in range(6):
             v = CyclotomicValue.from_angle(Fraction(k, 6))
-            assert abs(v.to_complex() - cmath.exp(1j * math.pi * k / 3)) < 1e-15
+            z = EISENSTEIN.to_complex((v.a, v.b))
+            assert abs(z - cmath.exp(1j * math.pi * k / 3)) < 1e-15
 
     def test_unsupported_order(self):
         assert CyclotomicValue.from_angle(Fraction(1, 4)) is None
@@ -228,7 +225,6 @@ class TestFindCharacter:
         assert abs(chi.trace(STAB_P.R) + 1) < 1e-12
         assert abs(chi.trace(STAB_P.S) + 1) < 1e-12
         assert abs(chi.trace(STAB_P.E) - 1) < 1e-12
-        assert chi.kind == "congruence"
 
     def test_quarter_turn_values_exact(self, sign_character, picard_elements):
         values = {complex(sign_character.trace(m)) for m in picard_elements}
@@ -236,11 +232,12 @@ class TestFindCharacter:
         assert all(math.copysign(1.0, v.imag) == 1.0 for v in values)
 
     def test_cube_character_exact_angles(self, cube_character):
-        chi = cube_character
-        third = CyclotomicValue.from_angle(Fraction(1, 3))
-        assert chi.exact_trace(STAB_E.R) == third
-        assert chi.exact_trace(STAB_E.S) == third
-        assert chi.exact_trace(STAB_E.E) == CyclotomicValue.from_rational(1)
+        images = np.array([cube_character(m)
+                           for m in (STAB_E.R, STAB_E.S, STAB_E.E)])
+        assert _joint_angles(images, np.ones_like(images)) == [
+            [(THIRD, 0)], [(THIRD, 0)], [(0, 0)]]
+        assert np.array_equal(images[:, 0, 0],
+                              [_unit_value(THIRD)] * 2 + [1])
 
     def test_depends_only_on_residue(self, sign_character, picard_elements):
         # right-multiplying by the translation by q = 1+i fixes the residue
@@ -387,7 +384,7 @@ class TestJointAngles:
         def evaluator(M):
             return np.array([[cmath.exp(0.3j) if M == STAB_P.R else 1.0]])
 
-        chi = UnitaryRep(1, "congruence", evaluator)
+        chi = UnitaryRep(1, evaluator)
         with pytest.raises(ValueError, match="finite order"):
             restrict_to_lattice(chi, STAB_P)
         with pytest.raises(ValueError, match="finite order"):
@@ -459,7 +456,7 @@ class TestSingularSpaces:
         def evaluator(M):
             return np.array([[-1.0 if M == STAB_P.E else 1.0]])
 
-        chi = UnitaryRep(1, "congruence", evaluator)
+        chi = UnitaryRep(1, evaluator)
         sd = singular_spaces(chi, STAB_P)
         assert (sd.k_infinity, sd.l_infinity) == (0, 1)
 
@@ -478,7 +475,7 @@ class TestSingularSpaces:
         assert 0 <= sd.k_infinity <= sd.l_infinity <= mix.dim
 
     def test_non_unitary_evaluator_rejected(self):
-        bad = UnitaryRep(1, "congruence", lambda M: np.array([[2.0]]))
+        bad = UnitaryRep(1, lambda M: np.array([[2.0]]))
         with pytest.raises(ValueError, match="not unitary"):
             singular_spaces(bad, STAB_P)
 
@@ -491,7 +488,7 @@ class TestSingularSpaces:
         def evaluator(M):
             return had if M == STAB_P.E else diag
 
-        fake = UnitaryRep(2, "congruence", evaluator)
+        fake = UnitaryRep(2, evaluator)
         with pytest.raises(ValueError, match="preserve"):
             singular_spaces(fake, STAB_P)
 
@@ -516,7 +513,7 @@ class TestRestriction:
             m, _ = M.b
             return np.array([[cmath.exp(2j * math.pi * m / 3.0)]])
 
-        chi = UnitaryRep(1, "congruence", evaluator)
+        chi = UnitaryRep(1, evaluator)
         chars = restrict_to_lattice(chi, STAB_P)
         assert chars == [type(chars[0])(Fraction(1, 3), Fraction(0))]
 

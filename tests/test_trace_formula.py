@@ -12,19 +12,20 @@ from selberg3.arithmetic_group import (EISENSTEIN_GROUP, PICARD,
                                        NonCuspidalEllipticClass)
 from selberg3.lattice_lfn import kappa_lattice
 from selberg3.quadrature import QUAD_EPS, digamma
-from selberg3.representation import (CyclotomicValue, direct_sum,
-                                     find_character, singular_spaces,
-                                     trivial_rep)
+from selberg3.representation import (CyclotomicValue, UnitaryRep,
+                                     direct_sum, find_character,
+                                     singular_spaces, trivial_rep)
 from selberg3.trace_formula import (EULER_GAMMA, SpectralSideInputs,
                                     XiBlocks, cosh_integral,
                                     cosh_integral_quad,
                                     cuspidal_elliptic_term,
-                                    cuspidal_identity_check,
-                                    exact_cyclotomic_trace, geometric_blocks,
+                                    cuspidal_identity_check, geometric_blocks,
                                     geometric_side, identity_term,
                                     loxodromic_term, nce_term,
                                     parabolic_term)
 from selberg3.transform import resolvent_pair
+
+from numerical_oracle import snapped_cyclotomic_trace
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -344,28 +345,64 @@ class TestParabolicTerm:
 
 # -- exact cuspidal-elliptic identity ---------------------------------------
 
+def identity_rep(group_key, name, request):
+    """The named representation of the group: trivial, trivial(3), sign,
+    cube, s3 (the S3 table representation), or a "+"-joined sum."""
+    if "+" in name:
+        return direct_sum([identity_rep(group_key, part, request)
+                           for part in name.split("+")])
+    ring = (PICARD if group_key == "picard" else EISENSTEIN_GROUP).ring
+    if name.startswith("trivial"):
+        return trivial_rep(ring, 3 if name == "trivial(3)" else 1)
+    if name == "s3":
+        return request.getfixturevalue("s3_table_rep")
+    return {"sign": lambda: find_character(PICARD, (1, 1), -1, -1, 1),
+            "cube": lambda: find_character(EISENSTEIN_GROUP, (1, 2), OMEGA,
+                                           OMEGA, 1)}[name]()
+
+
 class TestCuspidalIdentity:
     CASES = [
-        ("picard", None),
-        ("picard", ((1, 1), -1, -1, 1)),
-        ("eisenstein", None),
-        ("eisenstein", ((1, 2), OMEGA, OMEGA, 1)),
+        ("picard", "trivial"),
+        ("picard", "sign"),
+        ("eisenstein", "trivial"),
+        ("eisenstein", "cube"),
+        ("picard", "s3"),
+        ("picard", "trivial+sign"),
+        ("picard", "s3+trivial"),
+        ("picard", "trivial(3)"),
+        ("eisenstein", "trivial(3)"),
+        ("eisenstein", "trivial+cube"),
     ]
 
-    @pytest.mark.parametrize("group_key,char_spec", CASES)
-    def test_residual_exactly_zero(self, group_key, char_spec, picard_data,
-                                   eisenstein_data):
+    @pytest.mark.parametrize("group_key,rep_name", CASES)
+    def test_residual_exactly_zero(self, group_key, rep_name, picard_data,
+                                   eisenstein_data, request):
         gd = picard_data if group_key == "picard" else eisenstein_data
-        if char_spec is None:
-            chi = trivial_rep(gd.group.ring)
-        else:
-            chi = find_character(gd.group, *char_spec)
+        chi = identity_rep(group_key, rep_name, request)
         sing = singular_spaces(chi, gd.stabilizer)
         res = cuspidal_identity_check(gd.cuspidal_elliptic, chi,
                                       sing.k_infinity, sing.l_infinity,
                                       gd.group.index)
         assert res.is_zero
         assert res.a == 0 and res.b == 0
+
+    @pytest.mark.parametrize("group_key,rep_name", CASES)
+    def test_traces_equal_the_float_snap(self, group_key, rep_name,
+                                         picard_data, eisenstein_data,
+                                         request):
+        """On every cuspidal class at h6/N14, the trace read from the
+        eigen-angles (the residual of that class alone, k = l = 0, over its
+        weight) is the float trace snapped into Q(omega)."""
+        gd = picard_data if group_key == "picard" else eisenstein_data
+        chi = identity_rep(group_key, rep_name, request)
+        assert gd.cuspidal_elliptic
+        for cls in gd.cuspidal_elliptic:
+            weight = Fraction(2, cls.centralizer_order
+                              * cls.one_minus_eps_sq_norm)
+            res = cuspidal_identity_check([cls], chi, 0, 0, 1)
+            assert (res * (1 / weight)
+                    == snapped_cyclotomic_trace(chi, cls.representative))
 
     def test_wrong_k_gives_nonzero(self, picard_data):
         chi = trivial_rep(PICARD.ring)
@@ -374,27 +411,23 @@ class TestCuspidalIdentity:
         assert not res.is_zero
         assert res == CyclotomicValue.from_rational(-1)
 
-    def test_exact_trace_snapping(self):
-        class Stub:
-            def exact_trace(self, g):
-                return None
+    def test_angle_of_order_five_raises(self, picard_data):
+        chi = UnitaryRep(1, lambda M: np.array([[cmath.exp(0.4j * math.pi)]]))
+        with pytest.raises(ValueError, match="eigen-angle 1/5"):
+            cuspidal_identity_check(picard_data.cuspidal_elliptic, chi,
+                                    0, 0, PICARD.index)
 
-            def trace(self, g):
-                return complex(-0.5, math.sqrt(3) / 2)  # omega itself
+    def test_image_of_infinite_order_raises(self, picard_data):
+        chi = UnitaryRep(1, lambda M: np.array([[cmath.exp(0.3j)]]))
+        with pytest.raises(ValueError, match="no finite order"):
+            cuspidal_identity_check(picard_data.cuspidal_elliptic, chi,
+                                    0, 0, PICARD.index)
 
-        val = exact_cyclotomic_trace(Stub(), None)
-        assert val == CyclotomicValue(Fraction(0), Fraction(1))
-
-    def test_unrecognizable_trace_raises(self):
-        class Stub:
-            def exact_trace(self, g):
-                return None
-
-            def trace(self, g):
-                return complex(0.3, 0.41)
-
-        with pytest.raises(ValueError):
-            exact_cyclotomic_trace(Stub(), None)
+    @pytest.mark.parametrize("k,l,index", [(1, 1, 1), (1, 1, 2), (0, 3, 3)])
+    def test_no_classes_gives_cusp_part(self, k, l, index):
+        res = cuspidal_identity_check([], trivial_rep(PICARD.ring, 3), k, l,
+                                      index)
+        assert res == CyclotomicValue.from_rational(Fraction(l, index) - k)
 
 
 # -- spectral-side input validation -----------------------------------------
