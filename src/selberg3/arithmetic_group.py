@@ -465,7 +465,7 @@ class ConjugatorSet:
 
 def _conjugate_hits(conj: ConjugatorSet, leads: np.ndarray,
                     members: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(lead, conjugator, label) index triples with g lead g^-1 = member.
+    """int32 (lead, conjugator, label) index triples: g lead g^-1 = member.
 
     leads and members are (K, 8) and (M, 8) coordinate rows of canonical
     elements, and labels holds one integer per member.  A raw image is +-m
@@ -486,7 +486,7 @@ def _conjugate_hits(conj: ConjugatorSet, leads: np.ndarray,
     keys = (members + bound) @ powers
     order = np.argsort(keys)
     keys, labels = keys[order], labels[order]
-    hits = [np.empty((0, 3), dtype=np.int64)]
+    hits = [np.empty((0, 3), dtype=np.int32)]
     step = max(1, _MERGE_CHUNK // max(1, len(conj)))
     for start in range(0, len(leads), step):
         imgs = conj.raw_images(leads[start:start + step])
@@ -495,7 +495,7 @@ def _conjugate_hits(conj: ConjugatorSet, leads: np.ndarray,
         pos = np.minimum(np.searchsorted(keys, img_keys), len(keys) - 1)
         rows, cols = np.nonzero(keys[pos] == img_keys)
         hits.append(np.stack([start + rows, cols, labels[pos[rows, cols]]],
-                             axis=1))
+                             axis=1, dtype=np.int32))
     return np.concatenate(hits)
 
 
@@ -511,8 +511,8 @@ def _components(n: int, lead: np.ndarray, label: np.ndarray) -> list[int]:
         return i
 
     # each link once: a lead meets itself through its whole centralizer
-    # (keys are >= 0; np.unique would import numpy.ma)
-    links = np.sort(lead * n + label)
+    # (int64 keys >= 0; np.unique would import numpy.ma)
+    links = np.sort(lead.astype(np.int64) * n + label)
     links = links[np.diff(links, prepend=-1) != 0]
     for i, j in zip((links // n).tolist(), (links % n).tolist()):
         ri, rj = find(i), find(j)

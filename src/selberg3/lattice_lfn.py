@@ -12,8 +12,8 @@ function g_{a1,a2} via the Kronecker limit formula.  The two L-paths share
 no code and serve as each other's oracle.
 
 kappa and the direct L-value read Z at a ladder of 17 cutoffs spanning
-the last decade below x_max.  One real sweep over half the points of the
-largest cutoff, one of each pair +-mu, serves the whole ladder (ladder_sums).
+the last decade below x_max.  One real sweep over the largest cutoff, one
+point of each orbit of the lattice's units, serves the whole ladder (ladder_sums).
 
 The constant kappa of the cusp lattice is the same quantity that enters
 the parabolic contribution of the trace formula (written eta there);
@@ -93,14 +93,6 @@ class LatticeCharacter:
 TRIVIAL_CHARACTER = LatticeCharacter(0, 0)
 
 
-def _norms(c, b, exact: bool, m, n):
-    """|m tau + n|^2 as floats, elementwise over arrays m and n; computed
-    in int64 when the norm form has integer coefficients."""
-    if exact:
-        return (c * m * m + b * m * n + n * n).astype(float)
-    return c * m.astype(float) ** 2 + b * m.astype(float) * n + (n * n).astype(float)
-
-
 def _kept_bounds(c, b, exact: bool, x: float, n):
     """Integer m-ranges [lo, hi] of the points with |m tau + n|^2 <= x in
     the rows n (an array), lo = hi + 1 where a row is empty.  c and b are
@@ -112,21 +104,20 @@ def _kept_bounds(c, b, exact: bool, x: float, n):
     lo = np.ceil((-b * n - sq) / (2.0 * c) - 1e-12).astype(np.int64)
     hi = np.where(disc < 0, lo - 1,
                   np.floor((-b * n + sq) / (2.0 * c) + 1e-12).astype(np.int64))
-    while (over := (lo <= hi) & (_norms(c, b, exact, lo, n) > x)).any():
+
+    def past(m):  # |m tau + n|^2 > x, the norm in int64 for integer forms
+        if exact:
+            return c * m * m + b * m * n + n * n > x
+        return c * m.astype(float) ** 2 + b * m.astype(float) * n + (n * n).astype(float) > x
+    while (over := (lo <= hi) & past(lo)).any():
         lo = lo + over
-    while (over := (lo <= hi) & (_norms(c, b, exact, hi, n) > x)).any():
+    while (over := (lo <= hi) & past(hi)).any():
         hi = hi - over
     return lo, hi
 
 
-def _n_max(lat: Lattice, x: float) -> int:
-    """Largest |n| of a row that can hold a point with |m tau + n|^2 <= x."""
-    # min over real m of |m tau + n|^2 is n^2 area^2/|tau|^2
-    return int(math.floor(math.sqrt(x) * abs(lat.tau) / lat.area + 1))
-
-
-# lattice points per block: each float array of one block (8 bytes a
-# point) stays far below glibc's 128 KiB mmap threshold
+# lattice points per block (a few more where rows of unequal width share
+# a box): each float array of a block stays below glibc's 128 KiB mmap threshold
 _BLOCK_POINTS = 1 << 12
 
 
@@ -137,52 +128,79 @@ def ladder_sums(xs, lat: Lattice, psi: LatticeCharacter) -> list:
     whenever the norm form has integer coefficients (tau = i, omega,
     1 + omega, multiples of i, ...).
 
-    Points are indexed as m*tau + n (row n, column m).  The terms at +-mu
-    are conjugate, so Z is twice the sum of Re psi(mu)/|mu|^2 over the
-    half-lattice of the rows n > 0 and m >= 1 in row 0, in real arithmetic
-    (8 bytes a point), with Re psi = cos(2 pi v m) cos(2 pi u n)
-    - sin(2 pi v m) sin(2 pi u n) from per-axis tables.  The kept points
-    are runs of consecutive m, one per row from the top row down (small
-    terms first, for less round-off), taken in blocks of _BLOCK_POINTS.
-    Each point is evaluated once and tagged with the rung of the smallest
-    cutoff that keeps it (searchsorted of its norm over the sorted
-    cutoffs); np.bincount adds a block's terms into the rung bins, and Z
-    at a cutoff is twice their running sum up to its rung.  So each
-    cutoff keeps exactly the points of its own sweep, equal cutoffs give
-    equal sums, a cutoff below the shortest vector gives 0j, every
-    imaginary part is 0.0, and each Z(x) agrees with a full-lattice sweep
-    of that cutoff alone up to the round-off of the summation order.
+    Points are m*tau + n (row n, column m).  The sweep sums one point of
+    each orbit of the units, of order w: the sector n >= 1, m >= 0 for
+    tau = i (w = 4) and tau = 1 + omega (w = 6; tau = omega is rewritten
+    as m (tau + 1) + (n - m), psi as (u, u + v)), else (w = 2) the rows
+    n > 0 and m >= 1 in row 0.  Z is twice the sum there of
+    sum_{j < w/2} Re psi(tau^j mu)/|mu|^2, psi o tau being the character
+    (v, -u) for w = 4 and (v, v - u) for w = 6, each Re psi a product of
+    per-axis cos and sin tables.  Blocks of whole rows, about _BLOCK_POINTS
+    points each, run from the top row down (small terms first).  The kept
+    m-range of each row at each cutoff (_kept_bounds) cuts the rows into
+    pieces first kept by one cutoff; np.add.reduceat sums the pieces, and Z
+    at a cutoff is twice the running sum of the cutoffs' totals up to its
+    own.  So each cutoff keeps exactly the points of its own sweep, equal
+    cutoffs give equal sums, a cutoff below the shortest vector gives 0j,
+    every imaginary part is 0.0, and each Z(x) agrees with a full-lattice
+    sweep of that cutoff alone up to the round-off of the summation order.
     """
     xs = np.array(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError(f"cutoffs must be finite, got {xs[~np.isfinite(xs)].tolist()}")
     if xs.min() <= 0:
         raise ValueError("cutoff must be positive")
     c, b, exact = lat.norm_form()
+    u, v = psi.u, psi.v
+    if (c, b) == (1, -1):  # tau = omega: m tau + n = m (tau + 1) + (n - m)
+        b, v = 1, u + v
+    w = {(1, 0): 4, (1, 1): 6}.get((c, b), 2)
     rungs = np.sort(xs)  # repeats are harmless; np.unique would import numpy.ma
-    ns = np.arange(_n_max(lat, rungs[-1]), -1, -1)
-    lo, hi = _kept_bounds(c, b, exact, rungs[-1], ns)
-    lo[-1] = 1  # row 0 of the half-lattice starts past the origin
+    k = len(rungs)
+    # rows from the top: |m tau + n|^2 >= n^2 area^2/|tau|^2, or n^2 if b, m >= 0
+    top = math.sqrt(rungs[-1]) * (1.0 if w > 2 else abs(lat.tau) / lat.area)
+    ns = np.arange(int(top) + 1, 0 if w > 2 else -1, -1)
+    # cuts[row] starts the row's pieces, first kept by rungs k-1..0..k-1 and
+    # then the gap to the next row: the lo of each rung, then its hi + 1, each
+    # range clipped into the last, the largest into m >= 0 (sector) or 1 (row 0)
+    cuts = np.empty((len(ns), 2 * k), dtype=np.int32)
+    lo, hi = np.where(ns == 0, 1, 0 if w > 2 else -(1 << 62)), np.full(len(ns), 1 << 62)
+    for j in range(k - 1, -1, -1):
+        a, z = _kept_bounds(c, b, exact, rungs[j], ns)
+        lo = np.clip(a, lo, hi + 1)
+        hi = np.clip(z, lo - 1, hi)
+        cuts[:, k - 1 - j], cuts[:, k + j] = lo, hi + 1
+    lo, end = cuts[:, 0], cuts[:, -1]
     m_min = int(lo.min())
-    col = 2.0 * np.pi * (float(psi.v) * np.arange(m_min, int(hi.max()) + 1))
-    row = 2.0 * np.pi * (float(psi.u) * ns)
-    col_cos, col_sin, row_cos, row_sin = np.cos(col), np.sin(col), np.cos(row), np.sin(row)
-    width = hi - lo + 1  # runs of kept points, lo..hi of each row
-    ends = np.cumsum(width)
-    offset = lo - ends + width  # m = point index + offset
-    bins = np.zeros(len(rungs))
-    total = int(ends[-1])
-    for start in range(0, total, _BLOCK_POINTS):
-        stop = min(start + _BLOCK_POINTS, total)
-        # the runs that reach into [start, stop), and their points there
-        r = slice(np.searchsorted(ends, start, "right"), np.searchsorted(ends, stop) + 1)
-        count = np.minimum(ends[r], stop) - np.maximum(ends[r] - width[r], start)
-        m = np.arange(start, stop) + np.repeat(offset[r], count)
-        n = np.repeat(ns[r], count)
-        q = _norms(c, b, exact, m, n)
-        j = m - m_min
-        term = col_cos[j] * np.repeat(row_cos[r], count)
-        term -= col_sin[j] * np.repeat(row_sin[r], count)
-        term /= q
-        bins += np.bincount(np.searchsorted(rungs, q), term, len(rungs))
+    m_axis = np.arange(m_min, end.max(), dtype=float)
+    # the characters psi o tau^j, j < w/2, and sum_j Re psi o tau^j = rows @ cols
+    us, vs = np.array({2: [(u, v)], 4: [(u, v), (v, -u)],
+                       6: [(u, v), (v, v - u), (v - u, -u)]}[w], dtype=float).T
+    row = 2.0 * np.pi * np.multiply.outer(ns, us)
+    col = 2.0 * np.pi * np.multiply.outer(vs, m_axis)
+    rows = np.hstack([np.cos(row), -np.sin(row)])
+    cols = np.vstack([np.cos(col), np.sin(col)])
+    ends = np.cumsum(end - lo)
+    edges = sorted({0, len(ns), *(np.searchsorted(
+        ends, np.arange(_BLOCK_POINTS, ends[-1], _BLOCK_POINTS)) + 1).tolist()})
+    totals = np.zeros(2 * k)  # by piece position
+    for a, z in zip(edges, edges[1:]):
+        m0, m1 = int(lo[a:z].min()), int(end[a:z].max())
+        span, cs = m1 - m0, slice(m0 - m_min, m1 - m_min)
+        # the terms of rows a..z-1 at columns m0..m1-1, row-major, then 0.0
+        term = np.zeros((z - a) * span + 1)
+        box = np.matmul(rows[a:z], cols[:, cs], out=term[:-1].reshape(z - a, span))
+        m, n = m_axis[cs], ns[a:z, None].astype(float)
+        q = n * (b * m) + c * m ** 2  # |m tau + n|^2, as _kept_bounds has it
+        q += n * n
+        if ns[z - 1] == 0 and m0 <= 0:  # the origin, in the gap before m = 1
+            q[-1, -m0] = np.inf
+        box /= q
+        at = np.append(0, cuts[a:z] + (span * np.arange(z - a) - m0)[:, None])
+        sums = np.add.reduceat(term, at)
+        sums[:-1][at[1:] == at[:-1]] = 0.0  # empty pieces; the last holds the 0.0
+        totals += sums[1:].reshape(z - a, 2 * k).sum(axis=0)
+    bins = np.bincount(np.abs(np.arange(2 * k) - (k - 1)), totals)[:k]
     return list(map(complex, 2.0 * np.cumsum(bins)[np.searchsorted(rungs, xs)]))
 
 
@@ -325,7 +343,7 @@ def L_value_kronecker(lat: Lattice, psi: LatticeCharacter) -> float:
 
     Independent of L_value_direct (q-product vs raw summation); the dual
     path is this module's core cross-check.  Both are real, the direct sum
-    by its half-lattice fold; the tests' full-lattice reference sweep
+    by its fold onto unit orbits; the tests' full-lattice reference sweep
     checks that the imaginary part it drops vanishes.
     """
     if psi.is_trivial:

@@ -2,6 +2,7 @@
 import cmath
 import functools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -283,6 +284,55 @@ def test_edge_cutoffs_within_round_off(lat, xs, uv):
     assert all(z == 0j for x, z in zip(xs, got) if x < 1.0)
     # equal cutoffs read the same running sum
     assert all(z == got[xs.index(x)] for x, z in zip(xs, got))
+
+
+# Z[i] and Z[omega] in a second basis, where no rotation of order 4 or 6
+# is visible from the norm form, and psi rewritten for that basis: the
+# sweep folded by the units against the half-lattice sweep of one lattice
+@pytest.mark.parametrize("x_max", [1e3, 2e5])
+@pytest.mark.parametrize("uv", LADDER_CHARACTERS)
+@pytest.mark.parametrize("lat, other, rebase", [
+    (SQUARE_LATTICE, Lattice(1 + 1j), lambda u, v: (u, u + v)),
+    (HEX_LATTICE, Lattice(HEX_LATTICE.tau + 2), lambda u, v: (u, v + 2 * u)),
+    (HEX_SHIFTED, Lattice(HEX_SHIFTED.tau + 1), lambda u, v: (u, u + v)),
+], ids=["Z[i]", "Z[omega]", "Z[1+omega]"])
+def test_unit_fold_matches_half_lattice_of_another_basis(lat, other, rebase, uv, x_max):
+    assert lat.norm_form()[:2] in {(1, 0), (1, -1), (1, 1)}
+    assert other.norm_form() == ((2, 2, True) if lat is SQUARE_LATTICE else (3, 3, True))
+    xs = reference_ladder(x_max)
+    folded = ladder_sums(xs, lat, LatticeCharacter(*uv))
+    half = ladder_sums(xs, other, LatticeCharacter(*rebase(*uv)))
+    assert_round_off(folded, half)
+    assert all(z.imag == 0.0 for z in folded)
+
+
+def test_basis_change_reads_norm_form_once(monkeypatch):
+    """tau = omega is rewritten in the basis 1, 1 + omega without a
+    second norm_form call."""
+    calls = []
+    norm_form = Lattice.norm_form
+
+    def counted(lat):
+        calls.append(lat)
+        return norm_form(lat)
+
+    monkeypatch.setattr(Lattice, "norm_form", counted)
+    L_value_direct(HEX_LATTICE, LatticeCharacter(Fraction(1, 3), 0), x_max=1e4)
+    assert calls == [HEX_LATTICE]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_non_finite_cutoffs_rejected(bad):
+    """One ValueError that names the cutoff, before any sweep."""
+    named = f"finite.*{re.escape(str(bad))}"
+    psi = LatticeCharacter(Fraction(1, 2), 0)
+    with pytest.raises(ValueError, match=named):
+        ladder_sums([10.0, bad, 20.0], SQUARE_LATTICE, psi)
+    with pytest.raises(ValueError, match=named):
+        L_value_direct(SQUARE_LATTICE, psi, x_max=bad)
+    # -inf already fails the kappa fit's x_max >= 1e3 guard
+    with pytest.raises(ValueError, match=named if bad != -math.inf else "too small"):
+        kappa_lattice(HEX_LATTICE, bad)
 
 
 def test_sweep_memory_is_bounded():
