@@ -11,6 +11,7 @@ from truncation error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,8 +54,11 @@ def _bottom_row_key(group: GroupDescriptor, c, d) -> tuple:
     return min((ring.mul(u, c), ring.mul(u, d)) for u in ring.units)
 
 
-def coset_representatives(group: GroupDescriptor, height: int) -> list[GroupElement]:
-    """One element per coset of the cusp stabilizer, bottom-row norm <= height.
+@functools.cache
+def coset_representatives(group: GroupDescriptor,
+                          height: int) -> tuple[GroupElement, ...]:
+    """One element per coset of the cusp stabilizer, bottom-row norm <= height,
+    as a tuple built once per (group, height).
 
     Cosets are in bijection with coprime bottom rows (c, d) modulo the unit
     group: elements sharing a bottom row differ by an integer translation, and
@@ -83,7 +87,7 @@ def coset_representatives(group: GroupDescriptor, height: int) -> list[GroupElem
             a = ring.mul(ginv, t0)
             b = ring.neg(ring.mul(ginv, s0))
             reps.append(GroupElement(ring, a, b, c, d))
-    return reps
+    return tuple(reps)
 
 
 def series_term(M: GroupElement, P: Point3, s: complex, chi: UnitaryRep,

@@ -114,6 +114,12 @@ def snap_unit_angle(z: complex, tol: float = 1e-8,
 class UnitaryRep:
     """dim, an evaluator M -> dim x dim unitary matrix, and a label.
 
+    The evaluator must be a pure function of the element: each image is
+    evaluated once, made read-only and kept for the rep's lifetime, keyed
+    by the element (whose hash includes its ring).  The same memo holds
+    what depends on chi alone: the cusp data of singular_spaces and the
+    per-class eigen-data of zeta.build_zeta_class_data.
+
     Exact data (cusp dimensions, lattice characters, the traces of
     finite-order images) come from the eigen-angles of its images.
     """
@@ -126,11 +132,16 @@ class UnitaryRep:
         self.dim = dim
         self._evaluator = evaluator
         self.label = label
+        self._memo: dict = {}
 
     def __call__(self, M: GroupElement) -> np.ndarray:
-        out = np.asarray(self._evaluator(M), dtype=complex)
-        if out.shape != (self.dim, self.dim):
-            raise ValueError(f"evaluator returned shape {out.shape}")
+        out = self._memo.get(M)
+        if out is None:
+            out = np.asarray(self._evaluator(M), dtype=complex)
+            if out.shape != (self.dim, self.dim):
+                raise ValueError(f"evaluator returned shape {out.shape}")
+            out.flags.writeable = False
+            self._memo[M] = out
         return out
 
     def trace(self, M: GroupElement) -> complex:
@@ -529,7 +540,8 @@ def _range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
 
 
 def singular_spaces(chi: UnitaryRep, stab: StabilizerData) -> SingularData:
-    """V'_infinity (translations-fixed) and V_infinity (stabilizer-fixed).
+    """V'_infinity (translations-fixed) and V_infinity (stabilizer-fixed),
+    computed once per stab and kept in chi's memo, the bases read-only.
 
     The averages P' = mean chi(R)^i chi(S)^j over the finite image of the
     translations and P = P' mean chi(E)^k project onto V'_infinity and
@@ -541,6 +553,13 @@ def singular_spaces(chi: UnitaryRep, stab: StabilizerData) -> SingularData:
     exp(2 pi i (m u + n v)), one per joint eigen-angle pair (u, v); the
     pairs ascend, so the trivial ones come first, as the parabolic term reads.
     """
+    sing = chi._memo.get(stab)
+    if sing is None:
+        sing = chi._memo[stab] = _singular_spaces(chi, stab)
+    return sing
+
+
+def _singular_spaces(chi: UnitaryRep, stab: StabilizerData) -> SingularData:
     n = chi.dim
     images = np.array([chi(stab.R), chi(stab.S), chi(stab.E)])
     for name, m in zip("RSE", images):
@@ -557,8 +576,9 @@ def singular_spaces(chi: UnitaryRep, stab: StabilizerData) -> SingularData:
     l_inf, k_inf = (round(np.trace(x).real) for x in (p_prime, p))
     (angles,) = _joint_angles_of((orders[:1], powers[:, :1]),
                                  (orders[1:2], powers[:, 1:2]))
-    return SingularData(V_infinity=_range_basis(p, k_inf),
-                        V_prime_infinity=_range_basis(p_prime, l_inf),
+    v, v_prime = _range_basis(p, k_inf), _range_basis(p_prime, l_inf)
+    v.flags.writeable = v_prime.flags.writeable = False
+    return SingularData(V_infinity=v, V_prime_infinity=v_prime,
                         k_infinity=k_inf, l_infinity=l_inf,
                         lattice_characters=tuple(LatticeCharacter(u, v)
                                                  for u, v in angles))

@@ -86,24 +86,28 @@ def _selection_residue(alpha: Fraction, theta: Fraction, m: int) -> int:
 def build_zeta_class_data(classes: Sequence[PrimitiveLoxodromicClass],
                           chi: UnitaryRep) -> list[ZetaClassData]:
     """Class data from the exact joint eigen-angles (a, b) of chi(T0) and
-    chi(E_T) (the identity when a class has no torsion), all classes in
-    one batch: t = exp(2 pi i a), t' = exp(2 pi i b), and each residue
-    from b and the exact zeta0 angle."""
-    if not classes:
-        return []
-    t0 = np.array([chi(cls.T0) for cls in classes])
-    eye = np.eye(t0.shape[-1])
-    e_t = np.array([eye if cls.E_T is None else chi(cls.E_T)
-                    for cls in classes])
-    out = []
-    for cls, angles in zip(classes, _joint_angles(t0, e_t)):
-        theta = cls.zeta0_angle or Fraction(0)  # None exactly when m = 1
-        out.append(ZetaClassData(
-            cls=cls, t_eigen=tuple(_unit_value(a) for a, _ in angles),
-            t_prime_eigen=tuple(_unit_value(b) for _, b in angles),
-            residues=tuple(_selection_residue(b, theta, cls.m)
-                           for _, b in angles)))
-    return out
+    chi(E_T) (the identity when a class has no torsion): t = exp(2 pi i a),
+    t' = exp(2 pi i b), and each residue from b and the exact zeta0 angle.
+
+    The eigen-data of a class depend on (T0, E_T, m, zeta0 angle) alone,
+    so they are kept in chi's memo under that key; the classes not yet
+    seen are found in one batch.
+    """
+    keys = [(cls.T0, cls.E_T, cls.m, cls.zeta0_angle) for cls in classes]
+    new = {key: cls for key, cls in zip(keys, classes) if key not in chi._memo}
+    if new:
+        eye = np.eye(chi.dim)
+        t0 = np.array([chi(cls.T0) for cls in new.values()])
+        e_t = np.array([eye if cls.E_T is None else chi(cls.E_T)
+                        for cls in new.values()])
+        for (key, cls), angles in zip(new.items(), _joint_angles(t0, e_t)):
+            theta = cls.zeta0_angle or Fraction(0)  # None exactly when m = 1
+            chi._memo[key] = (
+                tuple(_unit_value(a) for a, _ in angles),
+                tuple(_unit_value(b) for _, b in angles),
+                tuple(_selection_residue(b, theta, cls.m) for _, b in angles))
+    return [ZetaClassData(cls, *chi._memo[key])
+            for cls, key in zip(classes, keys)]
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,26 +117,27 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             + 1j * (a.real * b.imag + a.imag * b.real))
 
 
-def _euler_factors(s: complex, data: Sequence[ZetaClassData],
-                   kl_cutoff: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
-    """x = t_j a0^(-2k) conj(a0)^(-2l) N0^(-s-1) and log N0 for every
-    selected (class, j, k, l) factor: (l - k - r_j) = 0 mod m and k + l at
-    most kl_cutoff, or else at most the class's FACTOR_TOL cutoff at Re s.
+def _kl_cutoffs(s: complex, data: Sequence[ZetaClassData],
+                kl_cutoff: Optional[int]) -> np.ndarray:
+    """Per-class bound on k + l: kl_cutoff, or else the largest at which
+    the factor modulus N0^-(k+l) N0^-(Re s + 1) reaches FACTOR_TOL."""
+    if kl_cutoff is not None:
+        return np.full(len(data), kl_cutoff)
+    log_n0 = np.array([math.log(z.cls.N0) for z in data])
+    return np.maximum(0, (math.log(1.0 / FACTOR_TOL) / log_n0
+                          - s.real - 1.0).astype(int))
+
+
+def _factor_grid(data: Sequence[ZetaClassData], cutoff: np.ndarray):
+    """The s-independent part of every selected (class, j, k, l) factor
+    with k + l at most cutoff[class]: the class index c, k + l, and
+    y = t_j a0^(-2k) conj(a0)^(-2l), in (class, j, k, l) order.
 
     The a0 powers come from Python's ** and every product from _cmul.  t_j
     multiplies a0^(-2k) conj(a0)^(-2l), the exact conjugate of its (l, k)
-    partner, so a real chi (exact conjugate t_j pairs) at real s gives
-    exact conjugate factors.
+    partner, so a real chi (exact conjugate t_j pairs) gives exact
+    conjugate y, and at real s exact conjugate factors.
     """
-    if not data:
-        return np.zeros(0, complex), np.zeros(0)
-    log_n0 = np.array([math.log(z.cls.N0) for z in data])
-    if kl_cutoff is None:
-        # factor modulus is N0^-(k+l) N0^-(Re s + 1); keep while >= FACTOR_TOL
-        cutoff = np.maximum(0, (math.log(1.0 / FACTOR_TOL) / log_n0
-                                - s.real - 1.0).astype(int))
-    else:
-        cutoff = np.full(len(data), kl_cutoff)
     kl = np.arange(int(cutoff.max()) + 1)
     m = np.array([z.m for z in data])[:, None, None, None]
     r = np.array([z.residues for z in data])[:, :, None, None]
@@ -141,11 +146,48 @@ def _euler_factors(s: complex, data: Sequence[ZetaClassData],
                             & ((kl - kl[:, None] - r) % m == 0))
     powers = np.array([[z.cls.a0 ** (-2 * n) for n in range(len(kl))]
                        for z in data])
-    base = np.array([z.cls.N0 ** (-s - 1.0) for z in data])
     t = np.array([z.t_eigen for z in data], dtype=complex)
-    x = _cmul(_cmul(t[c, j], _cmul(powers[c, k], powers[c, l].conj())),
-              base[c])
-    return x, log_n0[c]
+    return c, k + l, _cmul(t[c, j], _cmul(powers[c, k], powers[c, l].conj()))
+
+
+def _euler_factors(s: complex, data: Sequence[ZetaClassData],
+                   kl_cutoff: Optional[int],
+                   grid=None) -> tuple[np.ndarray, np.ndarray]:
+    """x = t_j a0^(-2k) conj(a0)^(-2l) N0^(-s-1) and log N0 for every
+    selected (class, j, k, l) factor: (l - k - r_j) = 0 mod m and k + l at
+    most kl_cutoff, or else at most the class's FACTOR_TOL cutoff at Re s.
+
+    grid is a _factor_grid at cutoffs no smaller than those at s (one grid
+    serves several s); by default it is built at s.  x is y N0^(-s-1) by
+    _cmul on the grid's factors with k + l within the cutoff at s.
+    """
+    if not data:
+        return np.zeros(0, complex), np.zeros(0)
+    cutoff = _kl_cutoffs(s, data, kl_cutoff)
+    c, total, y = _factor_grid(data, cutoff) if grid is None else grid
+    keep = total <= cutoff[c]
+    c = c[keep]
+    log_n0 = np.array([math.log(z.cls.N0) for z in data])
+    base = np.array([z.cls.N0 ** (-s - 1.0) for z in data])
+    return _cmul(y[keep], base[c]), log_n0[c]
+
+
+def _log_one_minus(x: np.ndarray) -> complex:
+    """sum log(1 - x): log|1 - x| + i arg(1 - x) term by term, each part
+    to full relative accuracy however small |x| is; math's log1p and atan2,
+    because numpy's vectorized loops round differently on different CPUs,
+    and fsum, exactly rounded whatever the order."""
+    q = x.real * x.real + x.imag * x.imag - 2.0 * x.real
+    return complex(0.5 * math.fsum(map(math.log1p, q.tolist())),
+                   math.fsum(map(math.atan2, (-x.imag).tolist(),
+                                 (1.0 - x.real).tolist())))
+
+
+def _factor_log_derivative(x: np.ndarray, log_n0: np.ndarray) -> complex:
+    """sum x log N0 / (1 - x), the derivative of -sum log(1 - x) in s."""
+    terms = x * log_n0 / (1.0 - x)
+    return complex(math.fsum(terms.real.tolist()),
+                   math.fsum(terms.imag.tolist()))
 
 
 def zeta_truncated(s, data: Sequence[ZetaClassData],
@@ -160,14 +202,7 @@ def log_zeta_truncated(s, data: Sequence[ZetaClassData],
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("Euler product needs Re(s) > 1")
-    x, _ = _euler_factors(s, data, kl_cutoff)
-    # log(1 - x) = log|1 - x| + i arg(1 - x), each part to full relative
-    # accuracy however small |x| is; math's log1p and atan2, because numpy's
-    # vectorized loops round differently on different CPUs
-    q = x.real * x.real + x.imag * x.imag - 2.0 * x.real
-    return complex(0.5 * math.fsum(map(math.log1p, q.tolist())),
-                   math.fsum(map(math.atan2, (-x.imag).tolist(),
-                                 (1.0 - x.real).tolist())))
+    return _log_one_minus(_euler_factors(s, data, kl_cutoff)[0])
 
 
 def zeta_tail_bound(s, data: Sequence[ZetaClassData], kl_cutoff: int) -> float:
@@ -204,10 +239,7 @@ def log_derivative_series(s, data: Sequence[ZetaClassData],
     if s.real <= 1.0:
         raise ValueError("series needs Re(s) > 1")
     if route == "factors":
-        x, log_n0 = _euler_factors(s, data, None)
-        terms = x * log_n0 / (1.0 - x)
-        return complex(math.fsum(terms.real.tolist()),
-                       math.fsum(terms.imag.tolist()))
+        return _factor_log_derivative(*_euler_factors(s, data, None))
     if route != "classes":
         raise ValueError(f"unknown route {route!r}")
     t = np.array([z.t_eigen for z in data], dtype=complex, ndmin=2)
@@ -240,13 +272,24 @@ def central_difference_check(s: float, data: Sequence[ZetaClassData],
     """Compare d/ds log Z (fourth-order central difference of the
     truncated product, points s +- step and s +- 2 step) against the
     analytic series at matched truncation.  When s - 1 < 4 step the step
-    shrinks to (s - 1)/4, so every point stays in Re s > 1."""
-    step = min(step, (s - 1.0) / 4.0)
+    shrinks to (s - 1)/4, so every point stays in Re s > 1.
 
-    up, down, up2, down2 = (log_zeta_truncated(s + h * step, data)
-                            for h in (1.0, -1.0, 2.0, -2.0))
+    Every point reads one factor grid, built at the largest cutoffs (those
+    of the lowest point), and gives the values of log_zeta_truncated and
+    of the factor route of log_derivative_series bit for bit."""
+    step = min(step, (s - 1.0) / 4.0)
+    points = [complex(s + h * step) for h in (1.0, -1.0, 2.0, -2.0)]
+    lowest = min(points, key=lambda p: p.real)
+    if not lowest.real > 1.0:
+        raise ValueError("Euler product needs Re(s) > 1")
+    grid = (_factor_grid(data, _kl_cutoffs(lowest, data, None))
+            if data else None)
+    up, down, up2, down2 = (_log_one_minus(_euler_factors(p, data, None,
+                                                          grid)[0])
+                            for p in points)
     diff = (8.0 * (up - down) - (up2 - down2)) / (12.0 * step)
-    series = log_derivative_series(s, data, route="factors")
+    series = _factor_log_derivative(*_euler_factors(complex(s), data, None,
+                                                    grid))
     rel = abs(diff - series) / max(abs(series), 1e-300)
     return CentralDifferenceCheck(s=complex(s), series=series,
                                   central_difference=diff,

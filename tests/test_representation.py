@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selberg3 import representation
+from selberg3 import representation, zeta
 from selberg3.arithmetic_group import (
     EISENSTEIN_GROUP,
     PICARD,
+    GroupElement,
     enumerate_elements,
     from_ints,
     stabilizer_data,
@@ -31,6 +32,7 @@ from selberg3.representation import (
     trivial_rep,
 )
 from selberg3.rings import EISENSTEIN, GAUSSIAN
+from selberg3.zeta import build_zeta_class_data
 
 from numerical_oracle import simultaneous_diagonalization, singular_spaces_svd
 
@@ -334,6 +336,12 @@ def oracle_rep(group_name, rep_name, request):
     return request.getfixturevalue(named[rep_name])
 
 
+def rebuilt(chi):
+    """A newly built rep around chi's evaluator: the same images, an empty
+    memo."""
+    return UnitaryRep(chi.dim, chi._evaluator, chi.label)
+
+
 def assert_same_pairs(exact, numeric, tol=1e-9):
     """The two lists of eigenvalue pairs agree as multisets within tol."""
     left = list(exact)
@@ -420,8 +428,9 @@ class TestSingularSpaces:
                                   request, monkeypatch):
         """The bases are the leading unit columns bit for bit (+0.0 off
         the diagonal), as the route that found the cyclic powers of
-        chi(R) and chi(S) again for the lattice characters gave them, and
-        one singular_spaces call finds the cyclic powers once."""
+        chi(R) and chi(S) again for the lattice characters gave them; on a
+        newly built rep one singular_spaces call finds the cyclic powers
+        once, and a second call reads the memo."""
         calls = []
         cyclic_powers = representation._cyclic_powers
 
@@ -431,9 +440,10 @@ class TestSingularSpaces:
 
         monkeypatch.setattr(representation, "_cyclic_powers", counted)
         stab = STAB_P if group_name == "picard" else STAB_E
-        chi = oracle_rep(group_name, rep_name, request)
+        chi = rebuilt(oracle_rep(group_name, rep_name, request))
         sd = singular_spaces(chi, stab)
         assert calls == [3]  # the stack (chi(R), chi(S), chi(E))
+        assert singular_spaces(chi, stab) is sd and calls == [3]
         assert (sd.k_infinity, sd.l_infinity) == k_l
         for got, cols in ((sd.V_infinity, k_l[0]), (sd.V_prime_infinity, k_l[1])):
             want = np.eye(chi.dim, cols, dtype=complex)
@@ -521,3 +531,163 @@ class TestRestriction:
         mix = direct_sum([sign_character, trivial_rep(GAUSSIAN, 1)])
         chars = restrict_to_lattice(mix, STAB_P)
         assert chars[0].is_trivial and not chars[1].is_trivial
+
+
+def counting(chi):
+    """A newly built rep around chi's evaluator, and the list of the
+    elements it has evaluated."""
+    seen = []
+
+    def evaluator(M):
+        seen.append(M)
+        return chi._evaluator(M)
+
+    return UnitaryRep(chi.dim, evaluator, chi.label), seen
+
+
+def other_ring_twin(M):
+    """The element with M's coordinates in the other ring."""
+    ring = EISENSTEIN if M.ring.name == GAUSSIAN.name else GAUSSIAN
+    return GroupElement(ring, M.a, M.b, M.c, M.d)
+
+
+class TestReadOnlyImages:
+    @pytest.mark.parametrize("group_name,rep_name", ORACLE_REPS,
+                             ids=[f"{g}-{r}" for g, r in ORACLE_REPS])
+    def test_write_raises_and_later_images_hold(self, group_name, rep_name,
+                                                request):
+        """Once the trivial evaluator handed out one shared identity, so a
+        write into chi(M) moved every later chi(M') and chi.trace."""
+        stab = STAB_P if group_name == "picard" else STAB_E
+        chi = oracle_rep(group_name, rep_name, request)
+        fresh = rebuilt(chi)
+        image = chi(stab.R)
+        with pytest.raises(ValueError, match="read-only"):
+            image[0, 0] = 5
+        for M in (stab.R, stab.S, stab.E, stab.R * stab.E):
+            assert chi(M).tobytes() == fresh(M).tobytes()
+            assert chi.trace(M) == fresh.trace(M)
+
+    def test_trivial_rep_shares_no_writable_identity(self):
+        chi = trivial_rep(GAUSSIAN)
+        with pytest.raises(ValueError, match="read-only"):
+            chi(STAB_P.R)[0, 0] = 5
+        assert chi(STAB_P.S)[0, 0] == 1 and chi.trace(STAB_P.R) == 1
+
+    def test_table_rep_images_read_only(self, s3_table_rep):
+        with pytest.raises(ValueError, match="read-only"):
+            s3_table_rep(SIGMA)[0, 1] = 5
+        assert s3_table_rep.trace(SIGMA) == rebuilt(s3_table_rep).trace(SIGMA)
+
+    @pytest.mark.parametrize("group_name,rep_name", ORACLE_REPS,
+                             ids=[f"{g}-{r}" for g, r in ORACLE_REPS])
+    def test_singular_bases_read_only(self, group_name, rep_name, request):
+        stab = STAB_P if group_name == "picard" else STAB_E
+        chi = oracle_rep(group_name, rep_name, request)
+        sd = singular_spaces(chi, stab)
+        for basis in (sd.V_infinity, sd.V_prime_infinity):
+            assert not basis.flags.writeable
+            if basis.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    basis[0, 0] = 5
+        again = singular_spaces(rebuilt(chi), stab)
+        assert sd.V_infinity.tobytes() == again.V_infinity.tobytes()
+
+
+class TestMemo:
+    """What depends on chi alone is computed once per rep."""
+
+    @pytest.mark.parametrize("group_name,rep_name", ORACLE_REPS,
+                             ids=[f"{g}-{r}" for g, r in ORACLE_REPS])
+    def test_warm_image_calls_no_evaluator(self, group_name, rep_name,
+                                           request):
+        stab = STAB_P if group_name == "picard" else STAB_E
+        chi, seen = counting(oracle_rep(group_name, rep_name, request))
+        first = chi(stab.S)
+        assert seen == [stab.S]
+        assert chi(stab.S) is first and seen == [stab.S]
+        fresh = rebuilt(chi)
+        assert first.tobytes() == fresh(stab.S).tobytes()
+
+    @pytest.mark.parametrize("group_name,rep_name", ORACLE_REPS,
+                             ids=[f"{g}-{r}" for g, r in ORACLE_REPS])
+    def test_other_ring_still_raises(self, group_name, rep_name, request):
+        """The memo keys on the element, whose hash holds its ring."""
+        stab = STAB_P if group_name == "picard" else STAB_E
+        chi = oracle_rep(group_name, rep_name, request)
+        chi(stab.R)
+        twin = other_ring_twin(stab.R)
+        assert twin.key() == stab.R.key()
+        with pytest.raises(ValueError, match="wrong ring"):
+            chi(twin)
+
+    @pytest.mark.parametrize("group_name,rep_name", ORACLE_REPS,
+                             ids=[f"{g}-{r}" for g, r in ORACLE_REPS])
+    def test_warm_singular_spaces(self, group_name, rep_name, request,
+                                  monkeypatch):
+        stab = STAB_P if group_name == "picard" else STAB_E
+        chi, seen = counting(oracle_rep(group_name, rep_name, request))
+        sd = singular_spaces(chi, stab)
+        calls = []
+        cyclic_powers = representation._cyclic_powers
+        monkeypatch.setattr(representation, "_cyclic_powers",
+                            lambda stack: calls.append(stack)
+                            or cyclic_powers(stack))
+        del seen[:]
+        assert singular_spaces(chi, stab) is sd
+        assert seen == [] and calls == []
+        # the other group's stabilizer is another key
+        other = STAB_E if group_name == "picard" else STAB_P
+        with pytest.raises(ValueError, match="wrong ring"):
+            singular_spaces(chi, other)
+        monkeypatch.undo()
+        fresh = singular_spaces(rebuilt(chi), stab)
+        assert (sd.k_infinity, sd.l_infinity, sd.lattice_characters) == (
+            fresh.k_infinity, fresh.l_infinity, fresh.lattice_characters)
+        for got, want in ((sd.V_infinity, fresh.V_infinity),
+                          (sd.V_prime_infinity, fresh.V_prime_infinity)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("group_name,rep_name", ORACLE_REPS,
+                             ids=[f"{g}-{r}" for g, r in ORACLE_REPS])
+    def test_warm_class_data(self, group_name, rep_name, request,
+                             monkeypatch):
+        classes = request.getfixturevalue(f"{group_name}_data").loxodromic
+        chi, seen = counting(oracle_rep(group_name, rep_name, request))
+        cold = build_zeta_class_data(classes, chi)
+        angles, powers = [], []
+        joint_angles = zeta._joint_angles
+        cyclic_powers = representation._cyclic_powers
+        monkeypatch.setattr(zeta, "_joint_angles",
+                            lambda a, b: angles.append(len(a))
+                            or joint_angles(a, b))
+        monkeypatch.setattr(representation, "_cyclic_powers",
+                            lambda stack: powers.append(len(stack))
+                            or cyclic_powers(stack))
+        del seen[:]
+        warm = build_zeta_class_data(classes, chi)
+        assert seen == [] and angles == [] and powers == []
+        assert warm == cold and all(w is not c for w, c in zip(warm, cold))
+        assert all(w.cls is c for w, c in zip(warm, classes))
+        monkeypatch.undo()
+        assert warm == build_zeta_class_data(classes, rebuilt(chi))
+
+    @pytest.mark.parametrize("group_name", ["picard", "eisenstein"])
+    def test_shared_classes_reuse_entries(self, group_name, request,
+                                          monkeypatch):
+        """A class list that shares classes with an earlier one finds the
+        eigen-data of its new classes only, in one batch."""
+        classes = request.getfixturevalue(f"{group_name}_data").loxodromic
+        chi = trivial_rep(GAUSSIAN if group_name == "picard" else EISENSTEIN,
+                          2)
+        angles = []
+        joint_angles = zeta._joint_angles
+        monkeypatch.setattr(zeta, "_joint_angles",
+                            lambda a, b: angles.append(len(a))
+                            or joint_angles(a, b))
+        head = build_zeta_class_data(classes[:10], chi)
+        both = build_zeta_class_data(classes[5:15], chi)
+        assert angles == [10, 5]
+        assert both[:5] == head[5:]
+        build_zeta_class_data(classes[12:3:-1], chi)
+        assert angles == [10, 5]

@@ -10,7 +10,7 @@ import pytest
 from selberg3.arithmetic_group import EISENSTEIN_GROUP, PICARD
 from selberg3.cli import _divisor_rows, _render_csv_rows
 from selberg3.quadrature import digamma
-from selberg3.representation import (direct_sum, find_character,
+from selberg3.representation import (UnitaryRep, direct_sum, find_character,
                                      singular_spaces, trivial_rep)
 from selberg3.trace_formula import (SpectralSideInputs, geometric_side,
                                     loxodromic_term)
@@ -124,7 +124,7 @@ class TestClassData:
 
         free = [c for c in picard_data.loxodromic if c.E_T is None]
         with pytest.raises(ValueError, match="non-unimodular"):
-            build_zeta_class_data(free[:1], Doubler())
+            build_zeta_class_data(free[:1], UnitaryRep(1, Doubler()))
 
     def test_unrecognizable_torsion_eigenvalue(self, eisenstein_data):
         torsion = [c for c in eisenstein_data.loxodromic if c.E_T is not None]
@@ -138,7 +138,7 @@ class TestClassData:
                 return np.eye(1, dtype=complex)
 
         with pytest.raises(ValueError, match="root of unity"):
-            build_zeta_class_data(torsion[:1], Drifter())
+            build_zeta_class_data(torsion[:1], UnitaryRep(1, Drifter()))
 
 
 class TestSelection:
@@ -355,6 +355,42 @@ class TestLogDerivative:
         check = central_difference_check(1.554738455438198, data)
         assert abs(check.central_difference - check.series) <= 1e-11
         assert check.relative_error <= 1e-6
+
+    @pytest.mark.parametrize("group_name,char_name", [
+        ("picard", None), ("picard", "sign"),
+        ("eisenstein", None), ("eisenstein", "cube"),
+    ])
+    def test_central_difference_shares_one_grid(self, group_name, char_name,
+                                                request):
+        """One factor grid at the lowest point's cutoffs serves the whole
+        stencil: the check equals, bit for bit, separate log Z calls at
+        s +- step and s +- 2 step and the factor route at s.  The sweep
+        holds random s, s with s - 1 < 4 step (the step shrinks), and the s
+        at which some class's cutoff drops inside the stencil."""
+        data = _char_data(request, group_name, char_name)
+        step = 1e-4
+        jumps = sorted({math.log(1.0 / FACTOR_TOL) / math.log(z.cls.N0)
+                        - 1.0 - n for z in data for n in range(40)})
+        jumps = [s for s in jumps if 1.1 < s < 4.0][::7]
+        sweep = ([1.00005, 1.0002, 1.00039]
+                 + np.random.default_rng(31).uniform(1.0, 4.0, 50).tolist()
+                 + jumps)
+        assert any(_loop_cutoff(z.cls.N0, s - 2.0 * step)
+                   != _loop_cutoff(z.cls.N0, s + 2.0 * step)
+                   for s in jumps for z in data)
+
+        def bits(z):
+            return np.array([z]).tobytes()
+
+        for s in sweep:
+            h = min(step, (s - 1.0) / 4.0)
+            up, down, up2, down2 = (log_zeta_truncated(s + k * h, data)
+                                    for k in (1.0, -1.0, 2.0, -2.0))
+            diff = (8.0 * (up - down) - (up2 - down2)) / (12.0 * h)
+            check = central_difference_check(s, data, step)
+            assert bits(check.central_difference) == bits(diff), s
+            assert bits(check.series) == bits(
+                log_derivative_series(s, data, route="factors")), s
 
 
 # -- agreement with the geometric side --------------------------------------
