@@ -10,11 +10,12 @@ Conventions.  The canonical representative of {M, -M} makes the first
 nonzero entry of (a, b, c, d) have argument in (-pi/2, pi/2].  The cusp at
 infinity has stabilizer {[[eps, eps*w], [0, eps^-1]]} with w in the ring
 and eps a power of a fixed root of unity; the torsion-free part is the
-translation lattice Z + Z*tau with tau = i resp. omega.  Cuspidality of an
-elliptic element is decided exactly: both boundary fixed points lie in the
-field iff tr^2 - 4 is a square there.  This criterion identifies the cusp
-set with the projective line over the field, which is valid for rings of
-class number one only; get_group offers the two above.
+translation lattice Z + Z*tau with tau = i resp. omega.  An elliptic
+element has trace t in {0, +-1}, which fixes its order (2 resp. 3), and it
+is cuspidal iff both boundary fixed points lie in K = Q(sqrt D), that is
+iff the integer (t^2 - 4) D is a perfect square.  This criterion
+identifies the cusp set with the projective line over the field, which is
+valid for rings of class number one only; get_group offers the two above.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .geometry import MoebiusMatrix
-from .rings import EISENSTEIN, GAUSSIAN, Pair, Ring, is_square_in_field
+from .rings import EISENSTEIN, GAUSSIAN, Pair, Ring
 
 DEFAULT_ELEMENT_CAP = 3_000_000
 
@@ -225,26 +226,18 @@ class ElementClassification:
     norm: Optional[float] = None        # N(T) = |a|^2
 
 
-_MAX_TORSION_ORDER = 24
+def _is_torsion(g: GroupElement) -> bool:
+    """Identity or elliptic: finite order in PSL(2, O)."""
+    t = g.trace()
+    return g.is_identity() or (t[1] == 0 and abs(t[0]) < 2)
 
 
 def _elliptic_order(T: GroupElement) -> int:
-    p = T
-    for m in range(1, _MAX_TORSION_ORDER + 1):
-        if p.is_identity():
-            return m
-        p = p * T
-    raise RuntimeError("torsion order exceeds guard; element is not elliptic?")
-
-
-def is_cuspidal(T: GroupElement) -> bool:
-    """Do both boundary fixed points of the elliptic T lie in the field?"""
-    if T.c == (0, 0):
-        return True
-    r = T.ring
-    t = T.trace()
-    disc = r.sub(r.mul(t, t), (4, 0))
-    return is_square_in_field(r, disc)
+    """Order mod +-I of a torsion element, from its trace 2 cos(pi k/m):
+    1 for the identity, 2 for trace 0 and 3 for trace +-1."""
+    if not _is_torsion(T):
+        raise ValueError(f"trace {T.trace()} is not that of a torsion element")
+    return 1 if T.is_identity() else 3 if T.trace()[0] else 2
 
 
 def classify(T: GroupElement) -> ElementClassification:
@@ -254,10 +247,12 @@ def classify(T: GroupElement) -> ElementClassification:
         return ElementClassification(kind="identity")
     if r.mul(t, t) == (4, 0):
         return ElementClassification(kind="parabolic")
-    if t[1] == 0 and abs(t[0]) < 2:
-        # real trace in (-2, 2); for ring elements this forces t in {-1, 0, 1}
+    if _is_torsion(T):
+        # the fixed points (a - d +- sqrt(t^2 - 4)) / 2c lie in K = Q(sqrt D)
+        # iff the integer (t^2 - 4) D is a perfect square
+        disc = (t[0] * t[0] - 4) * r.field_disc
         return ElementClassification(kind="elliptic", order=_elliptic_order(T),
-                                     cuspidal=is_cuspidal(T))
+                                     cuspidal=math.isqrt(disc) ** 2 == disc)
     tc = r.to_complex(t)
     root = (tc * tc - 4.0) ** 0.5
     lam = (tc + root) / 2.0
@@ -572,7 +567,7 @@ def _witness_c_norm(r, p) -> int:
 def _centralizer_order(conj: ConjugatorSet, fixers: np.ndarray) -> int:
     """Number of conjugators that fix a class representative."""
     for i in fixers.tolist():
-        if classify(conj.elements[i]).kind not in ("identity", "elliptic"):
+        if not _is_torsion(conj.elements[i]):
             raise CompletenessError(
                 "infinite centralizer detected for a cuspidal elliptic class")
     return len(fixers)
@@ -665,16 +660,6 @@ class PrimitiveLoxodromicClass:
     ambiguous: bool = False             # equal invariants, no conjugator found
 
 
-def _eigvec_for(mat: MoebiusMatrix, lam: complex):
-    # (a - lam) x + b y = 0; pick the better-conditioned row
-    r1 = (mat.a - lam, mat.b)
-    r2 = (mat.c, mat.d - lam)
-    row = r1 if max(abs(r1[0]), abs(r1[1])) >= max(abs(r2[0]), abs(r2[1])) else r2
-    if abs(row[0]) >= abs(row[1]):
-        return (-row[1] / row[0], 1.0 + 0j)
-    return (1.0 + 0j, -row[0] / row[1])
-
-
 _SNAP_TOL = 1e-8
 
 
@@ -693,16 +678,18 @@ def _zeta0_for(T0: GroupElement, a0: complex, E_T: GroupElement,
                m: int) -> tuple[complex, Fraction]:
     """Eigenvalue of the torsion generator on the expanding eigenvector of T0.
 
-    The matrix lift sign is chosen to make the result a primitive 2m-th
-    root of unity; only its square enters downstream selection rules, so
-    the choice is safe.
+    E_T commutes with the non-scalar T0, so E_T = x + y T0 with x, y in K,
+    solved exactly from one nonzero entry of T0 (b, else c, else a - d);
+    on T0's a0-eigenvector E_T acts by x + y a0.  The matrix lift sign is
+    chosen to make the result a primitive 2m-th root of unity; only its
+    square enters downstream selection rules, so the choice is safe.
     """
-    v = _eigvec_for(T0.to_moebius(), a0)
-    E = E_T.to_moebius()
-    ev = (E.a * v[0] + E.b * v[1], E.c * v[0] + E.d * v[1])
-    idx = 0 if abs(v[0]) >= abs(v[1]) else 1
-    mu = ev[idx] / v[idx]
-    j = _snap_root_index(mu, 2 * m)
+    r = T0.ring
+    y = next(r.field_div(e, t) for e, t in (
+        (E_T.b, T0.b), (E_T.c, T0.c),
+        (r.sub(E_T.a, E_T.d), r.sub(T0.a, T0.d))) if t != (0, 0))
+    x = r.sub(E_T.a, r.mul(y, T0.a))
+    j = _snap_root_index(r.to_complex(x) + r.to_complex(y) * a0, 2 * m)
     if math.gcd(j, 2 * m) != 1:
         j = (j + m) % (2 * m)   # other matrix lift of the same group element
         if math.gcd(j, 2 * m) != 1:
@@ -765,12 +752,6 @@ class _Family:
     a0: complex
     N0: float
     minimal_members: frozenset      # norm-N0 elements moving in this direction
-
-
-def _is_torsion(g: GroupElement) -> bool:
-    """Identity or elliptic: finite order in PSL(2, O)."""
-    t = g.trace()
-    return g.is_identity() or (t[1] == 0 and abs(t[0]) < 2)
 
 
 def _axis_families(ax: AxisData) -> list[_Family]:

@@ -6,12 +6,11 @@ are the two instances the groups use.  Elements are coordinate pairs
 (x, y) meaning x + y*u, with ints for ring elements and
 fractions.Fraction for field elements.  Every operation below is derived
 from the rule; `mul`, `conj`, `norm` and `real2` also act on int64
-arrays.  Both rings are norm-Euclidean, which `divmod_nearest` and `gcd`
-rely on.
+arrays.  `divmod_nearest`, `gcd` and `xgcd` need the ring to be
+norm-Euclidean, as Z[u] is for D = -3, -4, -7, -8 and -11.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -79,12 +78,6 @@ class Ring:
         u_re, u_im = self._u
         return complex(x + y * u_re, y * u_im)
 
-    def from_complex(self, z: complex) -> Pair:
-        """Nearest ring element to z (rounding in the (1, u) basis)."""
-        u_re, u_im = self._u
-        y = z.imag / u_im
-        return (round(z.real - y * u_re), round(y))
-
     @functools.cached_property
     def units(self) -> tuple[Pair, ...]:
         """The norm-1 elements, in sorted order."""
@@ -109,11 +102,17 @@ class Ring:
         """Euclidean division: a = q b + r with norm(r) < norm(b).
 
         q rounds each coordinate of a/b = a conj(b) / N(b) to the nearest
-        integer, exact ties to even, in integer arithmetic.
+        integer, exact ties to even, in integer arithmetic.  Where that
+        leaves norm(r) >= norm(b), as it can for D = -7 and -11, q moves to
+        the neighbour q + (i, j), i, j in {-1, 0, 1}, of least norm(r).
         """
         num, nb = self._quotient_parts(a, b)
         q = (_div_half_even(num[0], nb), _div_half_even(num[1], nb))
         r = self.sub(a, self.mul(q, b))
+        if self.norm(r) >= nb:
+            q = min(((q[0] + i, q[1] + j) for i in (-1, 0, 1) for j in (-1, 0, 1)),
+                    key=lambda p: self.norm(self.sub(a, self.mul(p, b))))
+            r = self.sub(a, self.mul(q, b))
         return q, r
 
     def exact_div(self, a: Pair, b: Pair) -> Optional[Pair]:
@@ -137,20 +136,6 @@ class Ring:
             s0, s1 = s1, self.sub(s0, self.mul(q, s1))
             t0, t1 = t1, self.sub(t0, self.mul(q, t1))
         return r0, s0, t0
-
-    def sqrt(self, a: Pair) -> Optional[Pair]:
-        """Exact square root in the ring, or None."""
-        z = cmath.sqrt(self.to_complex(a))
-        for cand in (z, -z):
-            r = self.from_complex(cand)
-            # rounding can land one off for large inputs; probe neighbours
-            rx, ry = r
-            for dx in (0, -1, 1):
-                for dy in (0, -1, 1):
-                    t = (rx + dx, ry + dy)
-                    if self.mul(t, t) == a:
-                        return t
-        return None
 
     def elements_with_norm_le(self, bound: int) -> list[Pair]:
         """All nonzero elements of norm <= bound, deterministic order."""
@@ -186,14 +171,3 @@ GAUSSIAN = Ring("gauss", -1, 0)
 EISENSTEIN = Ring("eisenstein", -1, -1)
 
 RINGS = {"gauss": GAUSSIAN, "eisenstein": EISENSTEIN}
-
-
-def is_square_in_field(ring: Ring, a: Pair) -> bool:
-    """Is the ring element a a square in the fraction field?
-
-    The fields have class number one, so an algebraic-integer square root
-    lies in the ring itself; the exact ring search settles the question.
-    """
-    if a == (0, 0):
-        return True
-    return ring.sqrt(a) is not None

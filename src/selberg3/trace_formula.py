@@ -103,9 +103,10 @@ def identity_term(h: Callable, vol: float, dim_v: int,
 # ---------------------------------------------------------------------------
 # non-cuspidal elliptic term
 
-def nce_term(g0: complex, classes: Sequence[NonCuspidalEllipticClass],
+def nce_term(classes: Sequence[NonCuspidalEllipticClass],
              chi: UnitaryRep) -> complex:
-    """Sum of tr chi(R) g(0) log N(T0) / (4 m(R) sin^2(pi k/m)).
+    """Sum of tr chi(R) log N(T0) / (4 m(R) sin^2(pi k/m)), the NCE term
+    per unit of g(0).
 
     Classes whose axis shows no loxodromic element within the enumeration
     bound carry no N(T0); they are skipped with a warning, making the
@@ -118,7 +119,7 @@ def nce_term(g0: complex, classes: Sequence[NonCuspidalEllipticClass],
                           "term is a partial sum")
             continue
         tr = chi.trace(cls.representative)
-        total += (tr * g0 * math.log(cls.N0)
+        total += (tr * math.log(cls.N0)
                   / (4.0 * cls.order_primitive * float(cls.sin_sq)))
     return total
 
@@ -299,7 +300,7 @@ def geometric_blocks(gdata: GroupData, chi: UnitaryRep) -> XiBlocks:
     group = gdata.group
     sing = singular_spaces(chi, gdata.stabilizer)
     eta_infinity, L_values = cusp_lattice_constants(group, sing)
-    nce = nce_term(1.0, gdata.non_cuspidal_elliptic, chi)
+    nce = nce_term(gdata.non_cuspidal_elliptic, chi)
     log_c = 0.0 + 0.0j
     weights = []
     for cls in gdata.cuspidal_elliptic:

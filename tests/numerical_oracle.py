@@ -1,7 +1,9 @@
 """Numerical route to the data the package reads from traces: joint
 eigenvalues by simultaneous diagonalization, singular subspaces by SVD
-nullspaces and Q(omega) traces by snapping floats.  The tests compare the
-exact trace averages and eigen-angles against it."""
+nullspaces, Q(omega) traces by snapping floats, ring square roots by
+rounding the complex root, and the axis torsion eigenvalue from a float
+eigenvector.  The tests compare the exact trace averages, eigen-angles and
+elliptic trace rules against it."""
 import cmath
 import math
 from fractions import Fraction
@@ -9,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from selberg3.arithmetic_group import _snap_root_index
 from selberg3.representation import CyclotomicValue, snap_unit_angle
 from selberg3.rings import EISENSTEIN
 
@@ -92,3 +95,46 @@ def snapped_cyclotomic_trace(chi, g) -> CyclotomicValue:
     if abs(EISENSTEIN.to_complex((a, b)) - z) > 1e-9:
         raise ValueError(f"trace {z} is not recognizably in Q(omega)")
     return CyclotomicValue(a, b)
+
+
+def ring_sqrt(ring, a):
+    """Square root of a in the ring, or None: the complex root rounded to
+    the ring in the (1, u) basis, then the neighbours probed exactly."""
+    u = ring.to_complex((0, 1))
+    z = cmath.sqrt(ring.to_complex(a))
+    for cand in (z, -z):
+        y = cand.imag / u.imag
+        rx, ry = round(cand.real - y * u.real), round(y)
+        for dx in (0, -1, 1):
+            for dy in (0, -1, 1):
+                t = (rx + dx, ry + dy)
+                if ring.mul(t, t) == a:
+                    return t
+    return None
+
+
+def is_square_in_field(ring, a) -> bool:
+    """Is the ring element a a square in the fraction field?  A square
+    root there is an algebraic integer, so it lies in the ring itself."""
+    return a == (0, 0) or ring_sqrt(ring, a) is not None
+
+
+def zeta0_by_eigenvector(T0, a0, E_T, m):
+    """(zeta0, angle) of the axis torsion: E_T applied in floats to the
+    a0-eigenvector of T0, snapped to a primitive 2m-th root of unity."""
+    mat, E = T0.to_moebius(), E_T.to_moebius()
+    # (a - a0) x + b y = 0; pick the better-conditioned row
+    r1, r2 = (mat.a - a0, mat.b), (mat.c, mat.d - a0)
+    row = r1 if max(abs(r1[0]), abs(r1[1])) >= max(abs(r2[0]), abs(r2[1])) else r2
+    if abs(row[0]) >= abs(row[1]):
+        v = (-row[1] / row[0], 1.0 + 0j)
+    else:
+        v = (1.0 + 0j, -row[0] / row[1])
+    ev = (E.a * v[0] + E.b * v[1], E.c * v[0] + E.d * v[1])
+    idx = 0 if abs(v[0]) >= abs(v[1]) else 1
+    j = _snap_root_index(ev[idx] / v[idx], 2 * m)
+    if math.gcd(j, 2 * m) != 1:
+        j = (j + m) % (2 * m)   # other matrix lift of the same group element
+    assert math.gcd(j, 2 * m) == 1
+    zeta0 = complex(math.cos(math.pi * j / m), math.sin(math.pi * j / m))
+    return zeta0, Fraction(j, 2 * m)

@@ -18,7 +18,9 @@ from selberg3.arithmetic_group import (
     _INT64_SAFE,
     _axis_families,
     _bounded_axes,
+    _elliptic_order,
     _kronecker,
+    _zeta0_for,
     axis_key,
     build_group_data,
     classify,
@@ -36,6 +38,8 @@ from selberg3.arithmetic_group import (
 )
 from selberg3 import arithmetic_group
 from selberg3.rings import EISENSTEIN, GAUSSIAN, Ring
+
+from numerical_oracle import is_square_in_field, zeta0_by_eigenvector
 
 
 def gi(rows):
@@ -172,6 +176,35 @@ class TestClassification:
                 assert cc.cuspidal == ct.cuspidal
                 if ct.kind == "loxodromic":
                     assert abs(cc.norm - ct.norm) <= 1e-12 * ct.norm
+
+
+class TestTraceRule:
+    """The trace rules of `classify` against repeated multiplication and
+    the ring square-root search of the numerical oracle."""
+
+    @pytest.mark.parametrize("ring, elliptic, cuspidal", [
+        (GAUSSIAN, 143, 119), (EISENSTEIN, 329, 290),
+        (Ring("sqrt-2", -2, 0), 53, 0), (Ring("d-7", -2, 1), 41, 0),
+        (Ring("d-11", -3, 1), 57, 0)], ids=lambda p: getattr(p, "name", None))
+    def test_order_and_cuspidality_at_height_8(self, ring, elliptic, cuspidal):
+        seen = []
+        for g in enumerate_elements(GroupDescriptor(ring.name, ring, (1, 0)), 8):
+            c = classify(g)
+            if c.kind in ("parabolic", "loxodromic"):
+                assert c.order is None
+                with pytest.raises(ValueError):
+                    _elliptic_order(g)
+                continue
+            m = next(m for m in range(1, 13) if power(g, m).is_identity())
+            assert _elliptic_order(g) == m
+            if c.kind == "elliptic":
+                t = g.trace()
+                disc = ring.sub(ring.mul(t, t), (4, 0))
+                assert c.order == m
+                assert c.cuspidal == is_square_in_field(ring, disc)
+                seen.append(c.cuspidal)
+        # units +-1 leave the index-1 rings no cuspidal elliptic element
+        assert (len(seen), sum(seen)) == (elliptic, cuspidal)
 
 
 # -- stabilizer -------------------------------------------------------------
@@ -437,7 +470,6 @@ class TestLoxodromicClasses:
     def test_picard_torsion_class_zeta(self):
         # the axis z^2 + z + 1 = 0 carries order-3 torsion; its primitive
         # loxodromic has norm 7 + 4 sqrt(3) and rotation number 1/6 or 5/6
-        from selberg3.arithmetic_group import _zeta0_for
         t0 = gi((((0, 2), (-2, 1)), ((2, -1), (2, 1))))
         r0 = gi((((0, 0), (-1, 0)), ((1, 0), (1, 0))))
         assert t0 * r0 == r0 * t0
@@ -448,6 +480,22 @@ class TestLoxodromicClasses:
         assert math.gcd(angle.numerator, 6) == 1
         assert abs(zeta0 ** 6 - 1) < 1e-9
         assert abs(zeta0 ** 2 - 1) > 0.5 and abs(zeta0 ** 3 - 1) > 0.5
+
+
+    @pytest.mark.parametrize("group", [PICARD, EISENSTEIN_GROUP], ids=lambda g: g.name)
+    @pytest.mark.parametrize("height, norm_bound", [(12, 14.0), (14, 30.0)])
+    def test_zeta0_against_float_eigenvector(self, group, height, norm_bound):
+        # E_T = x + y T0 over K gives bit for bit the zeta0 that E_T
+        # applied in floats to T0's expanding eigenvector gives
+        bits = lambda z: (z.real.hex(), z.imag.hex())
+        torsion = [c for c in primitive_loxodromic_classes(
+            group, norm_bound, height) if c.E_T is not None]
+        assert torsion
+        for c in torsion:
+            zeta0, angle = _zeta0_for(c.T0, c.a0, c.E_T, c.m)
+            want, want_angle = zeta0_by_eigenvector(c.T0, c.a0, c.E_T, c.m)
+            assert angle == want_angle == c.zeta0_angle
+            assert bits(zeta0) == bits(want) == bits(c.zeta0)
 
 
 # -- non-cuspidal elliptic classes -----------------------------------------

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from selberg3.rings import EISENSTEIN, GAUSSIAN, RINGS, Ring, is_square_in_field
+from selberg3.rings import EISENSTEIN, GAUSSIAN, RINGS, Ring
 
-# Z[sqrt(-2)]: u^2 = -2.  No group is built on it; it checks that the ring
-# arithmetic follows from u^2 = u2_x + u2_y u alone, whatever the name.
+# Z[sqrt(-2)]: u^2 = -2.  Its group is built only in the index-1 tests of
+# tests/test_arithmetic_group.py; here it checks that the ring arithmetic
+# follows from u^2 = u2_x + u2_y u alone, whatever the name.
 SQRT_M2 = Ring("sqrt-2", -2, 0)
+# the norm-Euclidean rings with units +-1 only; for u = (1 + sqrt(-7))/2 and
+# (1 + sqrt(-11))/2, rounding a/b coordinatewise can miss N(r) < N(b)
+INDEX_ONE = [SQRT_M2, Ring("d-7", -2, 1), Ring("d-11", -3, 1)]
 RING_IDS = ["gauss", "eisenstein", "sqrt-2"]
 RINGS_LIST = [GAUSSIAN, EISENSTEIN, SQRT_M2]
 UNIT_COUNTS = {"gauss": 4, "eisenstein": 6, "sqrt-2": 2}
@@ -63,6 +67,7 @@ def test_euclidean_division(ring):
         assert ring.norm(r) < ring.norm(b)
 
 
+@pytest.mark.parametrize("ring", RINGS_LIST + INDEX_ONE[1:], ids=lambda r: r.name)
 def test_gcd_and_bezout(ring):
     rng = random.Random(17)
     for _ in range(200):
@@ -93,31 +98,6 @@ def test_field_div_is_exact(ring):
         q = ring.field_div(a, b)
         assert all(isinstance(c, Fraction) for c in q)
         assert ring.mul(q, b) == a
-
-
-def test_sqrt_recovers_perfect_squares(ring):
-    rng = random.Random(23)
-    for _ in range(200):
-        a = _rand_elem(rng)
-        sq = ring.mul(a, a)
-        root = ring.sqrt(sq)
-        assert root is not None
-        assert ring.mul(root, root) == sq
-
-
-def test_sqrt_rejects_non_squares():
-    # 2 is not a square in Q(i); 2i = (1+i)^2 is
-    assert GAUSSIAN.sqrt((2, 0)) is None
-    assert GAUSSIAN.sqrt((0, 2)) in ((1, 1), (-1, -1))
-
-
-def test_square_in_field_discriminant_cases():
-    # -4 = (2i)^2 lives in Q(i) only; -3 = (1+2w)^2 in Q(w) only
-    assert is_square_in_field(GAUSSIAN, (-4, 0))
-    assert not is_square_in_field(GAUSSIAN, (-3, 0))
-    assert is_square_in_field(EISENSTEIN, (-3, 0))
-    assert not is_square_in_field(EISENSTEIN, (-4, 0))
-    assert is_square_in_field(GAUSSIAN, (0, 0))
 
 
 def test_elements_with_norm_le_matches_brute_force(ring):
@@ -153,13 +133,6 @@ def test_canonical_associate_is_orbit_invariant(ring):
         assert ring.norm(rep) == ring.norm(a)
 
 
-def test_from_complex_roundtrip(ring):
-    rng = random.Random(31)
-    for _ in range(200):
-        a = _rand_elem(rng, span=1000)
-        assert ring.from_complex(ring.to_complex(a)) == a
-
-
 def _round_half_even(q: Fraction) -> int:
     """Reference rounding of an exact quotient: nearest integer, ties to even."""
     n, r = divmod(q.numerator, q.denominator)
@@ -193,6 +166,23 @@ def test_divmod_nearest_matches_fraction_rounding(ring):
                             negative_ties += c < 0
     # the grid reaches exact half ties on both sides of zero
     assert ties > 0 and negative_ties > 0
+
+
+@pytest.mark.parametrize("ring", INDEX_ONE, ids=lambda r: r.name)
+def test_index_one_rings_are_euclidean(ring):
+    # a = (1, 1), b = (2, 0) on D = -7: a/b = (1/2, 1/2) rounds to 0, and
+    # N(1 + u) = 4 = N(2); the grid holds many such exact ties
+    assert ring.units == ((-1, 0), (1, 0))
+    for ax in range(-7, 8):
+        for ay in range(-7, 8):
+            for bx in range(-4, 5):
+                for by in range(-4, 5):
+                    a, b = (ax, ay), (bx, by)
+                    if b == (0, 0):
+                        continue
+                    q, r = ring.divmod_nearest(a, b)
+                    assert ring.add(ring.mul(q, b), r) == a
+                    assert ring.norm(r) < ring.norm(b), (a, b)
 
 
 def test_round_half_even_tie():

@@ -159,7 +159,7 @@ class TestNceTerm:
     def test_picard_closed_form(self, picard_data, triple):
         chi = trivial_rep(PICARD.ring)
         g0 = triple.g(0.0)
-        got = nce_term(g0, picard_data.non_cuspidal_elliptic, chi)
+        got = g0 * nce_term(picard_data.non_cuspidal_elliptic, chi)
         # single order-3 torsion class: m = 3, sin^2 = 3/4, N0 = 7 + 4 sqrt 3
         want = g0 * math.log(7 + 4 * math.sqrt(3)) / (4 * 3 * 0.75)
         assert abs(got - want) < 1e-12
@@ -167,7 +167,7 @@ class TestNceTerm:
     def test_eisenstein_closed_form(self, eisenstein_data, triple):
         chi = trivial_rep(EISENSTEIN_GROUP.ring)
         g0 = triple.g(0.0)
-        got = nce_term(g0, eisenstein_data.non_cuspidal_elliptic, chi)
+        got = g0 * nce_term(eisenstein_data.non_cuspidal_elliptic, chi)
         want = g0 * math.log(7 + 4 * math.sqrt(3)) / (4 * 2 * 1.0)
         assert abs(got - want) < 1e-12
 
@@ -179,8 +179,8 @@ class TestNceTerm:
             order_primitive=cls.order_primitive, sin_sq=cls.sin_sq,
             N0=None, axis=cls.axis)
         with pytest.warns(UserWarning):
-            got = nce_term(triple.g(0.0), [cls, broken], chi)
-        full = nce_term(triple.g(0.0), [cls], chi)
+            got = triple.g(0.0) * nce_term([cls, broken], chi)
+        full = triple.g(0.0) * nce_term([cls], chi)
         assert got == full
 
 
