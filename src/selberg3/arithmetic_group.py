@@ -16,6 +16,9 @@ is cuspidal iff both boundary fixed points lie in K = Q(sqrt D), that is
 iff the integer (t^2 - 4) D is a perfect square.  This criterion
 identifies the cusp set with the projective line over the field, which is
 valid for rings of class number one only; get_group offers the two above.
+The axis torsion E_T of a loxodromic T0 acts on T0's expanding line by a
+root of unity mu with mu + 1/mu = tr E_T, so its angle takes the trace
+and the sign of one float whose size is at least sqrt(3).
 """
 from __future__ import annotations
 
@@ -660,40 +663,30 @@ class PrimitiveLoxodromicClass:
     ambiguous: bool = False             # equal invariants, no conjugator found
 
 
-_SNAP_TOL = 1e-8
+def _zeta0_for(T0: GroupElement, a0: complex,
+               E_T: GroupElement) -> tuple[complex, Fraction]:
+    """Eigenvalue mu of the torsion generator on the expanding eigenvector
+    of T0, as the primitive 2m-th root of unity exp(2 pi i j / 2m).
 
-
-def _snap_root_index(z: complex, two_m: int) -> int:
-    """Index j with z = exp(2 pi i j / two_m), verified within tolerance."""
-    theta = math.atan2(z.imag, z.real) / (2.0 * math.pi)
-    j = round(theta * two_m) % two_m
-    cand = complex(math.cos(2 * math.pi * j / two_m),
-                   math.sin(2 * math.pi * j / two_m))
-    if abs(z - cand) > _SNAP_TOL:
-        raise ValueError(f"value {z} is not a {two_m}-th root of unity within tolerance")
-    return j
-
-
-def _zeta0_for(T0: GroupElement, a0: complex, E_T: GroupElement,
-               m: int) -> tuple[complex, Fraction]:
-    """Eigenvalue of the torsion generator on the expanding eigenvector of T0.
-
-    E_T commutes with the non-scalar T0, so E_T = x + y T0 with x, y in K,
-    solved exactly from one nonzero entry of T0 (b, else c, else a - d);
-    on T0's a0-eigenvector E_T acts by x + y a0.  The matrix lift sign is
-    chosen to make the result a primitive 2m-th root of unity; only its
-    square enters downstream selection rules, so the choice is safe.
+    E_T commutes with the non-scalar T0, so E_T = x + y T0 with x, y in K
+    (y exact from one nonzero entry of T0: b, else c, else a - d).  E_T
+    acts by mu = x + y a0 on T0's a0-line and by 1/mu on the other, so
+    mu + 1/mu = tr E_T, in {0, +-1}, fixes mu up to conjugation, and
+    mu - 1/mu = y (a0 - 1/a0) = 2i sin(arg mu), whose imaginary part is at
+    least sqrt(3) in size, picks the sign of the angle.  The canonical
+    lift of trace -1 has a third root as mu; the other lift, -mu, is the
+    primitive one, which flips the sign test.  Only mu^2 enters downstream
+    selection rules, so the lift choice is safe.
     """
     r = T0.ring
+    if E_T * T0 != T0 * E_T:
+        raise ValueError("torsion generator does not commute with T0")
+    m = _elliptic_order(E_T)
     y = next(r.field_div(e, t) for e, t in (
         (E_T.b, T0.b), (E_T.c, T0.c),
         (r.sub(E_T.a, E_T.d), r.sub(T0.a, T0.d))) if t != (0, 0))
-    x = r.sub(E_T.a, r.mul(y, T0.a))
-    j = _snap_root_index(r.to_complex(x) + r.to_complex(y) * a0, 2 * m)
-    if math.gcd(j, 2 * m) != 1:
-        j = (j + m) % (2 * m)   # other matrix lift of the same group element
-        if math.gcd(j, 2 * m) != 1:
-            raise ValueError("torsion eigenvalue is not primitive for either lift")
+    upper = (r.to_complex(y) * (a0 - 1.0 / a0)).imag > 0
+    j = 1 if upper == (E_T.trace()[0] >= 0) else 2 * m - 1
     angle = Fraction(j, 2 * m)
     zeta0 = complex(math.cos(math.pi * j / m), math.sin(math.pi * j / m))
     return zeta0, angle
@@ -721,13 +714,14 @@ def collect_axes(elements: Sequence[GroupElement],
         ax.norms = [n for n, _ in lox]
         ax.loxodromics = [g for _, g in lox]
         ax.torsion.sort(key=GroupElement.key)
-        ax.m = len(ax.torsion) + 1
         if ax.torsion:
-            full = [t for t in ax.torsion if _elliptic_order(t) == ax.m]
-            if not full:
+            # the axis group is cyclic of prime order, 2 or 3, so any
+            # nontrivial member generates it
+            ax.E_T = ax.torsion[0]
+            ax.m = _elliptic_order(ax.E_T)
+            if len(ax.torsion) != ax.m - 1:
                 raise CompletenessError(
-                    f"axis torsion of order {ax.m} has no generator in the enumeration")
-            ax.E_T = full[0]
+                    f"axis torsion of order {ax.m} is incomplete in the enumeration")
     return axes
 
 
@@ -836,11 +830,9 @@ def _primitive_loxodromic_classes(axes: dict[tuple, AxisData],
                 raise CompletenessError(
                     "merged families disagree on torsion order; increase height")
         if ax.E_T is not None:
-            zeta0, angle = _zeta0_for(lead.lead, lead.a0, ax.E_T, ax.m)
+            zeta0, angle = _zeta0_for(lead.lead, lead.a0, ax.E_T)
         else:
             zeta0, angle = 1.0 + 0j, None
-            if ax.m != 1:
-                raise CompletenessError("torsion without a generator")
         key = (trace_class_key(lead.lead), round(lead.N0, 6), ax.m)
         records.append((key, lead, members, zeta0, angle))
 

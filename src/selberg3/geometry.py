@@ -60,20 +60,6 @@ class MoebiusMatrix:
         s = det ** -0.5
         return cls(*_canonical_sign(a * s, b * s, c * s, d * s))
 
-    def __matmul__(self, other: "MoebiusMatrix") -> "MoebiusMatrix":
-        return MoebiusMatrix(*_canonical_sign(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        ))
-
-    def inv(self) -> "MoebiusMatrix":
-        return MoebiusMatrix(*_canonical_sign(self.d, -self.b, -self.c, self.a))
-
-    def trace(self) -> complex:
-        return self.a + self.d
-
 
 def apply(M: MoebiusMatrix, P: Point3) -> Point3:
     cz_d = M.c * P.z + M.d

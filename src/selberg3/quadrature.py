@@ -23,8 +23,8 @@ class QuadratureError(RuntimeError):
     pass
 
 
-# the one absolute/relative tolerance that every integral of the package
-# asks for
+# the one absolute/relative tolerance that the engine holds every integral
+# of the package to
 QUAD_EPS = {"epsabs": 1e-13, "epsrel": 1e-12}
 
 
@@ -156,13 +156,12 @@ def _panels(f, lo: list, hi: list) -> list:
     return out
 
 
-def integrate(f, a: float, b: float, *, epsabs: float, epsrel: float
-              ) -> tuple:
+def integrate(f, a: float, b: float) -> tuple:
     """(Integral_a^b f(t) dt, error estimate) for a real f, a < b finite.
 
     A round bisects every panel whose error estimate exceeds its width's
-    share of the tolerance max(epsabs, epsrel |I|), and always the worst
-    one; the rule stops when the summed estimate meets the tolerance.
+    share of the tolerance max(epsabs, epsrel |I|) of QUAD_EPS, and always
+    the worst one; the rule stops when the summed estimate meets it.
     Raises QuadratureError on a non-finite value or when the panels would
     exceed _MAX_PANELS.
     """
@@ -173,7 +172,7 @@ def integrate(f, a: float, b: float, *, epsabs: float, epsrel: float
         error = math.fsum(p[3] for p in panels)
         if not (math.isfinite(total) and math.isfinite(error)):
             raise QuadratureError("non-finite integrand value")
-        tol = max(epsabs, epsrel * abs(total))
+        tol = max(QUAD_EPS["epsabs"], QUAD_EPS["epsrel"] * abs(total))
         if error <= tol:
             return total, error
         worst = max(panels, key=lambda p: p[3])
@@ -190,14 +189,13 @@ def integrate(f, a: float, b: float, *, epsabs: float, epsrel: float
                                 mid + [p[1] for p in split])
 
 
-def integrate_halfline(f, *, epsabs: float, epsrel: float) -> tuple:
+def integrate_halfline(f) -> tuple:
     """(Integral_0^inf f(t) dt, error estimate) for a real f that decays:
     integrate over u in (0, 1] with t = (1-u)/u, dt = du/u^2."""
-    return integrate(lambda u: f((1.0 - u) / u) / (u * u), 0.0, 1.0,
-                     epsabs=epsabs, epsrel=epsrel)
+    return integrate(lambda u: f((1.0 - u) / u) / (u * u), 0.0, 1.0)
 
 
-def integrate_cos(f, x: float, *, epsabs: float, epsrel: float) -> tuple:
+def integrate_cos(f, x: float) -> tuple:
     """(Integral_0^inf f(t) cos(x t) dt, error estimate), x > 0, f real.
 
     The head [0, 4 pi/x] runs on integrate in v = log(1 + t), which gives
@@ -211,14 +209,13 @@ def integrate_cos(f, x: float, *, epsabs: float, epsrel: float) -> tuple:
     half = math.pi / x
     a = _HEAD_HALF_PERIODS * half
     if math.isinf(a):        # subnormal x: cos(x t) = 1 for every finite t
-        return integrate_halfline(f, epsabs=epsabs, epsrel=epsrel)
+        return integrate_halfline(f)
 
     def in_log(v):
         t = np.expm1(v)
         return f(t) * np.cos(x * t) * (t + 1.0)
 
-    head, error = integrate(in_log, 0.0, math.log1p(a), epsabs=epsabs,
-                            epsrel=epsrel)
+    head, error = integrate(in_log, 0.0, math.log1p(a))
     tail = 0.0
     first, size = _HEAD_HALF_PERIODS, _FIRST_BLOCK
     while first + size <= _MAX_HALF_PERIODS:
@@ -231,7 +228,8 @@ def integrate_cos(f, x: float, *, epsabs: float, epsrel: float) -> tuple:
         if not math.isfinite(value + error):
             raise QuadratureError("non-finite integrand value")
         if (m0 - m1 >= m1 - m2 >= 0.0
-                and 0.5 * (m1 - m2) <= max(epsabs, epsrel * abs(value))):
+                and 0.5 * (m1 - m2) <= max(QUAD_EPS["epsabs"],
+                                           QUAD_EPS["epsrel"] * abs(value))):
             return value, error + 0.5 * (m1 - m2)
         first += size
         size *= 2

@@ -34,6 +34,7 @@ from .arithmetic_group import (
     GroupDescriptor,
     GroupElement,
     StabilizerData,
+    _mat_mul,
     stabilizer_data,
 )
 from .lattice_lfn import LatticeCharacter
@@ -235,18 +236,6 @@ class ResidueRing:
         b -= k * self._d2
         return (a % self._d1, b)
 
-    def add(self, x: Pair, y: Pair) -> Pair:
-        return self.reduce(self.ring.add(x, y))
-
-    def sub(self, x: Pair, y: Pair) -> Pair:
-        return self.reduce(self.ring.sub(x, y))
-
-    def mul(self, x: Pair, y: Pair) -> Pair:
-        return self.reduce(self.ring.mul(x, y))
-
-    def neg(self, x: Pair) -> Pair:
-        return self.reduce(self.ring.neg(x))
-
     def elements(self) -> tuple:
         if self._elements is None:
             self._elements = tuple((x, y) for x in range(self._d1)
@@ -258,7 +247,8 @@ class CongruenceQuotient:
     """PSL(2, O/q): canonical keys, multiplication, and the reduction map.
 
     Keys are 8-integer tuples of residue coordinates, canonicalized over
-    the central +-I just like GroupElement does over O.
+    the central +-I just like GroupElement does over O.  Products are
+    formed exactly over O, and the key reduces each entry once.
     """
 
     def __init__(self, ring: Ring, modulus: Pair):
@@ -272,17 +262,18 @@ class CongruenceQuotient:
             for b in elems:
                 for c in elems:
                     for d in elems:
-                        det = self.residues.sub(
-                            self.residues.mul(a, d), self.residues.mul(b, c))
-                        if det == one:
+                        det = ring.sub(ring.mul(a, d), ring.mul(b, c))
+                        if self.residues.reduce(det) == one:
                             keys.add(self._canonical((a, b, c, d)))
         self.element_keys = tuple(sorted(keys))
-        self.identity_key = self._canonical(
-            (one, self.residues.reduce((0, 0)), self.residues.reduce((0, 0)), one))
+        self.identity_key = self._canonical(((1, 0), (0, 0), (0, 0), (1, 0)))
 
     def _canonical(self, quad) -> tuple:
-        flat = tuple(v for p in quad for v in p)
-        neg = tuple(v for p in quad for v in self.residues.neg(p))
+        """Key of a matrix over O: each entry and its negative reduced once,
+        the lesser sign kept."""
+        reduce = self.residues.reduce
+        flat = tuple(v for p in quad for v in reduce(p))
+        neg = tuple(v for p in quad for v in reduce(self.ring.neg(p)))
         return min(flat, neg)
 
     @staticmethod
@@ -295,23 +286,15 @@ class CongruenceQuotient:
     def reduce_element(self, M: GroupElement) -> tuple:
         if M.ring.name != self.ring.name:
             raise ValueError("element from the wrong ring")
-        return self._canonical(tuple(self.residues.reduce(p) for p in M.entries()))
+        return self._canonical(M.entries())
 
     def multiply(self, k1: tuple, k2: tuple) -> tuple:
-        a1, b1, c1, d1 = self._unflatten(k1)
-        a2, b2, c2, d2 = self._unflatten(k2)
-        r = self.residues
-        return self._canonical((
-            r.add(r.mul(a1, a2), r.mul(b1, c2)),
-            r.add(r.mul(a1, b2), r.mul(b1, d2)),
-            r.add(r.mul(c1, a2), r.mul(d1, c2)),
-            r.add(r.mul(c1, b2), r.mul(d1, d2)),
-        ))
+        return self._canonical(
+            _mat_mul(self.ring, self._unflatten(k1), self._unflatten(k2)))
 
     def invert(self, k: tuple) -> tuple:
         a, b, c, d = self._unflatten(k)
-        r = self.residues
-        return self._canonical((d, r.neg(b), r.neg(c), a))
+        return self._canonical((d, self.ring.neg(b), self.ring.neg(c), a))
 
     def element_order(self, k: tuple) -> int:
         n = 1

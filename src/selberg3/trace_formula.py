@@ -21,7 +21,7 @@ from .arithmetic_group import (CuspidalEllipticClass, GroupData,
                                GroupDescriptor, NonCuspidalEllipticClass,
                                PrimitiveLoxodromicClass)
 from .lattice_lfn import Lattice, L_value_kronecker, kappa_lattice
-from .quadrature import QUAD_EPS, digamma, integrate_halfline
+from .quadrature import digamma, integrate_halfline
 from .representation import (CyclotomicValue, SingularData, UnitaryRep,
                              _joint_angles, singular_spaces, snap_unit_angle)
 from .transform import TestFunctionTriple
@@ -87,13 +87,12 @@ def identity_term(h: Callable, vol: float, dim_v: int,
     endpoint singularity of the half-line rule's map.
     """
     if route == "direct":
-        val, err = integrate_halfline(
-            lambda t: (h(1.0 + t * t) * t * t).real, **QUAD_EPS)
+        val, err = integrate_halfline(lambda t: (h(1.0 + t * t) * t * t).real)
         val, err = 2.0 * val, 2.0 * err
     elif route == "substitution":
         val, err = integrate_halfline(
             lambda u: (h((1.0 + u) ** 2) * np.sqrt(u * (u + 2.0))
-                       * 2.0 * (1.0 + u)).real, **QUAD_EPS)
+                       * 2.0 * (1.0 + u)).real)
     else:
         raise ValueError(f"unknown route {route!r}")
     scale = vol * dim_v / (4.0 * math.pi ** 2)
@@ -246,7 +245,7 @@ def _cosh_kernel_integral(g: Callable, cos_t: float) -> tuple:
         e = np.exp(-x)   # sinh x / (cosh x - cos t) without overflow
         return (g(x) * (1.0 - e * e) / (1.0 + e * e - 2.0 * cos_t * e)).real
 
-    return integrate_halfline(integrand, **QUAD_EPS)
+    return integrate_halfline(integrand)
 
 
 def cosh_integral_quad(s, t: float):
@@ -363,7 +362,7 @@ def parabolic_term(h: Callable, g0: complex, blocks: XiBlocks) -> tuple:
         t = u * u
         return 2.0 * u * (h(1.0 + t * t) * digamma(1.0 + 1j * t).real).real
 
-    dig, err = integrate_halfline(integrand, **QUAD_EPS)
+    dig, err = integrate_halfline(integrand)
     ratio = blocks.l_infinity / blocks.index
     return (ratio * (h(1.0) / 4.0 - dig / math.pi) + g0 * blocks.cusp_constant,
             ratio * g0, abs(ratio) * err / math.pi)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import (QUAD_EPS, QuadratureError, integrate, integrate_cos,
+from .quadrature import (QuadratureError, integrate, integrate_cos,
                          integrate_halfline)
 
 
@@ -50,8 +50,8 @@ class TestFunctionTriple:
         def f(t):
             return np.real(self.h(1.0 + t * t))
 
-        val, err = (integrate_halfline(f, **QUAD_EPS) if upper == np.inf
-                    else integrate(f, 0.0, upper, **QUAD_EPS))
+        val, err = (integrate_halfline(f) if upper == np.inf
+                    else integrate(f, 0.0, upper))
         if err > 1e-7:
             raise QuadratureError(f"g(0) cross-check quadrature error {err:.2e}")
         return abs(val / math.pi - self.g(0.0))
@@ -73,10 +73,9 @@ def shc_h_from_k(k: Callable[[float], float], lam: complex) -> complex:
         stretched = 2.0 * log_t if s == 0 else 2.0 * np.sinh(s * log_t) / s
         return k((t + 1.0 / t) / 2.0) * stretched * (t - 1.0 / t) / t
 
-    val, err = integrate_halfline(lambda u: np.real(integrand(u)), **QUAD_EPS)
+    val, err = integrate_halfline(lambda u: np.real(integrand(u)))
     if s.imag != 0:
-        im, im_err = integrate_halfline(lambda u: np.imag(integrand(u)),
-                                        **QUAD_EPS)
+        im, im_err = integrate_halfline(lambda u: np.imag(integrand(u)))
         val, err = complex(val, im), max(err, im_err)
     if err > 1e-7:
         raise QuadratureError(f"transform quadrature error {err:.2e} at lam={lam}")
@@ -107,8 +106,7 @@ def g_from_h(h: Callable[[complex], complex], x: float) -> float:
         with np.errstate(over="ignore"):
             return np.real(h(1.0 + t * t))
 
-    val, err = (integrate_cos(f, x, **QUAD_EPS) if x
-                else integrate_halfline(f, **QUAD_EPS))
+    val, err = integrate_cos(f, x) if x else integrate_halfline(f)
     if err > 1e-7:
         raise QuadratureError(f"oscillatory quadrature error {err:.2e} at x={x}")
     return val / math.pi

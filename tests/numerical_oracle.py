@@ -11,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from selberg3.arithmetic_group import _snap_root_index
 from selberg3.representation import CyclotomicValue, snap_unit_angle
 from selberg3.rings import EISENSTEIN
 
@@ -132,7 +131,9 @@ def zeta0_by_eigenvector(T0, a0, E_T, m):
         v = (1.0 + 0j, -row[0] / row[1])
     ev = (E.a * v[0] + E.b * v[1], E.c * v[0] + E.d * v[1])
     idx = 0 if abs(v[0]) >= abs(v[1]) else 1
-    j = _snap_root_index(ev[idx] / v[idx], 2 * m)
+    angle = snap_unit_angle(ev[idx] / v[idx])
+    assert angle is not None and (2 * m * angle).denominator == 1
+    j = int(2 * m * angle)
     if math.gcd(j, 2 * m) != 1:
         j = (j + m) % (2 * m)   # other matrix lift of the same group element
     assert math.gcd(j, 2 * m) == 1

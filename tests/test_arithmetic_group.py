@@ -475,7 +475,7 @@ class TestLoxodromicClasses:
         assert t0 * r0 == r0 * t0
         c = classify(t0)
         assert abs(c.norm - (7.0 + 4.0 * math.sqrt(3.0))) < 1e-9
-        zeta0, angle = _zeta0_for(t0, c.a, r0, 3)
+        zeta0, angle = _zeta0_for(t0, c.a, r0)
         assert angle.denominator == 6
         assert math.gcd(angle.numerator, 6) == 1
         assert abs(zeta0 ** 6 - 1) < 1e-9
@@ -492,10 +492,42 @@ class TestLoxodromicClasses:
             group, norm_bound, height) if c.E_T is not None]
         assert torsion
         for c in torsion:
-            zeta0, angle = _zeta0_for(c.T0, c.a0, c.E_T, c.m)
+            zeta0, angle = _zeta0_for(c.T0, c.a0, c.E_T)
             want, want_angle = zeta0_by_eigenvector(c.T0, c.a0, c.E_T, c.m)
             assert angle == want_angle == c.zeta0_angle
             assert bits(zeta0) == bits(want) == bits(c.zeta0)
+
+    @pytest.mark.parametrize("group", [
+        PICARD, EISENSTEIN_GROUP,
+        GroupDescriptor("sqrt-2", Ring("sqrt-2", -2, 0), (1, 0))],
+        ids=lambda g: g.name)
+    def test_zeta0_on_random_conjugates(self, group):
+        # the trace rule against the float eigenvector on g T g^-1 and
+        # g E g^-1 for random words g in R, S, E, J and their inverses, with
+        # T in {T0, T0^-1, T0 E_T} and E in {E_T, E_T^-1}: both canonical
+        # trace signs of E and both directions of the axis are met
+        st = stabilizer_data(group)
+        j = from_ints(group.ring, (((0, 0), (-1, 0)), ((1, 0), (0, 0))))
+        letters = [x for g in (st.R, st.S, st.E, j) for x in (g, g.inv())]
+        rng = np.random.default_rng(33)
+        torsion = [c for c in primitive_loxodromic_classes(group, 14.0, 6)
+                   if c.E_T is not None]
+        assert torsion
+        cases = 0
+        for c in torsion:
+            pairs = [(t, e) for t in (c.T0, c.T0.inv(), c.T0 * c.E_T)
+                     for e in (c.E_T, c.E_T.inv())]
+            for _ in range(300):
+                g = identity(group.ring)
+                for k in rng.integers(len(letters), size=rng.integers(10)):
+                    g = g * letters[k]
+                for t, e in pairs:
+                    t, e = t.conjugate_by(g), e.conjugate_by(g)
+                    a = classify(t).a
+                    assert (_zeta0_for(t, a, e)[1]
+                            == zeta0_by_eigenvector(t, a, e, c.m)[1])
+                    cases += 1
+        assert cases == 1800 * len(torsion)
 
 
 # -- non-cuspidal elliptic classes -----------------------------------------

@@ -60,18 +60,17 @@ def test_action_is_a_homomorphism():
     for _ in range(200):
         m, n = _rand_matrix(rng), _rand_matrix(rng)
         p = _rand_point(rng)
-        lhs = apply(m @ n, p)
+        mn = MoebiusMatrix.make(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                                m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+        lhs = apply(mn, p)
         rhs = apply(m, apply(n, p))
         assert lhs.z == pytest.approx(rhs.z, abs=1e-10)
         assert lhs.r == pytest.approx(rhs.r, abs=1e-10)
 
 
-def test_inverse_and_sign_canonicalization():
-    m = MoebiusMatrix.make(2, 1, 1, 1)
-    ident = m @ m.inv()
-    assert ident.a == pytest.approx(1.0, abs=1e-12)
-    assert ident.b == pytest.approx(0.0, abs=1e-12)
+def test_sign_canonicalization():
     # both signs normalize to the same stored matrix
+    m = MoebiusMatrix.make(2, 1, 1, 1)
     assert MoebiusMatrix.make(-2, -1, -1, -1) == m
 
 

@@ -204,6 +204,8 @@ def test_detector_sees_unread_private_names():
 TEST_ONLY_ALLOWLIST = {
     "spectral_divisor": "spectral side of the divisor, fed externally supplied eigenvalues",
     "functional_factor_psi": "product factor of the functional equation",
+    "delta": "the point-pair invariant cosh d(P, Q), which acceptance "
+             "criterion 9 reads to check the action's isometry",
 }
 CALLERS = [SRC, SRC.parent.parent / "demos", SRC.parent.parent / "perfbench"]
 
@@ -212,21 +214,30 @@ def public_names_named_nowhere(sources: dict, defining: set) -> list:
     """(module, name) of each public top-level function or class of a
     defining module that no source names outside its own definition.
 
-    sources maps a path to its source.  A name counts when it is loaded,
-    read as an attribute or from-imported, so `module.name` and
-    `from module import name` both keep it; a string in __all__ does not.
+    sources maps a path to its source.  A name counts when it is read as
+    an attribute or from-imported, so `module.name` and
+    `from module import name` both keep it, or when it is loaded as a bare
+    name in a module that defines or imports it at top level, so a
+    parameter or local that shares the name does not; a string in __all__
+    does not count.
     """
     reads = {}               # name -> {(path, statement index)}
     definitions = []
     for path, source in sources.items():
-        for i, stmt in enumerate(ast.parse(source).body):
+        body = ast.parse(source).body
+        top = {alias.asname or alias.name.split(".")[0] for stmt in body
+               if isinstance(stmt, (ast.Import, ast.ImportFrom))
+               for alias in stmt.names}
+        top |= {stmt.name for stmt in body if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        for i, stmt in enumerate(body):
             if (path in defining and isinstance(
                     stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not stmt.name.startswith("_")):
                 definitions.append((path, i, stmt.name))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names = [node.id]
+                    names = [node.id] if node.id in top else []
                 elif isinstance(node, ast.Attribute):
                     names = [node.attr]
                 elif isinstance(node, ast.ImportFrom):
@@ -258,6 +269,18 @@ def test_detector_sees_public_names_named_nowhere():
                  "def orphan():\n    return a.by_attribute()\n"),
     }
     assert public_names_named_nowhere(sources, {"a.py"}) == [("a.py", "orphan")]
+
+
+def test_detector_parameter_does_not_keep_a_public_name():
+    sources = {
+        "a.py": ("def distance(p, q):\n    return abs(p - q)\n"
+                 "def helper():\n    return distance(1, 2)\n"
+                 "def unused():\n    return 0\n"),
+        "b.py": ("def kernel(unused):\n    return unused + 1\n"
+                 "def other():\n    unused = 2\n    return unused\n"),
+    }
+    assert public_names_named_nowhere(sources, {"a.py"}) == [
+        ("a.py", "helper"), ("a.py", "unused")]
 
 
 # public methods and properties that only tests read, each kept for a reason

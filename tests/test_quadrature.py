@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from selberg3.quadrature import (QUAD_EPS, digamma, integrate, integrate_cos,
+from selberg3.quadrature import (digamma, integrate, integrate_cos,
                                  integrate_halfline, loggamma, trigamma)
 from selberg3.transform import QuadratureError
 
@@ -95,7 +95,7 @@ def test_identity_integrand(mp, s, big):
     written without the difference of the two resolvents."""
     got, err = integrate_halfline(
         lambda t: t * t * (big * big - s * s)
-        / ((s * s + t * t) * (big * big + t * t)), **QUAD_EPS)
+        / ((s * s + t * t) * (big * big + t * t)))
     assert abs(got - float(mp.pi * (mp.mpf(big) - s) / 2)) <= 1e-13
     assert err <= 1e-12 * abs(got)
 
@@ -107,7 +107,7 @@ def test_identity_integrand_as_a_difference(mp, s, big):
     that does not decay; scipy's quad lands 3.8e-13 and 4.4e-15 off at these
     pairs, and so does this rule."""
     h = _h(s, big)
-    got, _ = integrate_halfline(lambda t: h(1.0 + t * t) * t * t, **QUAD_EPS)
+    got, _ = integrate_halfline(lambda t: h(1.0 + t * t) * t * t)
     assert abs(got - float(mp.pi * (mp.mpf(big) - s) / 2)) <= 1e-12
 
 
@@ -120,7 +120,7 @@ def test_cuspidal_elliptic_integrand(mp, s, big, cos_t):
         e = np.exp(-x)   # sinh x / (cosh x - cos t), free of overflow
         return g(x) * (1.0 - e * e) / (1.0 + e * e - 2.0 * cos_t * e)
 
-    got, _ = integrate_halfline(f, **QUAD_EPS)
+    got, _ = integrate_halfline(f)
     want = _mp_quad(mp, lambda x: (mp.exp(-s * x) / (2 * s)
                                    - mp.exp(-big * x) / (2 * big))
                     * mp.sinh(x) / (mp.cosh(x) - cos_t))
@@ -135,10 +135,9 @@ def test_parabolic_integrand(mp, s, big):
                     * mp.re(mp.digamma(1 + 1j * t)))
     h = _h(s, big)
     in_t, _ = integrate_halfline(
-        lambda t: h(1.0 + t * t) * digamma(1.0 + 1j * t).real, **QUAD_EPS)
+        lambda t: h(1.0 + t * t) * digamma(1.0 + 1j * t).real)
     in_u, _ = integrate_halfline(
-        lambda u: 2.0 * u * h(1.0 + u ** 4) * digamma(1.0 + 1j * u * u).real,
-        **QUAD_EPS)
+        lambda u: 2.0 * u * h(1.0 + u ** 4) * digamma(1.0 + 1j * u * u).real)
     assert abs(in_t - want) <= 1e-13
     assert abs(in_u - want) <= 1e-13
 
@@ -160,17 +159,17 @@ def test_rounds_are_vectorized(s, big):
             sizes.append(t.size)
             return f(t)
 
-        integrate_halfline(counted, **QUAD_EPS)
+        integrate_halfline(counted)
         assert 1 <= len(sizes) <= 3
         assert sizes[0] == 8 * 15 and all(n % 30 == 0 for n in sizes[1:])
 
 
 def test_finite_interval():
     """The finite rule alone, against closed forms."""
-    got, err = integrate(np.exp, -1.0, 2.0, **QUAD_EPS)
+    got, err = integrate(np.exp, -1.0, 2.0)
     assert abs(got - (math.exp(2.0) - math.exp(-1.0))) <= 1e-14
     assert err <= 1e-12 * got
-    got, _ = integrate(lambda t: np.sqrt(t), 0.0, 4.0, **QUAD_EPS)
+    got, _ = integrate(lambda t: np.sqrt(t), 0.0, 4.0)
     assert abs(got - 16.0 / 3.0) <= 1e-12
 
 
@@ -190,17 +189,16 @@ COSINE_PAIRS = {
 @pytest.mark.parametrize("name", sorted(COSINE_PAIRS))
 def test_cosine_rule_against_closed_forms(name, x):
     f, transform = COSINE_PAIRS[name]
-    got, err = integrate_cos(f, x, **QUAD_EPS)
+    got, err = integrate_cos(f, x)
     assert abs(got - transform(x)) <= max(err, 1e-14) <= 1e-11
 
 
 def test_divergent_integrand_raises():
     # Integral_0^inf dt/(1+t) diverges logarithmically
     with pytest.raises(QuadratureError, match="quadrature error .* after"):
-        integrate_halfline(lambda t: 1.0 / (1.0 + t), **QUAD_EPS)
+        integrate_halfline(lambda t: 1.0 / (1.0 + t))
 
 
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureError, match="non-finite"):
-        integrate_halfline(lambda t: np.where(t > 1.0, math.nan, 1.0),
-                           **QUAD_EPS)
+        integrate_halfline(lambda t: np.where(t > 1.0, math.nan, 1.0))
