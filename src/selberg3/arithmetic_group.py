@@ -37,6 +37,8 @@ from .geometry import MoebiusMatrix
 from .rings import EISENSTEIN, GAUSSIAN, Pair, Ring
 
 DEFAULT_ELEMENT_CAP = 3_000_000
+# (a, d, b) triples broadcast at once by the enumeration
+_ENUM_CHUNK = 1 << 14
 
 
 class EnumerationCapError(RuntimeError):
@@ -268,55 +270,77 @@ def classify(T: GroupElement) -> ElementClassification:
 # enumeration
 
 
+def _is_canonical(rows: np.ndarray, ring: Ring) -> np.ndarray:
+    """`_canonical_entries`' sign rule on (K, 8) coordinate rows: does the
+    first nonzero entry have argument in (-pi/2, pi/2]?"""
+    x, y = rows[:, 0::2], rows[:, 1::2]
+    first = np.argmax((x != 0) | (y != 0), axis=1)[:, None]
+    x, y = (np.take_along_axis(v, first, axis=1)[:, 0] for v in (x, y))
+    r2 = ring.real2((x, y))
+    return (r2 > 0) | ((r2 == 0) & (y > 0))
+
+
+def _candidate_rows(r: Ring, height: int):
+    """(K, 8) blocks of the determinant-1 rows with entries in {0} + B, B
+    the nonzero entries of norm <= height, each row with both signs.
+
+    A row with b = 0 has a unit a, d = a^-1 = conj(a) and any c.  A row
+    with b != 0 has b | q = a d - 1 and c = q / b, so every (a, d) pair is
+    broadcast against every b in B, and b divides q exactly when
+    q conj(b) = 0 mod N(b) coordinatewise; the pairs are taken
+    _ENUM_CHUNK / len(B) at a time.
+    """
+    ball = np.array(r.elements_with_norm_le(height), dtype=np.int64)
+    b = (ball[:, 0], ball[:, 1])
+    b_conj, nb = r.conj(b), r.norm(b)
+    entries = np.concatenate([np.zeros((1, 2), dtype=np.int64), ball])
+
+    units = np.array(r.units, dtype=np.int64)
+    lower = np.zeros((len(units), len(entries), 8), dtype=np.int64)
+    lower[:, :, 0:2] = units[:, None]
+    lower[:, :, 4:6] = entries
+    lower[:, :, 6:8] = np.stack(r.conj((units[:, 0], units[:, 1])),
+                                axis=1)[:, None]
+    yield lower.reshape(-1, 8)
+
+    a_idx, d_idx = (v.ravel() for v in np.indices((len(entries),) * 2))
+    step = max(1, _ENUM_CHUNK // len(ball))
+    for start in range(0, len(a_idx), step):
+        a, d = (entries[i[start:start + step]] for i in (a_idx, d_idx))
+        qx, qy = r.mul((a[:, :1], a[:, 1:]), (d[:, :1], d[:, 1:]))
+        px, py = r.mul((qx - 1, qy), b_conj)
+        pair, bi = np.nonzero((px % nb == 0) & (py % nb == 0))
+        c = np.stack([px[pair, bi], py[pair, bi]], axis=1) // nb[bi, None]
+        keep = r.norm((c[:, 0], c[:, 1])) <= height
+        pair, bi = pair[keep], bi[keep]
+        yield np.concatenate([a[pair], ball[bi], c[keep], d[pair]], axis=1)
+
+
 def enumerate_elements(group: GroupDescriptor, height: int,
                        cap: int = DEFAULT_ELEMENT_CAP) -> list[GroupElement]:
     """All determinant-1 matrices mod +-I with every entry norm <= height.
 
-    Deterministic: sorted by the 8-integer entry key.
+    Array code: `_candidate_rows` finds every matrix as the pair M, -M,
+    and the rows that pass the sign rule keep each element once, so no
+    set is needed.  EnumerationCapError is raised as soon as more than
+    `cap` elements are found.  Deterministic: the rows are sorted by the
+    8-integer entry key before the GroupElements are built.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
     r = group.ring
-    small = r.elements_with_norm_le(height)
-    coords = np.array(small, dtype=np.int64)
-    b = (coords[:, 0], coords[:, 1])
-    b_conj = r.conj(b)
-    nb = r.norm(b)
-
-    out = set()
-
-    def emit(a, b, c, d):
-        out.add(GroupElement(r, a, b, c, d, _checked=True))
-        if len(out) > cap:
+    kept, found = [], 0
+    for block in _candidate_rows(r, height):
+        kept.append(block[_is_canonical(block, r)])
+        found += len(kept[-1])
+        if found > cap:
             raise EnumerationCapError(
                 f"element cap {cap} exceeded at height {height}")
-
-    zero = (0, 0)
-    ad_list = [zero] + small
-    for a in ad_list:
-        for d in ad_list:
-            q = r.sub(r.mul(a, d), (1, 0))
-            if q == (0, 0):
-                # a d = 1: a is a unit; b c = 0
-                for b in small:
-                    emit(a, b, zero, d)
-                for c in small:
-                    emit(a, zero, c, d)
-                emit(a, zero, zero, d)
-                continue
-            # b runs over divisors of q with both cofactors inside the ball
-            nq = r.norm(q)
-            px, py = r.mul(q, b_conj)
-            ok = (nq % nb == 0) & (px % nb == 0) & (py % nb == 0)
-            if not ok.any():
-                continue
-            cx_all, cy_all = px[ok] // nb[ok], py[ok] // nb[ok]
-            keep = r.norm((cx_all, cy_all)) <= height
-            for (bxx, byy), cxx, cyy in zip(
-                    coords[ok][keep], cx_all[keep], cy_all[keep]):
-                emit(a, (int(bxx), int(byy)), (int(cxx), int(cyy)), d)
-
-    return sorted(out, key=GroupElement.key)
+    rows = np.concatenate(kept)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return [GroupElement(r, (ax, ay), (bx, by), (cx, cy), (dx, dy),
+                         _checked=True)
+            for ax, ay, bx, by, cx, cy, dx, dy in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +382,19 @@ def stabilizer_data(group: GroupDescriptor) -> StabilizerData:
 def axis_key(T: GroupElement) -> tuple:
     """Exact key for the fixed-point pair of T on the boundary.
 
-    The fixed points solve c z^2 + (d - a) z - b = 0; the projective triple
-    (c, d-a, -b), made primitive and canonical under unit scaling, pins down
-    the unordered pair exactly.
+    The fixed points solve c z^2 + (d - a) z - b = 0, so the projective
+    triple v = (c, d-a, -b) over K pins down the unordered pair.  Scaling v
+    by the conjugate of its first nonzero entry v_k turns that entry into
+    the positive integer N(v_k), and dividing the six integer coordinates
+    by their gcd leaves one primitive vector for the whole line K^x v: a
+    scalar lam multiplies v conj(v_k) by the positive rational N(lam).
     """
     r = T.ring
     v = (T.c, r.sub(T.d, T.a), r.neg(T.b))
-    g = r.gcd(r.gcd(v[0], v[1]), v[2])
-    if g != (0, 0):
-        v = tuple(r.exact_div(x, g) for x in v)
-    best = None
-    for u in r.units:
-        cand = tuple(r.mul(u, x) for x in v)
-        flat = (*cand[0], *cand[1], *cand[2])
-        if best is None or flat < best:
-            best = flat
-    return best
+    lead = r.conj(next(x for x in v if x != (0, 0)))
+    flat = [c for x in v for c in r.mul(x, lead)]
+    g = math.gcd(*flat)
+    return tuple(c // g for c in flat)
 
 
 def trace_class_key(T: GroupElement) -> tuple:
@@ -393,8 +414,12 @@ def trace_class_key(T: GroupElement) -> tuple:
 _INV_ORDER = [6, 7, 2, 3, 4, 5, 0, 1]
 _INV_SIGN = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=np.int64)
 _INT64_SAFE = 1 << 62
-# conjugator images held at once (rows x conjugators) by _conjugate_hits
-_MERGE_CHUNK = 1 << 12
+# image keys (leads x conjugators) and candidate images, whose maps are 64
+# coordinates each, held at once by _conjugate_hits
+_MERGE_CHUNK = 1 << 15
+_RECHECK_CHUNK = _MERGE_CHUNK // 64
+# slots of _conjugate_hits' table of the member keys' low bits
+_KEY_BITS = 1 << 16
 
 
 def element_array(elements: Iterable[GroupElement]) -> np.ndarray:
@@ -420,9 +445,9 @@ class ConjugatorSet:
     Conjugation T -> g T g^-1 is linear in T's 8 integer coordinates.  The
     (8, 8) map of g is built once, in exact int64 products by the ring's rule
     u^2 = u2_x + u2_y u: its row j is the image of the j-th unit coordinate
-    row.  `raw_images` conjugates elements by all N conjugators with one
-    int64 matmul, guarded to stay below 2^62.  The images skip the +-I sign
-    rule: `_conjugate_hits` looks them up among both signs of its targets.
+    row, so T @ map is g T g^-1 before the +-I sign rule.  `_conjugate_hits`
+    folds its key packing into the maps and recomputes an image from its map
+    only to confirm a key match.
     """
 
     def __init__(self, ring: Ring, elements: Iterable[GroupElement]):
@@ -441,24 +466,13 @@ class ConjugatorSet:
         g_inv = _entries((G[:, _INV_ORDER] * _INV_SIGN)[:, None, :])
         unit = _entries(np.eye(8, dtype=np.int64)[None, :, :])
         out = _mat_mul(ring, _mat_mul(ring, g, unit), g_inv)
-        maps = np.stack([v for pair in out for v in pair], axis=-1)
+        # (N, 8, 8): T @ maps[n] is the image of T under conjugator n
+        self._maps = np.stack([v for pair in out for v in pair], axis=-1)
         # |image coordinate| <= (largest absolute column sum) * max|T|
-        self._scale = int(np.abs(maps).sum(axis=1).max(initial=0))
-        # (8, N*8): T @ maps gives every conjugator's image side by side
-        self._maps = np.ascontiguousarray(maps.transpose(1, 0, 2)).reshape(8, -1)
+        self._scale = int(np.abs(self._maps).sum(axis=1).max(initial=0))
 
     def __len__(self):
         return len(self.elements)
-
-    def raw_images(self, T: np.ndarray) -> np.ndarray:
-        """g T g^-1 before the sign rule, for every row T of a (K, 8) array: (K, N, 8)."""
-        t_max = int(np.abs(T).max(initial=0))
-        worst = self._scale * t_max
-        if worst > _INT64_SAFE:
-            raise ValueError(
-                f"conjugation coordinates may reach {worst}, beyond the int64 "
-                f"range 2^62; entries are too large for the exact kernel")
-        return (T @ self._maps).reshape(len(T), len(self), 8)
 
 
 def _conjugate_hits(conj: ConjugatorSet, leads: np.ndarray,
@@ -466,14 +480,27 @@ def _conjugate_hits(conj: ConjugatorSet, leads: np.ndarray,
     """int32 (lead, conjugator, label) index triples: g lead g^-1 = member.
 
     leads and members are (K, 8) and (M, 8) coordinate rows of canonical
-    elements, and labels holds one integer per member.  A raw image is +-m
-    exactly when its canonical form is the member m, so the table holds m
-    and -m.  Members are packed into sorted int64 keys with a base derived
-    from their largest coordinate |x| <= bound; an image with a coordinate
-    beyond the bound is exactly a non-member and gets the key -1.  The
-    images of _MERGE_CHUNK // len(conj) leads, at least one, are held at a
-    time.
+    elements, and labels holds one integer per member.  An image before the
+    sign rule is +-m exactly when its canonical form is the member m, so
+    the table holds m and -m, packed into sorted int64 keys
+    (x + bound) @ powers with base 2 bound + 1, bound the largest member
+    coordinate.  The packing is linear, so it folds into the conjugation
+    maps: with K = maps @ powers, (8, N), one (L, 8) @ (8, N) product gives
+    the keys of L leads' images.  Only the image keys whose low bits some
+    member key shares go on to a binary search among the member keys.
+    Image keys may wrap mod 2^64 and alias, but a member image's key is
+    exact, so a key match is only a candidate: it is accepted when the
+    image, recomputed from its map in int64, equals the member.  That is
+    exact because a ValueError is raised first when scale * max|lead| could
+    pass 2^62.  The keys of _MERGE_CHUNK // len(conj) leads, at least one,
+    are held at a time, and _RECHECK_CHUNK candidate images.
     """
+    t_max = int(np.abs(leads).max(initial=0))
+    worst = conj._scale * t_max
+    if worst > _INT64_SAFE:
+        raise ValueError(
+            f"conjugation coordinates may reach {worst}, beyond the int64 "
+            f"range 2^62; entries are too large for the exact kernel")
     members = np.concatenate([members, -members])
     labels = np.concatenate([labels, labels])
     bound = int(np.abs(members).max(initial=0))
@@ -483,40 +510,51 @@ def _conjugate_hits(conj: ConjugatorSet, leads: np.ndarray,
     powers = base ** np.arange(7, -1, -1, dtype=np.int64)
     keys = (members + bound) @ powers
     order = np.argsort(keys)
-    keys, labels = keys[order], labels[order]
+    keys, members, labels = keys[order], members[order], labels[order]
+    seen = np.zeros(_KEY_BITS, dtype=bool)
+    seen[keys & (_KEY_BITS - 1)] = True
+    # the key of T @ maps[n] is T @ key_maps[:, n] + offset, mod 2^64
+    key_maps = np.ascontiguousarray((conj._maps @ powers).T)
+    offset = bound * int(powers.sum())
     hits = [np.empty((0, 3), dtype=np.int32)]
     step = max(1, _MERGE_CHUNK // max(1, len(conj)))
     for start in range(0, len(leads), step):
-        imgs = conj.raw_images(leads[start:start + step])
-        img_keys = np.where((np.abs(imgs) <= bound).all(axis=-1),
-                            (imgs + bound) @ powers, -1)
+        chunk = leads[start:start + step]
+        img_keys = chunk @ key_maps
+        img_keys += offset
+        rows, cols = np.nonzero(seen[img_keys & (_KEY_BITS - 1)])
+        img_keys = img_keys[rows, cols]
         pos = np.minimum(np.searchsorted(keys, img_keys), len(keys) - 1)
-        rows, cols = np.nonzero(keys[pos] == img_keys)
-        hits.append(np.stack([start + rows, cols, labels[pos[rows, cols]]],
-                             axis=1, dtype=np.int32))
+        match = keys[pos] == img_keys
+        rows, cols, pos = rows[match], cols[match], pos[match]
+        for i in range(0, len(rows), _RECHECK_CHUNK):
+            part = slice(i, i + _RECHECK_CHUNK)
+            row, col, at = rows[part], cols[part], pos[part]
+            images = (chunk[row, None, :] @ conj._maps[col])[:, 0]
+            exact = (images == members[at]).all(axis=1)
+            hits.append(np.stack([start + row[exact], col[exact],
+                                  labels[at[exact]]], axis=1, dtype=np.int32))
     return np.concatenate(hits)
 
 
 def _components(n: int, lead: np.ndarray, label: np.ndarray) -> list[int]:
-    """Root of each of n items linked by the pairs (lead, label) by
-    union-find: the least index in its component."""
-    parent = list(range(n))
+    """Root of each of n items linked by the pairs (lead, label): the least
+    index in its component.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # each link once: a lead meets itself through its whole centralizer
-    # (int64 keys >= 0; np.unique would import numpy.ma)
-    links = np.sort(lead.astype(np.int64) * n + label)
-    links = links[np.diff(links, prepend=-1) != 0]
-    for i, j in zip((links // n).tolist(), (links % n).tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    return [find(i) for i in range(n)]
+    Each pass lowers every item's root to the least root of its links and
+    then jumps each root to its own root.  A root is always an item of the
+    same component, so at the fixed point, where linked items agree and
+    every root is its own root, each component holds its least index.
+    """
+    root = np.arange(n)
+    while True:
+        low = root.copy()
+        np.minimum.at(low, lead, root[label])
+        np.minimum.at(low, label, root[lead])
+        low = low[low]
+        if np.array_equal(low, root):
+            return root.tolist()
+        root = low
 
 
 # ---------------------------------------------------------------------------

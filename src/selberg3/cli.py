@@ -4,10 +4,12 @@ Subcommands: enumerate | classify | lsum | identity | zeta | trace |
 eisenstein-check.  Exit codes: 0 success, 1 usage error, 2 data or
 completeness failure, 3 numerical failure.  Output formats: text (default),
 csv, json; CSV and JSON carry identical formatted payloads, so either can
-serve as a golden file.  The trace-formula, transform and zeta modules are
-imported by the subcommands that use them, so a command pays only for its
-own imports.  The package runs on numpy alone: every quadrature, digamma
-and log-gamma value comes from selberg3.quadrature.
+serve as a golden file.  Only arithmetic_group, geometry and rings are
+imported here; eisenstein, lattice_lfn, representation, trace_formula,
+transform and zeta are imported by the subcommands that use them, so a
+command pays only for its own imports.  The package runs on numpy alone:
+every quadrature, digamma and log-gamma value comes from
+selberg3.quadrature.
 """
 
 from __future__ import annotations
@@ -32,14 +34,8 @@ from .arithmetic_group import (GROUPS, CompletenessError, EnumerationCapError,
                                build_group_data, classify,
                                cuspidal_elliptic_classes, enumerate_elements,
                                get_group, stabilizer_data)
-from .eisenstein import eigen_check
 from .geometry import Point3
-from .lattice_lfn import (HEX_LATTICE, SQUARE_LATTICE, Lattice,
-                          LatticeCharacter, L_value_direct, L_value_kronecker,
-                          kappa_lattice)
-from .representation import (CyclotomicValue, find_character, singular_spaces,
-                             trivial_rep)
-from .rings import EISENSTEIN
+from .rings import EISENSTEIN, GAUSSIAN
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
@@ -139,6 +135,7 @@ def load_representation(config: RunConfig):
     on_E values on the three cusp-stabilizer generators.  Values are
     complex literals or fractions p/q meaning exp(2 pi i p/q).
     """
+    from .representation import find_character, trivial_rep
     group = get_group(config.group)
     if config.rep == "trivial":
         return trivial_rep(group.ring)
@@ -320,16 +317,20 @@ def cmd_classify(config: RunConfig, args) -> int:
     return 0
 
 
+# --tau choices: tau of the lattice Z + Z tau as a ring and its coordinates
 _LATTICES = {
-    "i": SQUARE_LATTICE,
-    "omega": HEX_LATTICE,
-    "1+omega": Lattice(EISENSTEIN.to_complex((1, 1))),
+    "i": (GAUSSIAN, (0, 1)),
+    "omega": (EISENSTEIN, (0, 1)),
+    "1+omega": (EISENSTEIN, (1, 1)),
 }
 
 
 def cmd_lsum(config: RunConfig, args) -> int:
+    from .lattice_lfn import (Lattice, LatticeCharacter, L_value_direct,
+                              L_value_kronecker, kappa_lattice)
     tau_choice = args.tau or ("i" if config.group == "picard" else "1+omega")
-    lat = _LATTICES[tau_choice]
+    ring, tau = _LATTICES[tau_choice]
+    lat = Lattice(ring.to_complex(tau))
     psi = LatticeCharacter(args.u, args.v)
     if psi.is_trivial:
         fit = kappa_lattice(lat)
@@ -351,13 +352,15 @@ def cmd_lsum(config: RunConfig, args) -> int:
     return 0 if ok else 3
 
 
-def _residual_cells(value: CyclotomicValue) -> dict:
+def _residual_cells(value) -> dict:
+    """The residual cell of a CyclotomicValue a + b omega."""
     if value.b == 0:
         return {"residual": value.a}
     return {"residual": f"{value.a} + {value.b}*omega"}
 
 
 def cmd_identity(config: RunConfig, args) -> int:
+    from .representation import singular_spaces
     from .trace_formula import cuspidal_identity_check
     group = get_group(config.group)
     chi = load_representation(config)
@@ -382,6 +385,7 @@ def _divisor_rows(records) -> list:
 
 
 def cmd_zeta(config: RunConfig, args) -> int:
+    from .representation import singular_spaces
     from .trace_formula import SpectralSideInputs
     from .zeta import (build_zeta_class_data, central_difference_check,
                        meromorphy_report, topological_divisor, zeta_truncated)
@@ -462,6 +466,8 @@ def cmd_trace(config: RunConfig, args) -> int:
 
 
 def cmd_eisenstein_check(config: RunConfig, args) -> int:
+    from .eisenstein import eigen_check
+    from .representation import singular_spaces
     if not args.s > 1.0:
         raise UsageError("eigenvalue check needs Re(s) > 1")
     group = get_group(config.group)

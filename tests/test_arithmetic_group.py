@@ -55,6 +55,10 @@ def ei(rows):
     return from_ints(EISENSTEIN, rows)
 
 
+# the index-one rings D = -8, -7, -11 (units +-1 only)
+INDEX_ONE_RINGS = (Ring("sqrt-2", -2, 0), Ring("d-7", -2, 1),
+                   Ring("d-11", -3, 1))
+
 R_PIC = gi((((1, 0), (1, 0)), ((0, 0), (1, 0))))
 SIGMA = gi((((0, 0), (-1, 0)), ((1, 0), (0, 0))))
 T21 = gi((((2, 0), (1, 0)), ((1, 0), (1, 0))))
@@ -69,7 +73,9 @@ class TestEnumeration:
         assert SIGMA in els
         assert T21 not in els   # entry norm 4 > 1
 
-    @pytest.mark.parametrize("group", [PICARD, EISENSTEIN_GROUP])
+    @pytest.mark.parametrize("group", [PICARD, EISENSTEIN_GROUP] + [
+        GroupDescriptor(ring.name, ring, (1, 0)) for ring in INDEX_ONE_RINGS],
+        ids=lambda g: g.name)
     def test_brute_force_oracle_height_two(self, group):
         r = group.ring
         small = [(0, 0)] + r.elements_with_norm_le(2)
@@ -290,6 +296,17 @@ class TestCovolume:
 
 # -- axes -------------------------------------------------------------------
 
+def _ring_gcd_axis_key(T):
+    """The axis key by ring arithmetic: the triple (c, d-a, -b) made
+    primitive by the ring gcd, then the least of its unit multiples."""
+    r = T.ring
+    v = (T.c, r.sub(T.d, T.a), r.neg(T.b))
+    g = r.gcd(r.gcd(v[0], v[1]), v[2])
+    v = tuple(r.exact_div(x, g) for x in v)
+    return min((*r.mul(u, v[0]), *r.mul(u, v[1]), *r.mul(u, v[2]))
+               for u in r.units)
+
+
 class TestAxes:
     def test_axis_shared_with_inverse_and_commuting_torsion(self):
         t0 = gi((((0, 0), (0, 1)), ((0, 1), (0, -1))))
@@ -302,6 +319,17 @@ class TestAxes:
 
     def test_different_axes_differ(self):
         assert axis_key(T21) != axis_key(gi((((1, 0), (1, 0)), ((1, 0), (2, 0)))))
+
+    @pytest.mark.parametrize("fixture", ["picard_elements", "eisenstein_elements"])
+    def test_partition_equals_the_ring_gcd_key(self, fixture, request):
+        els = request.getfixturevalue(fixture)
+        on_axes = [g for g in els if (c := classify(g)).kind == "loxodromic"
+                   or (c.kind == "elliptic" and not c.cuspidal)]
+        pairs = {(axis_key(g), _ring_gcd_axis_key(g)) for g in on_axes}
+        # each key of one kind meets exactly one key of the other
+        assert len(pairs) == len({k for k, _ in pairs}) \
+            == len({k for _, k in pairs})
+        assert len(pairs) < len(on_axes)    # axes hold several elements
 
 
 # -- cuspidal elliptic classes ---------------------------------------------
@@ -628,12 +656,6 @@ def picard_elements_h8():
     return enumerate_elements(PICARD, 8)
 
 
-def _up_to_sign(rows, elements):
-    """Is each raw image row +-key() of the matching element?"""
-    return all(tuple(v) == g.key() or tuple(-x for x in v) == g.key()
-               for v, g in zip(rows.tolist(), elements))
-
-
 class TestConjugationKernel:
     @pytest.mark.parametrize("fixture", ["picard_elements", "eisenstein_elements"])
     def test_hits_equal_brute_force(self, fixture, request):
@@ -661,6 +683,24 @@ class TestConjugationKernel:
         assert all(i < len(sample) for i, _, _ in want)
         assert len(want) > len(sample)    # not only the identity hits
 
+    @pytest.mark.parametrize("fixture", ["picard_elements", "eisenstein_elements"])
+    def test_aliased_keys_are_rejected(self, fixture, request):
+        # members with coordinates in {-1, 0, 1} pack into base-3 keys, which
+        # many images with larger coordinates share; the exact re-check
+        # alone tells such an image from the member
+        els = request.getfixturevalue(fixture)
+        members = [g for g in els if max(map(abs, g.key())) <= 1]
+        leads = _sample_of_each_kind(els)
+        got = arithmetic_group._conjugate_hits(
+            ConjugatorSet(els[0].ring, els), element_array(leads),
+            element_array(members), np.arange(len(members)))
+        label = {m: k for k, m in enumerate(members)}
+        want = {(i, j, label[image]) for i, t in enumerate(leads)
+                for j, g in enumerate(els)
+                if (image := t.conjugate_by(g)) in label}
+        assert len(got) == len(want)
+        assert set(map(tuple, got.tolist())) == want
+
     @pytest.mark.parametrize("group,h", [(PICARD, 6), (EISENSTEIN_GROUP, 6),
                                          (PICARD, 8)])
     def test_class_lists_match_reference(self, group, h, request):
@@ -678,8 +718,9 @@ class TestConjugationKernel:
                       for c in nce) == _ref_non_cuspidal(els)
 
     def test_guard_boundary(self, picard_elements):
-        # the images stay exact right up to the proven bound 2^62 and the
-        # kernel raises just beyond it
+        # the exact re-check holds right up to the proven bound 2^62, where
+        # the far lead's wrapped keys meet no member, and the kernel raises
+        # just beyond it
         els = picard_elements[::7]
         conj = ConjugatorSet(PICARD.ring, els)
         t_max = _INT64_SAFE // conj._scale
@@ -691,18 +732,28 @@ class TestConjugationKernel:
             return GroupElement(GAUSSIAN, (x, 0), (x - 1, 0), (x + 1, 0), (x, 0))
 
         ts = [R_PIC, T21, element(t_max)]
-        imgs = conj.raw_images(element_array(ts))
-        assert imgs.shape == (len(ts), len(els), 8)
-        for row, t in zip(imgs, ts):
-            assert _up_to_sign(row, [t.conjugate_by(g) for g in els])
+        targets = list(dict.fromkeys(t.conjugate_by(g) for t in ts[:2]
+                                     for g in els))
+        rows, labels = element_array(targets), np.arange(len(targets))
+        got = arithmetic_group._conjugate_hits(conj, element_array(ts), rows,
+                                               labels)
+        label = {m: k for k, m in enumerate(targets)}
+        want = {(i, j, label[t.conjugate_by(g)])
+                for i, t in enumerate(ts) for j, g in enumerate(els)
+                if t.conjugate_by(g) in label}
+        assert len(got) == len(want)
+        assert set(map(tuple, got.tolist())) == want
         with pytest.raises(ValueError, match="int64"):
-            conj.raw_images(element_array([element(t_max + 1)]))
+            arithmetic_group._conjugate_hits(
+                conj, element_array([element(t_max + 1)]), rows, labels)
 
     def test_overflow_guard(self, picard_elements):
         conj = ConjugatorSet(PICARD.ring, picard_elements)
         huge = GroupElement(GAUSSIAN, (1, 0), (1 << 58, 0), (0, 0), (1, 0))
+        rows = element_array([R_PIC])
         with pytest.raises(ValueError, match="int64"):
-            conj.raw_images(element_array([huge]))
+            arithmetic_group._conjugate_hits(conj, element_array([huge]), rows,
+                                             np.arange(1))
         # a class list refuses conjugators whose maps would overflow
         with pytest.raises(ValueError, match="int64"):
             cuspidal_elliptic_classes(PICARD, picard_elements + [huge])
@@ -711,9 +762,9 @@ class TestConjugationKernel:
 # -- the build path ------------------------------------------------------------
 
 class TestBuildGroupData:
-    @pytest.mark.parametrize("ring, loxodromic", [
-        (Ring("sqrt-2", -2, 0), 32), (Ring("d-7", -2, 1), 19),
-        (Ring("d-11", -3, 1), 32)], ids=lambda p: getattr(p, "name", None))
+    @pytest.mark.parametrize("ring, loxodromic",
+                             list(zip(INDEX_ONE_RINGS, (32, 19, 32))),
+                             ids=lambda p: getattr(p, "name", None))
     def test_index_one_groups_build(self, ring, loxodromic):
         """Units +-1 only: no diagonal stabilizer element besides +-I, so
         no cuspidal elliptic class."""

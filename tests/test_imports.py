@@ -1,11 +1,23 @@
-"""Import weight: no command loads scipy, numpy.random or numpy.ma, and
-nothing in the package needs scipy."""
+"""Import weight: no command loads scipy, numpy.random or numpy.ma,
+nothing in the package needs scipy, and the enumerate, classify and lsum
+commands load no module they do not use."""
+import ast
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _child_env() -> dict:
+    """This environment with the package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 # Imports every module, runs each command but trace, printing after each the
 # numpy.random and numpy.ma modules then loaded, and prints the scipy modules
@@ -38,9 +50,7 @@ print(bool(scipy_modules()))
 
 
 def test_no_command_loads_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _child_env()
     proc = subprocess.run([sys.executable, "-W", "ignore", "-c", SCRIPT],
                           env=env, capture_output=True, text=True,
                           timeout=300)
@@ -80,11 +90,36 @@ print("ok")
 
 
 def test_package_runs_with_scipy_blocked():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _child_env()
     proc = subprocess.run([sys.executable, "-W", "ignore", "-c",
                            BLOCKED_SCRIPT], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["ok"]
+
+
+# Runs one command in a fresh interpreter and prints the selberg3 modules
+# then loaded.
+COMMAND_SCRIPT = """
+import contextlib, io, sys
+from selberg3.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main([sys.argv[1], "--height", "4"])
+assert code == 0, code
+print(sorted(m for m in sys.modules if m.startswith("selberg3.")))
+"""
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("enumerate", ("representation", "lattice_lfn", "eisenstein")),
+    ("classify", ("representation", "lattice_lfn", "eisenstein")),
+    ("lsum", ("representation", "eisenstein"))])
+def test_command_loads_only_its_own_modules(command, absent):
+    env = _child_env()
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c",
+                           COMMAND_SCRIPT, command], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout)
+    assert "selberg3.arithmetic_group" in loaded
+    assert [m for m in loaded if m.split(".")[1] in absent] == []
