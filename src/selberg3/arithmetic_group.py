@@ -418,7 +418,8 @@ _INT64_SAFE = 1 << 62
 # coordinates each, held at once by _conjugate_hits
 _MERGE_CHUNK = 1 << 15
 _RECHECK_CHUNK = _MERGE_CHUNK // 64
-# slots of _conjugate_hits' table of the member keys' low bits
+# slots of _conjugate_hits' table of the member keys' low bits; it spares
+# searchsorted most image keys and halves the Eisenstein h6 and h12 merges
 _KEY_BITS = 1 << 16
 
 

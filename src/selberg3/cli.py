@@ -35,7 +35,7 @@ from .arithmetic_group import (GROUPS, CompletenessError, EnumerationCapError,
                                cuspidal_elliptic_classes, enumerate_elements,
                                get_group, stabilizer_data)
 from .geometry import Point3
-from .rings import EISENSTEIN, GAUSSIAN
+from .rings import EISENSTEIN
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
@@ -317,20 +317,17 @@ def cmd_classify(config: RunConfig, args) -> int:
     return 0
 
 
-# --tau choices: tau of the lattice Z + Z tau as a ring and its coordinates
-_LATTICES = {
-    "i": (GAUSSIAN, (0, 1)),
-    "omega": (EISENSTEIN, (0, 1)),
-    "1+omega": (EISENSTEIN, (1, 1)),
-}
+# --tau choices: tau of the lattice Z + Z tau, resolved by cmd_lsum
+_LATTICES = ("i", "omega", "1+omega")
 
 
 def cmd_lsum(config: RunConfig, args) -> int:
-    from .lattice_lfn import (Lattice, LatticeCharacter, L_value_direct,
+    from .lattice_lfn import (HEX_LATTICE, SQUARE_LATTICE, Lattice,
+                              LatticeCharacter, L_value_direct,
                               L_value_kronecker, kappa_lattice)
     tau_choice = args.tau or ("i" if config.group == "picard" else "1+omega")
-    ring, tau = _LATTICES[tau_choice]
-    lat = Lattice(ring.to_complex(tau))
+    lat = {"i": SQUARE_LATTICE, "omega": HEX_LATTICE,
+           "1+omega": Lattice(EISENSTEIN.to_complex((1, 1)))}[tau_choice]
     psi = LatticeCharacter(args.u, args.v)
     if psi.is_trivial:
         fit = kappa_lattice(lat)

@@ -718,9 +718,8 @@ class TestConjugationKernel:
                       for c in nce) == _ref_non_cuspidal(els)
 
     def test_guard_boundary(self, picard_elements):
-        # the exact re-check holds right up to the proven bound 2^62, where
-        # the far lead's wrapped keys meet no member, and the kernel raises
-        # just beyond it
+        # the images that the exact re-check computes stay exact right up to
+        # the proven bound 2^62, and the kernel raises just beyond it
         els = picard_elements[::7]
         conj = ConjugatorSet(PICARD.ring, els)
         t_max = _INT64_SAFE // conj._scale
@@ -732,6 +731,12 @@ class TestConjugationKernel:
             return GroupElement(GAUSSIAN, (x, 0), (x - 1, 0), (x + 1, 0), (x, 0))
 
         ts = [R_PIC, T21, element(t_max)]
+        for t in ts:
+            # the re-check's product: lead row @ map of each conjugator
+            images = (element_array([t]) @ conj._maps)[:, 0]
+            assert all(tuple(v) == g.key() or tuple(-x for x in v) == g.key()
+                       for v, g in zip(images.tolist(),
+                                       (t.conjugate_by(h) for h in els)))
         targets = list(dict.fromkeys(t.conjugate_by(g) for t in ts[:2]
                                      for g in els))
         rows, labels = element_array(targets), np.arange(len(targets))
